@@ -13,12 +13,9 @@ from .analysis import (AperiodicSignalError, BoundRow, BoundTable,
                        bound_comparison_table, build_report, cycle_amplitude,
                        default_tolerance, estimate_period, scaling_fit,
                        stroboscopic_convergence)
-from .dynamics import (Gains, NearSingularityError, PhaseState, PlantFunctions,
-                       SimState, SingularInputGainError, control_action,
-                       default_layer_width, discontinuous_field,
-                       eval_averaged, eval_discontinuous, eval_phase,
-                       eval_regularized, feedback_linearize, regularized_field,
-                       saturation)
+from .dynamics import (Gains, NearSingularityError, PhaseState,
+                       default_layer_width, eval_phase, regularized_field,
+                       saturation, twisting_action, twisting_law)
 from .integrator import (DivergenceError, IntegrationConfig, Trajectory,
                          detect_crossings, integrate, rk4_solve)
 from .plant import (DifferentiatorConfig, MotorModel, reconstruct_disturbance,

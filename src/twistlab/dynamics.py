@@ -1,9 +1,9 @@
-"""Control laws and closed-loop vector fields of the super-twisting speed loop.
+"""The super-twisting control law and the closed-loop fields built on it.
 
-Every function here is a pure map from its arguments to derivatives or
-control values.  In particular the controller's integral state is owned by
-whoever integrates the loop, so all evaluators can be shared freely between
-workers.
+The law is written once, in two forms: a scalar closure for the fixed-step
+RK4 loops and an array form for recorded channels.  Both are pure maps; the
+controller's integral state is owned by whoever integrates the loop, so they
+can be shared freely between workers.
 """
 
 from __future__ import annotations
@@ -17,29 +17,18 @@ import numpy as np
 __all__ = [
     "DEFAULT_DELTA",
     "Gains",
-    "SimState",
     "PhaseState",
-    "PlantFunctions",
-    "SingularInputGainError",
     "NearSingularityError",
     "default_layer_width",
     "saturation",
-    "control_action",
-    "feedback_linearize",
-    "eval_regularized",
-    "eval_discontinuous",
-    "eval_averaged",
+    "twisting_law",
+    "twisting_action",
     "eval_phase",
     "regularized_field",
-    "discontinuous_field",
 ]
 
 #: Fallback boundary-layer width when no accuracy target is active.
 DEFAULT_DELTA = 1e-4
-
-
-class SingularInputGainError(ValueError):
-    """The input gain g(t, y) is too close to zero to invert."""
 
 
 class NearSingularityError(ValueError):
@@ -78,20 +67,6 @@ class Gains:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Closed-loop state: error x1 and integral-plus-disturbance state x2."""
-
-    t: float
-    x1: float
-    x2: float
-
-    def __post_init__(self) -> None:
-        for name in ("t", "x1", "x2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class PhaseState:
     """Phase-plane state: error w1 and error rate w2."""
 
@@ -101,19 +76,6 @@ class PhaseState:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
             raise ValueError("phase state must be finite")
-
-
-@dataclass(frozen=True)
-class PlantFunctions:
-    """First-order plant data for ``dy/dt = drift(t,y) + input_gain(t,y)*u0``.
-
-    ``input_gain`` must stay away from zero; evaluations with magnitude below
-    ``gain_floor`` raise :class:`SingularInputGainError`.
-    """
-
-    drift: Callable[[float, float], float]
-    input_gain: Callable[[float, float], float]
-    gain_floor: float = 1e-12
 
 
 def saturation(q, delta):
@@ -127,54 +89,40 @@ def saturation(q, delta):
     return np.clip(q / delta, -1.0, 1.0)
 
 
-def control_action(x1: float, integral_state: float, gains: Gains,
-                   regularized: bool = True) -> float:
-    """Super-twisting control u = -k1*sqrt(|x1|)*s(x1) + integral_state.
+def twisting_law(gains: Gains):
+    """Scalar super-twisting law for the fixed-step hot loops.
 
-    ``s`` is the layer saturation when ``regularized`` else exact sign.  The
-    integral state is maintained by the caller as the integral of
-    ``-k2*s(x1)``; keeping it outside makes the law replayable.
+    Returns ``law(x1, z, q) -> (u, dz)`` with
+
+        u  = -k1*sqrt(|x1|)*s + z
+        dz = -k2*s + q,          s = sat(x1/delta)
+
+    ``z`` is the integral state (or integral-plus-disturbance state of the
+    reduced loop) and ``q`` the rate added to its derivative.  The
+    saturation is inlined because ``np.clip`` on a Python float costs
+    microseconds; the result is bit-identical to :func:`twisting_action`.
     """
-    s = saturation(x1, gains.delta) if regularized else np.sign(x1)
-    return float(-gains.k1 * math.sqrt(abs(x1)) * s + integral_state)
+    k1, k2, delta = gains.k1, gains.k2, gains.delta
+    sqrt = math.sqrt
+
+    def law(x1: float, z: float, q: float) -> tuple[float, float]:
+        s = x1 / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        return -k1 * sqrt(abs(x1)) * s + z, -k2 * s + q
+
+    return law
 
 
-def feedback_linearize(u: float, plant: PlantFunctions, t: float, y: float) -> float:
-    """Map the outer control u onto the plant input: (u - drift) / input_gain."""
-    g = plant.input_gain(t, y)
-    if abs(g) < plant.gain_floor:
-        raise SingularInputGainError(
-            f"input gain {g!r} at (t={t}, y={y}) is below the floor {plant.gain_floor}"
-        )
-    return (u - plant.drift(t, y)) / g
+def twisting_action(x1, z, gains: Gains):
+    """Array form of the control u = -k1*sqrt(|x1|)*sat(x1/delta) + z.
 
-
-def eval_regularized(state: SimState, gains: Gains, q_at_t: float) -> tuple[float, float]:
-    """Regularized closed loop: the simulation ground truth.
-
-    dx1 = -k1*sqrt(|x1|)*sat(x1/delta) + x2
-    dx2 = -k2*sat(x1/delta) + q(t)
+    Used on recorded channels; elementwise bit-identical to the ``u`` of
+    :func:`twisting_law`.
     """
-    s = float(saturation(state.x1, gains.delta))
-    dx1 = -gains.k1 * math.sqrt(abs(state.x1)) * s + state.x2
-    dx2 = -gains.k2 * s + q_at_t
-    return dx1, dx2
-
-
-def eval_discontinuous(state: SimState, gains: Gains, q_at_t: float) -> tuple[float, float]:
-    """Switching closed loop (sgn in place of the layer; sgn(0) = 0).
-
-    Provided for delta -> 0 comparisons; simulate the regularized form.
-    """
-    s = float(np.sign(state.x1))
-    dx1 = -gains.k1 * math.sqrt(abs(state.x1)) * s + state.x2
-    dx2 = -gains.k2 * s + q_at_t
-    return dx1, dx2
-
-
-def eval_averaged(chi: SimState, gains: Gains, mean_q: float) -> tuple[float, float]:
-    """Period-averaged loop: same field with the rate replaced by its mean."""
-    return eval_regularized(chi, gains, mean_q)
+    return -gains.k1 * np.sqrt(np.abs(x1)) * saturation(x1, gains.delta) + z
 
 
 def eval_phase(state: PhaseState, gains: Gains, q_at_t: float,
@@ -197,33 +145,10 @@ def eval_phase(state: PhaseState, gains: Gains, q_at_t: float,
 
 
 def regularized_field(gains: Gains, rate: Callable[[float], float]):
-    """Closed-loop field (t, (x1, x2)) -> derivatives for the integrator.
+    """Closed-loop field (t, (x1, x2)) -> (dx1, dx2) of the reduced loop.
 
-    Inlines the layer saturation so a long fixed-step run stays cheap.
+    dx1 = -k1*sqrt(|x1|)*sat(x1/delta) + x2
+    dx2 = -k2*sat(x1/delta) + q(t)
     """
-    k1, k2, delta = gains.k1, gains.k2, gains.delta
-    sqrt = math.sqrt
-
-    def field(t: float, x) -> tuple[float, float]:
-        x1, x2 = x
-        s = x1 / delta
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        return (-k1 * sqrt(abs(x1)) * s + x2, -k2 * s + rate(t))
-
-    return field
-
-
-def discontinuous_field(gains: Gains, rate: Callable[[float], float]):
-    """Switching counterpart of :func:`regularized_field` (sgn(0) = 0)."""
-    k1, k2 = gains.k1, gains.k2
-    sqrt = math.sqrt
-
-    def field(t: float, x) -> tuple[float, float]:
-        x1, x2 = x
-        s = 1.0 if x1 > 0.0 else (-1.0 if x1 < 0.0 else 0.0)
-        return (-k1 * sqrt(abs(x1)) * s + x2, -k2 * s + rate(t))
-
-    return field
+    law = twisting_law(gains)
+    return lambda t, x: law(x[0], x[1], rate(t))

@@ -15,8 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import SimState
-
 __all__ = [
     "DivergenceError",
     "IntegrationConfig",
@@ -138,7 +136,8 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
     """Classical RK4 over ``n_steps`` fixed steps; returns (times, states).
 
     ``field(t, x)`` receives the state as a tuple and returns the derivative
-    tuple.  Pure Python floats in the hot loop keep a 2-state step near 2 us.
+    tuple.  The hot loop runs on pure Python floats; the benchmark's traced
+    run reports its cost per step as ``integrator.us_per_step``.
     Raises :class:`DivergenceError` as soon as a component goes non-finite.
     """
     x = tuple(float(v) for v in x0)
@@ -173,21 +172,17 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
 def integrate(field: Callable, x0, cfg: IntegrationConfig,
               channels: Callable[[np.ndarray, np.ndarray], dict] | None = None,
               metadata: dict | None = None) -> Trajectory:
-    """Integrate a planar field and package the run as a :class:`Trajectory`.
+    """Integrate a planar field from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
 
-    ``x0`` may be a :class:`SimState` (its time stamp becomes t0) or a plain
-    ``(x1, x2)`` pair starting at t = 0.  ``channels(t, X)`` may supply the
-    u/d/q channels (vectorized, evaluated on the records); any other keys it
-    returns are stored under ``extras``.  Channels default to zeros.
+    ``channels(t, X)`` may supply the u/d/q channels (vectorized, evaluated
+    on the records); any other keys it returns are stored under ``extras``.
+    Channels default to zeros.
     """
-    if isinstance(x0, SimState):
-        t0, start = x0.t, (x0.x1, x0.x2)
-    else:
-        t0, start = 0.0, tuple(float(v) for v in x0)
+    start = tuple(float(v) for v in x0)
     if len(start) != 2:
         raise ValueError("integrate expects a planar state; use rk4_solve for other sizes")
 
-    times, states = rk4_solve(field, start, t0, cfg.dt, cfg.n_steps, cfg.record_stride)
+    times, states = rk4_solve(field, start, 0.0, cfg.dt, cfg.n_steps, cfg.record_stride)
     x1 = states[:, 0].copy()
     x2 = states[:, 1].copy()
 
@@ -197,7 +192,7 @@ def integrate(field: Callable, x0, cfg: IntegrationConfig,
     q = np.asarray(derived.pop("q", np.zeros_like(times)), dtype=float)
     extras = {k: np.asarray(v, dtype=float) for k, v in derived.items()}
 
-    meta = {"dt": cfg.dt, "record_stride": cfg.record_stride, "t0": t0}
+    meta = {"dt": cfg.dt, "record_stride": cfg.record_stride, "t0": 0.0}
     if metadata:
         meta.update(metadata)
     return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, metadata=meta, extras=extras)

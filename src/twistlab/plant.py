@@ -2,7 +2,8 @@
 
 The rotor obeys J*domega/dt = u0 + d(omega, theta) with d from the
 friction-plus-cogging model; the speed error e = omega - omega_r is driven
-by the super-twisting law through feedback linearization.  Sliding-mode
+by the super-twisting law, whose output is mapped onto the rotor torque
+u0 = J*(u + domega_r/dt).  Sliding-mode
 differentiation then reconstructs d and its rate from the recorded signals
 alone, the same way one would on hardware where d is not measurable.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Gains, PlantFunctions, feedback_linearize, saturation
+from .dynamics import Gains, twisting_action, twisting_law
 from .integrator import DivergenceError, IntegrationConfig, Trajectory, rk4_solve
 from .signals import FrictionCoggingModel, MotionProfile
 
@@ -44,8 +45,10 @@ class MotorModel:
     velocity_window: int = 1            # samples for backward differencing
 
     def __post_init__(self) -> None:
-        if self.inertia <= 0.0:
-            raise ValueError(f"inertia must be positive, got {self.inertia}")
+        if not (self.inertia > 0.0 and math.isfinite(self.inertia)):
+            raise ValueError(f"inertia must be positive and finite, got {self.inertia}")
+        if 1.0 / self.inertia < 1e-12:
+            raise ValueError(f"input gain 1/inertia = {1.0 / self.inertia!r} is below 1e-12")
         if self.encoder_quantum < 0.0:
             raise ValueError("encoder_quantum must be non-negative")
         if self.velocity_window < 1:
@@ -77,35 +80,26 @@ class DifferentiatorConfig:
                    rate_bound=rate_bound)
 
 
-def _error_plant(motor: MotorModel, reference: MotionProfile) -> PlantFunctions:
-    """Error dynamics de/dt = -omega_dot_r + (1/J)*u0 + d/J as plant functions."""
-    ref_accel = reference.omega_dot
-    inv_inertia = 1.0 / motor.inertia
-    return PlantFunctions(
-        drift=lambda t, y: -float(ref_accel(t)),
-        input_gain=lambda t, y: inv_inertia,
-    )
-
-
 def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                         cfg: IntegrationConfig, initial_error: float = 0.0,
                         initial_integral: float = 0.0, noise_std: float = 0.0,
                         rng: np.random.Generator | None = None) -> Trajectory:
     """Closed-loop run of the virtual motor; records the error as x1.
 
-    The trajectory's ``u`` channel holds the applied torque command u0 and
+    The trajectory's ``u`` channel holds the torque command u0 and
     ``extras`` carries omega/theta/integral_state, which
     :func:`reconstruct_disturbance` consumes.  With the encoder and noise
     disabled (the baseline) the loop is a continuous ODE; otherwise the
     controller runs in sampled mode on the measured velocity with u0 held
-    over each step.
+    over each step.  In sampled mode the recorded ``u`` and ``q`` are
+    rebuilt after the run from the true error, not from the measured error
+    the controller acted on.
     """
-    plant_fns = _error_plant(motor, reference)
     model = motor.friction_cogging
     J = motor.inertia
-    k1, k2, delta = gains.k1, gains.k2, gains.delta
-    ref_omega, ref_theta = reference.omega, reference.theta
-    sqrt = math.sqrt
+    inv_inertia = 1.0 / J
+    law = twisting_law(gains)
+    ref_omega, ref_theta, ref_accel = reference.omega, reference.theta, reference.omega_dot
 
     theta0 = float(ref_theta(0.0))
     omega0 = float(ref_omega(0.0)) + initial_error
@@ -115,15 +109,10 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     if not sampled:
         def field(t: float, x) -> tuple[float, float, float]:
             theta, omega, z = x
-            e = omega - float(ref_omega(t))
-            s = e / delta
-            if s > 1.0:
-                s = 1.0
-            elif s < -1.0:
-                s = -1.0
-            u = -k1 * sqrt(abs(e)) * s + z
-            u0 = feedback_linearize(u, plant_fns, t, e)
-            return (omega, (u0 + float(model.torque(omega, theta))) / J, -k2 * s)
+            # q = -0.0 adds nothing to any float, so dz is exactly -k2*s
+            u, dz = law(omega - float(ref_omega(t)), z, -0.0)
+            u0 = (u + float(ref_accel(t))) / inv_inertia
+            return (omega, (u0 + float(model.torque(omega, theta))) / J, dz)
 
         times, states = rk4_solve(field, x0, 0.0, cfg.dt, cfg.n_steps, cfg.record_stride)
     else:
@@ -133,12 +122,8 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     theta = states[:, 0]
     omega = states[:, 1]
     z = states[:, 2]
-    wr = np.asarray([float(ref_omega(ti)) for ti in times])
-    e = omega - wr
-    s = np.asarray(saturation(e, delta))
-    u = -k1 * np.sqrt(np.abs(e)) * s + z
-    u0 = np.asarray([feedback_linearize(float(ui), plant_fns, float(ti), float(ei))
-                     for ui, ti, ei in zip(u, times, e)])
+    e = omega - ref_omega(times)
+    u0 = (twisting_action(e, z, gains) + ref_accel(times)) / inv_inertia
     d = np.asarray(model.torque(omega, theta))
     omega_dot = (u0 + d) / J
     q = np.asarray(model.rate(omega, omega_dot, theta))
@@ -147,9 +132,9 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
         "dt": cfg.dt,
         "record_stride": cfg.record_stride,
         "t0": 0.0,
-        "k1": k1,
-        "k2": k2,
-        "delta": delta,
+        "k1": gains.k1,
+        "k2": gains.k2,
+        "delta": gains.delta,
         "inertia": J,
         "perturbation": model.describe(),
         "reference": reference.descriptor,
@@ -166,14 +151,13 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     """Stepped loop: u0 from the quantized/noisy measurement, held per step."""
     if noise_std > 0.0 and rng is None:
         raise ValueError("noise injection requires an rng")
-    plant_fns = _error_plant(motor, reference)
     model = motor.friction_cogging
     J = motor.inertia
-    k1, k2, delta = gains.k1, gains.k2, gains.delta
+    inv_inertia = 1.0 / J
+    law = twisting_law(gains)
     quantum = motor.encoder_quantum
     window = motor.velocity_window
     dt = cfg.dt
-    sqrt = math.sqrt
 
     n_records = cfg.n_steps // cfg.record_stride + 1
     times = np.empty(n_records)
@@ -198,10 +182,8 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
         if noise_std > 0.0:
             omega_meas += noise_std * rng.standard_normal()
 
-        e_meas = omega_meas - float(reference.omega(t))
-        s = float(saturation(e_meas, delta))
-        u = -k1 * sqrt(abs(e_meas)) * s + z
-        u0 = feedback_linearize(u, plant_fns, t, e_meas)
+        u, dz = law(omega_meas - float(reference.omega(t)), z, -0.0)
+        u0 = (u + float(reference.omega_dot(t))) / inv_inertia
 
         def rotor(tt: float, x) -> tuple[float, float]:
             th, w = x
@@ -209,7 +191,7 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
 
         _, rotor_states = rk4_solve(rotor, (theta, omega), t, dt, 1)
         theta, omega = rotor_states[-1]
-        z += dt * (-k2 * s)
+        z += dt * dz
         if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(z)):
             raise DivergenceError(t + dt)
         if (k + 1) % cfg.record_stride == 0:

@@ -15,14 +15,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (LimitCycleReport, bound_comparison_table, build_report,
                        scaling_fit)
-from .dynamics import Gains, default_layer_width, regularized_field, saturation
+from .dynamics import Gains, default_layer_width, regularized_field, twisting_action
 from .integrator import IntegrationConfig, Trajectory, integrate
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
@@ -38,6 +38,25 @@ __all__ = ["SCHEMA_VERSION", "ScenarioConfig", "RunResult", "run_scenario",
 SCHEMA_VERSION = 1
 
 SCENARIOS = ("constant_speed", "sinusoidal_velocity", "synthetic_q")
+
+#: Keys the runner reads from each nested config section; any other key is
+#: rejected up front, so a typo cannot silently fall back to a default.
+SECTION_KEYS = {
+    "gains": {"source", "k1", "k2", "delta", "rate_bound", "margin", "eta", "n",
+              "k1_max", "objective"},
+    "integration": {"steps_per_period", "periods", "record_stride"},
+    "motor": {"inertia", "encoder_quantum", "velocity_window", "noise_std"},
+    "analysis": {"n", "tolerance"},
+    "initial": {"x1", "x2", "error", "integral"},
+    "tuning": {"rate_bound", "period", "eta", "n", "margin", "k1", "k1_max", "objective"},
+}
+
+#: Keys of the ``parameters`` section, per scenario.
+PARAMETER_KEYS = {
+    "constant_speed": {"omega_r"},
+    "sinusoidal_velocity": {"frequency_hz", "accel_peak"},
+    "synthetic_q": {"cases", "phase"},
+}
 
 
 @dataclass
@@ -58,6 +77,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        allowed = dict(SECTION_KEYS, parameters=PARAMETER_KEYS[self.scenario])
+        for name, keys in allowed.items():
+            section = getattr(self, name)
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name!r} must be an object")
+            unknown = sorted(set(section) - keys)
+            if unknown:
+                raise ValueError("unknown config keys: "
+                                 + ", ".join(f"{name}.{key}" for key in unknown))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -75,11 +103,6 @@ class ScenarioConfig:
     def from_file(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        data = {"schema_version": SCHEMA_VERSION}
-        data.update(asdict(self))
-        return data
 
     def with_override(self, dotted_key: str, raw_value: str) -> "ScenarioConfig":
         """Return a copy with one dotted-path key replaced (JSON-parsed value)."""
@@ -200,8 +223,7 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
             def channels(t: np.ndarray, states: np.ndarray) -> dict:
                 d = np.asarray(pert.d(t))
                 q = np.asarray(pert.q(t))
-                s = np.asarray(saturation(states[:, 0], gains.delta))
-                u = -gains.k1 * np.sqrt(np.abs(states[:, 0])) * s + (states[:, 1] - d)
+                u = twisting_action(states[:, 0], states[:, 1] - d, gains)
                 return {"u": u, "d": d, "q": q}
 
             traj = integrate(
@@ -265,15 +287,12 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _phase_csv(traj: Trajectory, period: float) -> str:
+def _phase_csv(traj: Trajectory, period: float, gains: Gains) -> str:
     """w1/w2 over the final recorded cycle; w2 from the recorded channels."""
-    k1 = traj.metadata["k1"]
-    delta = traj.metadata["delta"]
     start = traj.t[-1] - period
     mask = traj.t >= start - 1e-12
     x1 = traj.x1[mask]
-    x2 = traj.x2[mask]
-    w2 = -k1 * np.sqrt(np.abs(x1)) * np.asarray(saturation(x1, delta)) + x2
+    w2 = twisting_action(x1, traj.x2[mask], gains)
     lines = ["w1,w2"]
     lines.extend(f"{float(a)!r},{float(b)!r}" for a, b in zip(x1, w2))
     return "\n".join(lines) + "\n"
@@ -300,7 +319,7 @@ def emit_outputs(results: list[RunResult], out_dir) -> dict:
             r.trajectory.to_csv(tmp)
             os.replace(tmp, run_dir / "trajectory.csv")
             if r.report is not None and r.report.converged:
-                _atomic_write(run_dir / "phase.csv", _phase_csv(r.trajectory, r.period))
+                _atomic_write(run_dir / "phase.csv", _phase_csv(r.trajectory, r.period, r.gains))
 
     converged = [r for r in results if r.error is None and r.report is not None
                  and r.report.converged]

@@ -7,15 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from twistlab.dynamics import (Gains, NearSingularityError, PhaseState,
-                               PlantFunctions, SimState,
-                               SingularInputGainError, control_action,
-                               default_layer_width, eval_averaged,
-                               eval_discontinuous, eval_phase,
-                               eval_regularized, feedback_linearize,
-                               regularized_field, saturation)
+                               default_layer_width, eval_phase,
+                               regularized_field, saturation, twisting_action,
+                               twisting_law)
 from twistlab.integrator import IntegrationConfig, integrate
 
 GAINS = Gains(k1=0.9, k2=11.65, delta=1e-4)
+LAW = twisting_law(GAINS)
 
 
 def test_saturation_examples():
@@ -49,98 +47,95 @@ def test_saturation_properties():
 
 
 def test_control_action_examples():
-    assert control_action(0.0, 0.0, GAINS) == 0.0
-    assert control_action(1.0, 0.0, GAINS) == pytest.approx(-0.9)
-    assert control_action(4.0, 1.0, GAINS) == pytest.approx(-0.8)
-    # switching variant agrees outside the layer
-    assert control_action(4.0, 1.0, GAINS, regularized=False) == pytest.approx(-0.8)
+    assert twisting_action(0.0, 0.0, GAINS) == 0.0
+    assert twisting_action(1.0, 0.0, GAINS) == pytest.approx(-0.9)
+    assert twisting_action(4.0, 1.0, GAINS) == pytest.approx(-0.8)
+    assert LAW(4.0, 1.0, 0.0)[0] == pytest.approx(-0.8)
 
 
-def test_feedback_linearize():
-    identity = PlantFunctions(drift=lambda t, y: 0.0, input_gain=lambda t, y: 1.0)
-    assert feedback_linearize(5.0, identity, 0.0, 0.0) == 5.0
-    affine = PlantFunctions(drift=lambda t, y: 2.0, input_gain=lambda t, y: 2.0)
-    assert feedback_linearize(0.0, affine, 0.0, 0.0) == -1.0
-    singular = PlantFunctions(drift=lambda t, y: 0.0, input_gain=lambda t, y: 0.0)
-    with pytest.raises(SingularInputGainError):
-        feedback_linearize(1.0, singular, 0.0, 0.0)
-
-
-def test_eval_regularized_examples():
-    assert eval_regularized(SimState(0.0, 0.0, 0.0), GAINS, 0.0) == (0.0, 0.0)
-    dx1, dx2 = eval_regularized(SimState(0.0, 1.0, 0.0), GAINS, 0.0)
+def test_twisting_law_examples():
+    assert LAW(0.0, 0.0, 0.0) == (0.0, 0.0)
+    dx1, dx2 = LAW(1.0, 0.0, 0.0)
     assert dx1 == pytest.approx(-0.9)
     assert dx2 == pytest.approx(-11.65)
     # interior of the boundary layer: saturation at one half
     delta = GAINS.delta
     L = 12.0
-    dx1, dx2 = eval_regularized(SimState(0.0, delta / 2, 1.0), GAINS, L)
+    dx1, dx2 = LAW(delta / 2, 1.0, L)
     assert dx1 == pytest.approx(-0.9 * math.sqrt(delta / 2) * 0.5 + 1.0)
     assert dx2 == pytest.approx(-0.5 * 11.65 + L)
 
 
-def test_eval_discontinuous_examples():
-    assert eval_discontinuous(SimState(0.0, 1.0, 0.0), GAINS, 0.0) == pytest.approx((-0.9, -11.65))
-    assert eval_discontinuous(SimState(0.0, -1.0, 0.0), GAINS, 0.0) == pytest.approx((0.9, 11.65))
-    # sgn(0) = 0 convention: only the rate survives at x1 = 0
-    dx1, dx2 = eval_discontinuous(SimState(0.0, 0.0, 0.3), GAINS, 4.2)
-    assert dx1 == 0.3
-    assert dx2 == 4.2
+def test_scalar_and_array_laws_are_bit_identical():
+    """twisting_law's u equals twisting_action's, and its dz uses the same saturation.
+
+    The grid covers both zeros, the layer edges, the layer interior and
+    values far outside it, where rounding of x1/delta matters most.
+    """
+    delta = GAINS.delta
+    edges = [0.0, delta, delta / 2, delta * (1 - 1e-16), delta * (1 + 1e-15),
+             delta / 3, 1e-300, 5e-324, 0.37, 1.0, 7.5e3, 1e300]
+    signed_zeros = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    rng = np.random.default_rng(5)
+    x1 = np.array([a for a, _ in signed_zeros] + edges + [-v for v in edges]
+                  + list(rng.normal(0.0, 3 * delta, 200)) + list(rng.normal(0.0, 10.0, 200)))
+    z = np.concatenate(([b for _, b in signed_zeros],
+                        rng.normal(0.0, 2.0, len(x1) - len(signed_zeros))))
+    q = rng.normal(0.0, 20.0, len(x1))
+    pairs = [LAW(float(a), float(b), float(c)) for a, b, c in zip(x1, z, q)]
+    u_scalar = np.array([p[0] for p in pairs])
+    dz_scalar = np.array([p[1] for p in pairs])
+    assert u_scalar.tobytes() == twisting_action(x1, z, GAINS).tobytes()
+    dz_array = -GAINS.k2 * saturation(x1, delta) + q
+    assert dz_scalar.tobytes() == dz_array.tobytes()
 
 
 def test_regularized_matches_discontinuous_outside_layer():
-    """The layer approximation is exact once delta < |x1|."""
+    """The layer approximation is exact once delta <= |x1|: s = sgn(x1)."""
     rng = np.random.default_rng(11)
     for _ in range(200):
         x1 = rng.uniform(-3.0, 3.0)
         if abs(x1) < 1e-3:
             continue
-        x2 = rng.uniform(-5.0, 5.0)
+        z = rng.uniform(-5.0, 5.0)
         q = rng.uniform(-20.0, 20.0)
         gains = Gains(k1=rng.uniform(0.1, 5.0), k2=rng.uniform(0.1, 20.0),
-                      delta=abs(x1) * 0.5)
-        state = SimState(0.0, x1, x2)
-        assert eval_regularized(state, gains, q) == eval_discontinuous(state, gains, q)
+                      delta=abs(x1) * rng.choice([0.5, 1.0]))
+        sgn = math.copysign(1.0, x1)
+        expected = (-gains.k1 * math.sqrt(abs(x1)) * sgn + z, -gains.k2 * sgn + q)
+        assert twisting_law(gains)(x1, z, q) == expected
+        assert twisting_action(x1, z, gains) == expected[0]
 
 
 def test_odd_symmetry():
-    """eval_regularized(-x, -q) = -eval_regularized(x, q) componentwise."""
+    """law(-x1, -z, -q) = -law(x1, z, q) componentwise, in both forms."""
     rng = np.random.default_rng(3)
     for _ in range(200):
-        state = SimState(0.0, rng.uniform(-2, 2), rng.uniform(-5, 5))
+        x1, z = rng.uniform(-2, 2), rng.uniform(-5, 5)
         q = rng.uniform(-15, 15)
-        fwd = eval_regularized(state, GAINS, q)
-        mirrored = eval_regularized(SimState(0.0, -state.x1, -state.x2), GAINS, -q)
-        assert mirrored[0] == pytest.approx(-fwd[0], abs=1e-15)
-        assert mirrored[1] == pytest.approx(-fwd[1], abs=1e-15)
+        fwd = LAW(x1, z, q)
+        mirrored = LAW(-x1, -z, -q)
+        assert mirrored == (-fwd[0], -fwd[1])
+        assert twisting_action(-x1, -z, GAINS) == -twisting_action(x1, z, GAINS)
 
 
-def test_eval_averaged_constant_rate():
-    """With a constant rate the averaged field is the regularized field."""
-    state = SimState(0.0, 0.0, 0.0)
-    assert eval_averaged(state, GAINS, 0.0) == (0.0, 0.0)
-    state = SimState(0.0, 0.37, -1.2)
-    assert eval_averaged(state, GAINS, 3.3) == eval_regularized(state, GAINS, 3.3)
-
-
-def test_eval_averaged_quadrature_oracle():
-    """Time average of the forced field at a frozen state equals the averaged field.
+def test_averaged_law_quadrature_oracle():
+    """Time average of the forced law at a frozen state equals the law at the mean rate.
 
     Oracle: numeric quadrature of each component over one period of a
     zero-mean sinusoidal rate.
     """
     x1, x2 = 0.3, -0.7
     L, T = 12.0, 0.25
-    state = SimState(0.0, x1, x2)
 
     def component(i):
         def f(t):
-            return eval_regularized(state, GAINS, L * math.sin(2 * math.pi * t / T))[i]
+            return LAW(x1, x2, L * math.sin(2 * math.pi * t / T))[i]
         return f
 
     mean_dx1 = quad(component(0), 0.0, T, epsrel=1e-10)[0] / T
     mean_dx2 = quad(component(1), 0.0, T, epsrel=1e-10)[0] / T
-    averaged = eval_averaged(state, GAINS, 0.0)
+    averaged = LAW(x1, x2, 0.0)
     assert averaged[0] == pytest.approx(mean_dx1, abs=1e-9)
     assert averaged[1] == pytest.approx(mean_dx2, abs=1e-9)
 
@@ -167,8 +162,7 @@ def test_phase_state_consistency_along_trajectory():
     traj = integrate(regularized_field(gains, lambda t: L * math.sin(w * t)),
                      (0.0, 0.0), cfg)
     x1 = traj.x1
-    s = np.asarray(saturation(x1, gains.delta))
-    w2 = -gains.k1 * np.sqrt(np.abs(x1)) * s + traj.x2
+    w2 = twisting_action(x1, traj.x2, gains)
     dt = traj.sample_dt
     dw2_fd = (w2[2:] - w2[:-2]) / (2 * dt)
     q = L * np.sin(w * traj.t)
@@ -196,9 +190,9 @@ def test_gains_validation():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        SimState(0.0, math.inf, 0.0)
-    with pytest.raises(ValueError):
         PhaseState(math.nan, 0.0)
+    with pytest.raises(ValueError):
+        PhaseState(0.0, math.inf)
 
 
 def test_default_layer_width():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twistlab.analysis import estimate_period
-from twistlab.dynamics import Gains, default_layer_width
+from twistlab.dynamics import Gains, default_layer_width, twisting_law
 from twistlab.integrator import IntegrationConfig
 from twistlab.plant import (DifferentiatorConfig, MotorModel,
                             reconstruct_disturbance, robust_differentiate,
@@ -109,6 +109,20 @@ def test_motor_loop_records_consistent_channels():
     assert np.allclose(traj.x1, traj.extras["omega"] - 18.0)
 
 
+def test_motor_loop_torque_is_law_plus_reference_acceleration():
+    """With J = 1 the recorded torque command is u + domega_r/dt, bit for bit."""
+    motor = MotorModel(friction_cogging=GENTLE)
+    reference = MotionProfile.sinusoidal_velocity(4.0)
+    gains = Gains(0.9, 19.65, default_layer_width(0.2))
+    cfg = IntegrationConfig.for_period(0.25, 400, 2)
+    traj = simulate_motor_loop(motor, reference, gains, cfg)
+    law = twisting_law(gains)
+    z = traj.extras["integral_state"]
+    for i, t in enumerate(traj.t):
+        u, _ = law(float(traj.x1[i]), float(z[i]), 0.0)
+        assert traj.u[i] == u + float(reference.omega_dot(float(t)))
+
+
 def test_encoder_and_noise_path_stays_bounded():
     motor = MotorModel(friction_cogging=CALIBRATED,
                        encoder_quantum=2 * math.pi / 2 ** 11,
@@ -167,6 +181,11 @@ def test_reconstruct_requires_motor_channels():
 def test_motor_model_validation():
     with pytest.raises(ValueError):
         MotorModel(inertia=0.0)
+    for non_finite in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MotorModel(inertia=non_finite)
+    with pytest.raises(ValueError):
+        MotorModel(inertia=1e13)  # input gain 1/J below 1e-12
     with pytest.raises(ValueError):
         MotorModel(encoder_quantum=-1.0)
     with pytest.raises(ValueError):

@@ -53,6 +53,30 @@ def test_config_override():
         cfg.with_override("nonexistent.key", "1")
 
 
+@pytest.mark.parametrize("section,key", [
+    ("gains", "k3"), ("integration", "steps_per_periods"), ("motor", "inertial"),
+    ("analysis", "tol"), ("initial", "x3"), ("tuning", "eta_max"),
+    ("parameters", "omega_r"),
+])
+def test_unknown_nested_key_names_its_path(section, key):
+    """A typo in a nested section fails at load time, naming the dotted path."""
+    data = json.loads(json.dumps(SYNTHETIC))
+    data.setdefault(section, {})[key] = 1
+    with pytest.raises(ValueError, match=rf"{section}\.{key}"):
+        ScenarioConfig.from_dict(data)
+    cfg = ScenarioConfig.from_dict(SYNTHETIC)
+    with pytest.raises(ValueError, match=rf"{section}\.{key}"):
+        cfg.with_override(f"{section}.{key}", "1")
+
+
+def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SYNTHETIC))
+    assert main(["simulate", "--config", str(path),
+                 "--override", "integration.steps_per_periods=10"]) == 1
+    assert "integration.steps_per_periods" in capsys.readouterr().err
+
+
 def test_empty_parameter_set_is_config_error():
     cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": []}})
     with pytest.raises(ValueError):
