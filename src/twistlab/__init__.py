@@ -21,8 +21,7 @@ from .integrator import (DivergenceError, IntegrationConfig, Trajectory,
 from .plant import (DifferentiatorConfig, MotorModel, reconstruct_disturbance,
                     robust_differentiate, simulate_motor_loop)
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
-                      bound_L, constant_speed_characterization, eval_d, eval_q,
-                      mean_rate)
+                      bound_L, constant_speed_characterization, eval_d, eval_q)
 from .tuning import (AccuracySpec, InfeasibleSpecError, RegimeError,
                      check_averaged_conditions, cycle_width_bound,
                      finite_time_gains, optimize_gains, tight_bound_feasible,

@@ -126,12 +126,12 @@ def cycle_amplitude(traj: Trajectory, cycle_start_time: float, period: float) ->
     return float(np.max(np.abs(traj.x1[lo:hi])))
 
 
-def estimate_period(samples: np.ndarray, dt: float, min_peak: float = 0.2) -> float:
+def estimate_period(samples: np.ndarray, dt: float) -> float:
     """Dominant period via the autocorrelation peak, parabolically refined.
 
     The search starts past the first non-positive autocorrelation lag so the
-    trivial lag-0 peak is excluded.  A normalized peak below ``min_peak``
-    (or no interior peak at all) raises :class:`AperiodicSignalError`.
+    trivial lag-0 peak is excluded.  A normalized peak below 0.2 (or no
+    interior peak at all) raises :class:`AperiodicSignalError`.
     """
     x = np.asarray(samples, dtype=float)
     if len(x) < 8:
@@ -150,9 +150,9 @@ def estimate_period(samples: np.ndarray, dt: float, min_peak: float = 0.2) -> fl
     if len(search) < 3:
         raise AperiodicSignalError("window too short past the autocorrelation decay")
     k = start + int(np.argmax(search))
-    if corr[k] < min_peak:
+    if corr[k] < 0.2:
         raise AperiodicSignalError(
-            f"strongest autocorrelation peak {corr[k]:.3f} is below {min_peak}"
+            f"strongest autocorrelation peak {corr[k]:.3f} is below 0.2"
         )
     if 0 < k < len(corr) - 1:
         denom = corr[k - 1] - 2.0 * corr[k] + corr[k + 1]
@@ -277,7 +277,7 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
     except AperiodicSignalError:
         measured_period = None
 
-    crossings = detect_crossings(traj, "x1")
+    crossings = detect_crossings(traj)
     per_cycle = sum(1 for tc, _ in crossings if window_start <= tc <= t_end)
 
     return LimitCycleReport(

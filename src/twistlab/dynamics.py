@@ -125,8 +125,7 @@ def twisting_action(x1, z, gains: Gains):
     return -gains.k1 * np.sqrt(np.abs(x1)) * saturation(x1, gains.delta) + z
 
 
-def eval_phase(state: PhaseState, gains: Gains, q_at_t: float,
-               singularity_floor: float = 1e-9) -> tuple[float, float]:
+def eval_phase(state: PhaseState, gains: Gains, q_at_t: float) -> tuple[float, float]:
     """Phase-coordinate form (w1, w2) = (x1, dx1/dt); singular at w1 = 0.
 
     dw1 = w2
@@ -134,9 +133,9 @@ def eval_phase(state: PhaseState, gains: Gains, q_at_t: float,
 
     Analysis cross-checks only: simulate in (x1, x2) and map instead.
     """
-    if abs(state.w1) < singularity_floor:
+    if abs(state.w1) < 1e-9:
         raise NearSingularityError(
-            f"|w1| = {abs(state.w1)} is below the singularity floor {singularity_floor}"
+            f"|w1| = {abs(state.w1)} is below the singularity floor 1e-09"
         )
     dw1 = state.w2
     dw2 = (-0.5 * gains.k1 * state.w2 / math.sqrt(abs(state.w1))

@@ -118,11 +118,6 @@ class Trajectory:
         """Spacing between records (record_stride * dt)."""
         return float(self.metadata["dt"] * self.metadata.get("record_stride", 1))
 
-    def channel(self, name: str) -> np.ndarray:
-        if name in ("t", "x1", "x2", "u", "d", "q"):
-            return getattr(self, name)
-        return self.extras[name]
-
     def to_csv(self, path) -> None:
         """Write the canonical `t,x1,x2,u,d,q` table (shortest round-trip floats)."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -198,11 +193,10 @@ def integrate(field: Callable, x0, cfg: IntegrationConfig,
     return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, metadata=meta, extras=extras)
 
 
-def detect_crossings(traj: Trajectory, component: str = "x1",
-                     layer_width: float | None = None) -> list[tuple[float, int]]:
-    """Linear-interpolated zero crossings of a channel, as (time, direction).
+def detect_crossings(traj: Trajectory, layer_width: float | None = None) -> list[tuple[float, int]]:
+    """Linear-interpolated zero crossings of ``x1``, as (time, direction).
 
-    ``direction`` is the sign of the channel after the crossing.  Crossing
+    ``direction`` is the sign of ``x1`` after the crossing.  Crossing
     clusters whose intermediate samples stay inside the boundary layer
     (|value| < layer_width for more than one step) are coalesced into a
     single event: that chatter is a regularization artifact, not cycle
@@ -211,7 +205,7 @@ def detect_crossings(traj: Trajectory, component: str = "x1",
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    values = traj.channel(component)
+    values = traj.x1
     t = traj.t
     if layer_width is None:
         layer_width = float(traj.metadata.get("delta", 0.0))

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ SECTION_KEYS = {
     "analysis": {"n", "tolerance"},
     "initial": {"x1", "x2", "error", "integral"},
     "tuning": {"rate_bound", "period", "eta", "n", "margin", "k1", "k1_max", "objective"},
+    "perturbation": {f.name for f in fields(FrictionCoggingModel)},
 }
 
 #: Keys of the ``parameters`` section, per scenario.
@@ -77,6 +78,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         allowed = dict(SECTION_KEYS, parameters=PARAMETER_KEYS[self.scenario])
         for name, keys in allowed.items():
             section = getattr(self, name)
@@ -93,8 +96,7 @@ class ScenarioConfig:
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"config schema_version {version!r} is not {SCHEMA_VERSION}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -281,9 +283,13 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[RunResult]:
         return [f.result() for f in futures]
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, content) -> None:
+    """Write text, or an object through its ``to_csv``, to a temp file renamed to ``path``."""
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(text, encoding="utf-8")
+    if isinstance(content, str):
+        tmp.write_text(content, encoding="utf-8")
+    else:
+        content.to_csv(tmp)
     os.replace(tmp, path)
 
 
@@ -314,10 +320,10 @@ def emit_outputs(results: list[RunResult], out_dir) -> dict:
     for r in results:
         run_dir = out / r.label
         run_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("trajectory.csv", "phase.csv"):  # a run that no longer writes one keeps none
+            (run_dir / name).unlink(missing_ok=True)
         if r.trajectory is not None:
-            tmp = run_dir / ".trajectory.csv.tmp"
-            r.trajectory.to_csv(tmp)
-            os.replace(tmp, run_dir / "trajectory.csv")
+            _atomic_write(run_dir / "trajectory.csv", r.trajectory)
             if r.report is not None and r.report.converged:
                 _atomic_write(run_dir / "phase.csv", _phase_csv(r.trajectory, r.period, r.gains))
 
@@ -325,7 +331,7 @@ def emit_outputs(results: list[RunResult], out_dir) -> dict:
                  and r.report.converged]
     table = bound_comparison_table([r.report for r in converged],
                                    [r.label for r in converged])
-    table.to_csv(out / "bounds.csv")
+    _atomic_write(out / "bounds.csv", table)
 
     fit = None
     points = _scaling_points(results)
@@ -376,6 +382,7 @@ def _summary_text(results: list[RunResult], fit) -> str:
             continue
         checks = []
         if r.gains is not None:
+            # q is the derivative of a T-periodic d, so its period mean is 0
             averaged_ok = check_averaged_conditions(r.gains, 0.0)
             checks.append(f"averaged_conditions={'pass' if averaged_ok else 'informative-fail'}")
             if r.rate_bound > r.gains.k2:
@@ -466,6 +473,7 @@ def _cmd_tune(args) -> int:
                   f"(k1 premise {'holds' if feasible else 'FAILS'}, "
                   f"tight bound {bound:.6g} vs eta {eta:g})")
             print(f"coarse bound: {cycle_width_bound(k2, L, n, T):.6g}")
+            # q is the derivative of a T-periodic d, so its period mean is 0
             print(f"averaged-loop conditions at mean rate 0: "
                   f"{check_averaged_conditions(Gains(k1, k2), 0.0)} (informative)")
         except (InfeasibleSpecError, RegimeError) as exc:

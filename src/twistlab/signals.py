@@ -2,8 +2,8 @@
 
 Two families: a synthetic disturbance whose rate is a pure sinusoid, and the
 motor load torque built from smoothed Coulomb + viscous friction plus
-position-periodic cogging harmonics.  Helpers extract the rate bound and the
-period mean that the gain calculus consumes.
+position-periodic cogging harmonics.  Both are periodic, so every rate has
+period mean 0.  Helpers extract the rate bound and the period for tuning.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "TWO_PI",
@@ -23,7 +22,6 @@ __all__ = [
     "eval_d",
     "eval_q",
     "bound_L",
-    "mean_rate",
     "constant_speed_characterization",
 ]
 
@@ -41,10 +39,6 @@ class SinusoidPerturbation:
     def __post_init__(self) -> None:
         if not (self.period > 0.0 and math.isfinite(self.period)):
             raise ValueError(f"period must be positive, got {self.period}")
-
-    @property
-    def rate_bound(self) -> float:
-        return abs(self.rate_amplitude)
 
     def q(self, t):
         return self.rate_amplitude * np.sin(TWO_PI * t / self.period + self.phase)
@@ -147,13 +141,13 @@ class MotionProfile:
             descriptor=f"sinusoidal velocity f={frequency_hz:g}Hz accel_peak={accel_peak:g}",
         )
 
-    def consistency_error(self, t_end: float, samples: int = 2001) -> float:
+    def consistency_error(self, t_end: float) -> float:
         """Max |theta(t) - theta(0) - integral(omega)| on a sample grid.
 
         Uses cumulative trapezoid quadrature; callers assert this stays at
         integration-error scale to validate hand-built profiles.
         """
-        t = np.linspace(0.0, t_end, samples)
+        t = np.linspace(0.0, t_end, 2001)
         w = np.asarray([float(self.omega(ti)) for ti in t])
         th = np.asarray([float(self.theta(ti)) for ti in t])
         dt = t[1] - t[0]
@@ -171,7 +165,7 @@ def eval_q(model: FrictionCoggingModel, profile: MotionProfile, t):
     return model.rate(profile.omega(t), profile.omega_dot(t), profile.theta(t))
 
 
-def bound_L(q: Callable[[float], float], period: float, samples: int = 10000) -> float:
+def bound_L(q: Callable[[float], float], period: float) -> float:
     """Sup of |q| over one period by dense sampling plus one refinement pass.
 
     Works for arbitrary rate signals, which is why sampling is used instead
@@ -179,8 +173,7 @@ def bound_L(q: Callable[[float], float], period: float, samples: int = 10000) ->
     """
     if period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    samples = 10000
     t = np.linspace(0.0, period, samples, endpoint=False)
     values = np.abs(np.asarray([float(q(ti)) for ti in t]))
     if not np.all(np.isfinite(values)):
@@ -193,14 +186,6 @@ def bound_L(q: Callable[[float], float], period: float, samples: int = 10000) ->
     if not np.all(np.isfinite(fine_values)):
         raise ValueError("rate signal produced non-finite samples")
     return float(max(values[k], fine_values.max()))
-
-
-def mean_rate(q: Callable[[float], float], period: float) -> float:
-    """Period average (1/T) * integral of q over [0, T], rel. tolerance 1e-6."""
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period}")
-    integral, _ = quad(q, 0.0, period, epsrel=1e-6, epsabs=1e-12, limit=500)
-    return integral / period
 
 
 def constant_speed_characterization(model: FrictionCoggingModel, omega_r: float) -> tuple[float, float]:

@@ -174,8 +174,7 @@ def _feasible_pair(k1: float, spec: AccuracySpec) -> tuple[float, float] | None:
     return k2, bound
 
 
-def optimize_gains(spec: AccuracySpec, k1_max: float, objective: str = "k2",
-                   grid: int = 200) -> Gains:
+def optimize_gains(spec: AccuracySpec, k1_max: float, objective: str = "k2") -> Gains:
     """Deterministic grid-plus-refinement gain search against an accuracy spec.
 
     Candidates are k1 values in (0, k1_max]; each gets its k2 from
@@ -196,6 +195,7 @@ def optimize_gains(spec: AccuracySpec, k1_max: float, objective: str = "k2",
         raise ValueError(f"k1_max must be positive, got {k1_max}")
     if objective not in ("k1", "k2"):
         raise ValueError(f"unknown objective {objective!r}; expected 'k1' or 'k2'")
+    grid = 200
 
     def search(lo: float, hi: float) -> tuple[float, float] | None:
         best: tuple[float, float, float] | None = None  # (score, k1, k2)

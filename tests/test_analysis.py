@@ -166,7 +166,7 @@ def test_build_report_on_under_tuned_run():
 
     # crossing count is even and stable across successive periods
     from twistlab.integrator import detect_crossings
-    crossings = detect_crossings(traj, "x1")
+    crossings = detect_crossings(traj)
     counts = []
     for k in (1, 2, 3):
         lo, hi = traj.t[-1] - k * T, traj.t[-1] - (k - 1) * T

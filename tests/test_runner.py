@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistlab
 from twistlab.runner import (SCHEMA_VERSION, RunResult, ScenarioConfig,
                              emit_outputs, main, run_scenario)
 
@@ -39,6 +44,9 @@ def test_config_schema_validation():
         ScenarioConfig.from_dict({**SYNTHETIC, "bogus": 1})
     with pytest.raises(ValueError):
         ScenarioConfig(scenario="warp_drive", parameters={})
+    for seed in ("7", 1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ScenarioConfig.from_dict({**SYNTHETIC, "seed": seed})
 
 
 def test_config_override():
@@ -51,12 +59,14 @@ def test_config_override():
     assert nested.gains["k1"] == 1.25
     with pytest.raises(ValueError):
         cfg.with_override("nonexistent.key", "1")
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        cfg.with_override("seed", "abc")
 
 
 @pytest.mark.parametrize("section,key", [
     ("gains", "k3"), ("integration", "steps_per_periods"), ("motor", "inertial"),
     ("analysis", "tol"), ("initial", "x3"), ("tuning", "eta_max"),
-    ("parameters", "omega_r"),
+    ("parameters", "omega_r"), ("perturbation", "coulombb"),
 ])
 def test_unknown_nested_key_names_its_path(section, key):
     """A typo in a nested section fails at load time, naming the dotted path."""
@@ -165,6 +175,28 @@ def test_emit_marks_failed_runs(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "broken: FAILED" in summary
     assert not (out / "broken" / "phase.csv").exists()
+
+
+def test_emit_removes_stale_per_run_files(tmp_path):
+    """A run that fails on re-emission keeps none of its earlier files."""
+    cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": [[12.0, 0.2]]}})
+    (good,) = run_scenario(cfg)
+    out = tmp_path / "sweep"
+    emit_outputs([good], out)
+    assert sorted(p.name for p in (out / good.label).iterdir()) == ["phase.csv", "trajectory.csv"]
+    failed = RunResult(label=good.label, params={}, error="DivergenceError: boom")
+    emit_outputs([failed], out)
+    assert list((out / good.label).iterdir()) == []
+
+
+def test_runner_import_loads_no_scipy():
+    """The package depends on numpy alone; scipy is a test-only dependency."""
+    src = str(Path(twistlab.__file__).resolve().parents[1])
+    code = ("import sys, twistlab.runner; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_constant_speed_sweep_all_converge():

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from twistlab.signals import (FrictionCoggingModel, MotionProfile,
                               SinusoidPerturbation, TWO_PI, bound_L,
-                              constant_speed_characterization, eval_d, eval_q,
-                              mean_rate)
+                              constant_speed_characterization, eval_d, eval_q)
 
 CALIBRATED = FrictionCoggingModel()  # coulomb 0.4, steepness 100, viscous 0.01, one 0.5 N*m harmonic
 
@@ -114,19 +114,24 @@ def test_bound_L_rejects_non_finite():
         bound_L(lambda t: math.inf if t > 0.1 else 0.0, 1.0)
 
 
-def test_mean_rate():
-    T = 0.3
-    pert = SinusoidPerturbation(12.0, T)
-    assert abs(mean_rate(lambda t: float(pert.q(t)), T)) < 1e-9
-    assert mean_rate(lambda t: 3.7, 1.3) == pytest.approx(3.7, rel=1e-9)
+def test_rate_has_zero_period_mean():
+    """Every rate is the derivative of a T-periodic disturbance, so its period mean is 0.
 
-
-def test_mean_rate_cogging_is_zero():
+    This is why the averaged-loop conditions are evaluated at mean rate 0.
+    """
     omega_r = 18.0
-    profile = MotionProfile.constant_speed(omega_r)
-    _, T = constant_speed_characterization(CALIBRATED, omega_r)
-    mean = mean_rate(lambda t: float(eval_q(CALIBRATED, profile, t)), T)
-    assert abs(mean) < 1e-8
+    _, T_speed = constant_speed_characterization(CALIBRATED, omega_r)
+    speed = MotionProfile.constant_speed(omega_r)
+    reversal = MotionProfile.sinusoidal_velocity(4.0)
+    phased = SinusoidPerturbation(12.0, 0.3, phase=0.7)
+    signals = [
+        (lambda t: float(eval_q(CALIBRATED, speed, t)), T_speed),
+        (lambda t: float(eval_q(CALIBRATED, reversal, t)), 0.25),
+        (lambda t: float(phased.q(t)), phased.period),
+    ]
+    for q, T in signals:
+        integral, _ = quad(q, 0.0, T, epsrel=1e-10, epsabs=1e-12, limit=500)
+        assert abs(integral / T) < 1e-9
 
 
 def test_constant_speed_characterization():
