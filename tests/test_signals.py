@@ -114,24 +114,33 @@ def test_bound_L_rejects_non_finite():
         bound_L(lambda t: math.inf if t > 0.1 else 0.0, 1.0)
 
 
-def test_rate_has_zero_period_mean():
+def _period_mean(q, T):
+    """Mean of q over [0, T] by adaptive quadrature."""
+    integral, _ = quad(q, 0.0, T, epsrel=1e-10, epsabs=1e-12, limit=500)
+    return integral / T
+
+
+def test_mean_rate():
     """Every rate is the derivative of a T-periodic disturbance, so its period mean is 0.
 
     This is why the averaged-loop conditions are evaluated at mean rate 0.
     """
-    omega_r = 18.0
-    _, T_speed = constant_speed_characterization(CALIBRATED, omega_r)
-    speed = MotionProfile.constant_speed(omega_r)
+    T = 0.3
+    pert = SinusoidPerturbation(12.0, T)
+    assert abs(_period_mean(lambda t: float(pert.q(t)), T)) < 1e-9
+    assert _period_mean(lambda t: 3.7, 1.3) == pytest.approx(3.7, rel=1e-9)
+    phased = SinusoidPerturbation(12.0, T, phase=0.7)
+    assert abs(_period_mean(lambda t: float(phased.q(t)), T)) < 1e-9
     reversal = MotionProfile.sinusoidal_velocity(4.0)
-    phased = SinusoidPerturbation(12.0, 0.3, phase=0.7)
-    signals = [
-        (lambda t: float(eval_q(CALIBRATED, speed, t)), T_speed),
-        (lambda t: float(eval_q(CALIBRATED, reversal, t)), 0.25),
-        (lambda t: float(phased.q(t)), phased.period),
-    ]
-    for q, T in signals:
-        integral, _ = quad(q, 0.0, T, epsrel=1e-10, epsabs=1e-12, limit=500)
-        assert abs(integral / T) < 1e-9
+    assert abs(_period_mean(lambda t: float(eval_q(CALIBRATED, reversal, t)), 0.25)) < 1e-9
+
+
+def test_mean_rate_cogging_is_zero():
+    omega_r = 18.0
+    profile = MotionProfile.constant_speed(omega_r)
+    _, T = constant_speed_characterization(CALIBRATED, omega_r)
+    mean = _period_mean(lambda t: float(eval_q(CALIBRATED, profile, t)), T)
+    assert abs(mean) < 1e-9
 
 
 def test_constant_speed_characterization():
