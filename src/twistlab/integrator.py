@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,x1,x2,u,d,q"
+CSV_CHUNK_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -119,11 +120,19 @@ class Trajectory:
         return float(self.metadata["dt"] * self.metadata.get("record_stride", 1))
 
     def to_csv(self, path) -> None:
-        """Write the canonical `t,x1,x2,u,d,q` table (shortest round-trip floats)."""
+        """Write the canonical `t,x1,x2,u,d,q` table (shortest round-trip floats).
+
+        Rows are formatted from Python floats (``tolist``) in chunks of
+        ``CSV_CHUNK_ROWS``, so memory stays bounded on long runs.
+        """
+        channels = (self.t, self.x1, self.x2, self.u, self.d, self.q)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in zip(self.t, self.x1, self.x2, self.u, self.d, self.q):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for start in range(0, len(self.t), CSV_CHUNK_ROWS):
+                rows = zip(*(np.asarray(c[start:start + CSV_CHUNK_ROWS], dtype=float).tolist()
+                             for c in channels))
+                fh.write("".join(f"{t!r},{x1!r},{x2!r},{u!r},{d!r},{q!r}\n"
+                                 for t, x1, x2, u, d, q in rows))
 
 
 def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,

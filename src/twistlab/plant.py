@@ -11,6 +11,7 @@ alone, the same way one would on hardware where d is not measurable.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +108,14 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
 
     sampled = motor.encoder_quantum > 0.0 or noise_std > 0.0
     if not sampled:
+        torque = model.scalar_torque()
+
         def field(t: float, x) -> tuple[float, float, float]:
             theta, omega, z = x
             # q = -0.0 adds nothing to any float, so dz is exactly -k2*s
             u, dz = law(omega - float(ref_omega(t)), z, -0.0)
             u0 = (u + float(ref_accel(t))) / inv_inertia
-            return (omega, (u0 + float(model.torque(omega, theta))) / J, dz)
+            return (omega, (u0 + torque(omega, theta)) / J, dz)
 
         times, states = rk4_solve(field, x0, 0.0, cfg.dt, cfg.n_steps, cfg.record_stride)
     else:
@@ -148,28 +151,42 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
 def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                         cfg: IntegrationConfig, x0, noise_std: float,
                         rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """Stepped loop: u0 from the quantized/noisy measurement, held per step."""
+    """Stepped loop: u0 from the quantized/noisy measurement, held per step.
+
+    The loop runs on Python floats.  The reference and the measurement
+    noise are drawn up front on the step grid ``k * dt``, and each step
+    advances the rotor (theta, omega) by one classical RK4 step with u0
+    held, written out in place: bit for bit what ``rk4_solve`` gives on the
+    same two-state field, without its per-call set-up.  The controller's
+    integral state takes an Euler step.
+    """
     if noise_std > 0.0 and rng is None:
         raise ValueError("noise injection requires an rng")
-    model = motor.friction_cogging
+    torque = motor.friction_cogging.scalar_torque()
     J = motor.inertia
     inv_inertia = 1.0 / J
     law = twisting_law(gains)
     quantum = motor.encoder_quantum
     window = motor.velocity_window
     dt = cfg.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    n_steps, stride = cfg.n_steps, cfg.record_stride
+    isfinite = math.isfinite
 
-    n_records = cfg.n_steps // cfg.record_stride + 1
-    times = np.empty(n_records)
-    states = np.empty((n_records, 3))
+    # memoryviews index to Python floats without holding a float object per step
+    grid = np.arange(n_steps) * dt
+    ref_omega = memoryview(np.broadcast_to(reference.omega(grid), grid.shape).astype(float))
+    ref_accel = memoryview(np.broadcast_to(reference.omega_dot(grid), grid.shape).astype(float))
+    noise = memoryview(noise_std * rng.standard_normal(n_steps)) if noise_std > 0.0 else None
+
+    n_records = n_steps // stride + 1
+    times = (np.arange(n_records) * stride) * dt
     theta, omega, z = x0
-    times[0] = 0.0
-    states[0] = (theta, omega, z)
+    records = array("d", (theta, omega, z))
 
     measured: list[float] = []
-    rec = 1
-    for k in range(cfg.n_steps):
-        t = k * dt
+    for k in range(n_steps):
         theta_meas = math.floor(theta / quantum) * quantum if quantum > 0.0 else theta
         measured.append(theta_meas)
         if len(measured) > window + 1:
@@ -180,25 +197,27 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
         else:
             omega_meas = omega
         if noise_std > 0.0:
-            omega_meas += noise_std * rng.standard_normal()
+            omega_meas += noise[k]
 
-        u, dz = law(omega_meas - float(reference.omega(t)), z, -0.0)
-        u0 = (u + float(reference.omega_dot(t))) / inv_inertia
+        u, dz = law(omega_meas - ref_omega[k], z, -0.0)
+        u0 = (u + ref_accel[k]) / inv_inertia
 
-        def rotor(tt: float, x) -> tuple[float, float]:
-            th, w = x
-            return (w, (u0 + float(model.torque(w, th))) / J)
-
-        _, rotor_states = rk4_solve(rotor, (theta, omega), t, dt, 1)
-        theta, omega = rotor_states[-1]
+        # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
+        dw_a = (u0 + torque(omega, theta)) / J
+        w_b = omega + half * dw_a
+        dw_b = (u0 + torque(w_b, theta + half * omega)) / J
+        w_c = omega + half * dw_b
+        dw_c = (u0 + torque(w_c, theta + half * w_b)) / J
+        w_e = omega + dt * dw_c
+        dw_e = (u0 + torque(w_e, theta + dt * w_c)) / J
+        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
+        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
         z += dt * dz
-        if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(z)):
-            raise DivergenceError(t + dt)
-        if (k + 1) % cfg.record_stride == 0:
-            times[rec] = (k + 1) * dt
-            states[rec] = (theta, omega, z)
-            rec += 1
-    return times, states
+        if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
+            raise DivergenceError(k * dt + dt)
+        if (k + 1) % stride == 0:
+            records.extend((theta, omega, z))
+    return times, np.frombuffer(records, dtype=float).reshape(n_records, 3)
 
 
 def robust_differentiate(samples: np.ndarray, dt: float,

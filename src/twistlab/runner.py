@@ -14,6 +14,7 @@ import concurrent.futures
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -244,7 +245,7 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
                 T = 1.0 / f
                 profile = MotionProfile.sinusoidal_velocity(
                     f, accel_peak=float(cfg.parameters.get("accel_peak", 100.0)))
-                L = bound_L(lambda t: float(eval_q(model, profile, t)), T)
+                L = bound_L(lambda t: eval_q(model, profile, t), T)
             gains = _resolve_gains(cfg.gains, L, T)
             icfg = _integration(cfg, T)
             motor = MotorModel(
@@ -311,11 +312,22 @@ def _scaling_points(results: list[RunResult]) -> list[tuple[float, float]]:
 
 
 def emit_outputs(results: list[RunResult], out_dir) -> dict:
-    """Write per-run CSVs plus sweep-level tables; returns a small summary dict."""
+    """Write per-run CSVs plus sweep-level tables; returns a small summary dict.
+
+    Run directories that an earlier sweep's ``reports.json`` in ``out_dir``
+    lists, and that this sweep does not contain, are removed; nothing else
+    in ``out_dir`` is touched.
+    """
     if not results:
         raise ValueError("no results to emit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    labels = {r.label for r in results}
+    for label in _previous_labels(out) - labels:
+        run_dir = out / label
+        if label != ".." and run_dir.name == label and run_dir.is_dir():  # a child of out
+            shutil.rmtree(run_dir)
 
     for r in results:
         run_dir = out / r.label
@@ -347,6 +359,15 @@ def emit_outputs(results: list[RunResult], out_dir) -> dict:
 
     _atomic_write(out / "reports.json", json.dumps(_reports_payload(results), indent=2) + "\n")
     return {"converged": len(converged), "total": len(results), "fit": fit}
+
+
+def _previous_labels(out: Path) -> set[str]:
+    """Run labels listed in an earlier sweep's ``reports.json`` in ``out``, if any."""
+    try:
+        payload = json.loads((out / "reports.json").read_text(encoding="utf-8"))
+        return {run["label"] for run in payload["runs"] if isinstance(run["label"], str)}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
 
 
 def _reports_payload(results: list[RunResult]) -> dict:

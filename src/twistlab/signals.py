@@ -90,6 +90,26 @@ class FrictionCoggingModel:
             d = d + amp * np.sin(theta + phase)
         return d
 
+    def scalar_torque(self):
+        """Float closure ``torque(omega, theta) -> d`` for the RK4 hot loops.
+
+        Bit-identical to :meth:`torque` on Python floats.  It keeps
+        ``np.arctan``, because ``math.atan`` differs from it in the last
+        bit on rare arguments; ``math.sin`` matches ``np.sin`` and skips
+        numpy's per-call scalar overhead.
+        """
+        coulomb = self.coulomb * (2.0 / math.pi)
+        steepness, viscous, harmonics = self.steepness, self.viscous, self.harmonics
+        arctan, sin = np.arctan, math.sin
+
+        def torque(omega: float, theta: float) -> float:
+            d = coulomb * float(arctan(steepness * omega)) + viscous * omega
+            for amp, phase in harmonics:
+                d += amp * sin(theta + phase)
+            return d
+
+        return torque
+
     def rate(self, omega, omega_dot, theta):
         """Time derivative of :meth:`torque` along a motion (omega, omega_dot, theta)."""
         a = self.steepness
@@ -165,27 +185,31 @@ def eval_q(model: FrictionCoggingModel, profile: MotionProfile, t):
     return model.rate(profile.omega(t), profile.omega_dot(t), profile.theta(t))
 
 
-def bound_L(q: Callable[[float], float], period: float) -> float:
+def _abs_samples(q: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
+    values = np.abs(np.broadcast_to(np.asarray(q(t), dtype=float), t.shape))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("rate signal produced non-finite samples")
+    return values
+
+
+def bound_L(q: Callable[[np.ndarray], np.ndarray], period: float) -> float:
     """Sup of |q| over one period by dense sampling plus one refinement pass.
 
     Works for arbitrary rate signals, which is why sampling is used instead
-    of symbolic analysis.  Non-finite samples raise ValueError.
+    of symbolic analysis.  ``q`` is called on a whole array of sample times
+    and returns the rate at each (e.g. ``lambda t: eval_q(model, profile, t)``).
+    Non-finite samples raise ValueError.
     """
     if period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
     samples = 10000
     t = np.linspace(0.0, period, samples, endpoint=False)
-    values = np.abs(np.asarray([float(q(ti)) for ti in t]))
-    if not np.all(np.isfinite(values)):
-        raise ValueError("rate signal produced non-finite samples")
+    values = _abs_samples(q, t)
     k = int(np.argmax(values))
     # refine on one grid cell around the coarse argmax
     spacing = period / samples
     fine = np.linspace(t[k] - spacing, t[k] + spacing, 1001)
-    fine_values = np.abs(np.asarray([float(q(ti)) for ti in fine]))
-    if not np.all(np.isfinite(fine_values)):
-        raise ValueError("rate signal produced non-finite samples")
-    return float(max(values[k], fine_values.max()))
+    return float(max(values[k], _abs_samples(q, fine).max()))
 
 
 def constant_speed_characterization(model: FrictionCoggingModel, omega_r: float) -> tuple[float, float]:

@@ -7,8 +7,8 @@ import pytest
 
 from twistlab.analysis import estimate_period
 from twistlab.dynamics import Gains, default_layer_width, twisting_law
-from twistlab.integrator import IntegrationConfig
-from twistlab.plant import (DifferentiatorConfig, MotorModel,
+from twistlab.integrator import IntegrationConfig, rk4_solve
+from twistlab.plant import (DifferentiatorConfig, MotorModel, _sampled_motor_loop,
                             reconstruct_disturbance, robust_differentiate,
                             simulate_motor_loop)
 from twistlab.signals import (FrictionCoggingModel, MotionProfile,
@@ -135,6 +135,32 @@ def test_encoder_and_noise_path_stays_bounded():
     assert np.all(np.isfinite(traj.x1))
     assert np.max(np.abs(traj.x1[len(traj) // 2:])) < 1.0
     assert traj.metadata["sampled_controller"]
+
+
+def test_sampled_rotor_step_matches_rk4_solve():
+    """The sampled loop's written-out rotor step is a one-step rk4_solve, bit for bit."""
+    rng = np.random.default_rng(23)
+    models = (CALIBRATED, FrictionCoggingModel(coulomb=0.003, steepness=350.0, viscous=0.02,
+                                               harmonics=((0.5, 0.0), (0.13, -0.8))))
+    for _ in range(200):
+        # magnitudes from 1e-6 to 50, so rounding inside the step is not absorbed by theta
+        theta, omega, z = (rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-6.0, 1.7, 3)).tolist()
+        dt = float(rng.uniform(1e-5, 1e-2))
+        J = float(rng.choice([1.0, 0.37, 2.5]))
+        model = models[int(rng.integers(2))]
+        # the reference tracks omega exactly, so the law returns z and u0 = z / (1/J)
+        _, states = _sampled_motor_loop(MotorModel(inertia=J, friction_cogging=model),
+                                        MotionProfile.constant_speed(omega), Gains(0.9, 11.65),
+                                        IntegrationConfig(dt=dt, t_end=dt), (theta, omega, z),
+                                        0.0, None)
+        u0 = z / (1.0 / J)
+
+        def rotor(t, x):
+            th, w = x
+            return (w, (u0 + float(model.torque(w, th))) / J)
+
+        _, expected = rk4_solve(rotor, (theta, omega), 0.0, dt, 1)
+        assert states[1, :2].tobytes() == expected[1].tobytes()
 
 
 def test_reconstruct_disturbance_accuracy():

@@ -189,6 +189,27 @@ def test_emit_removes_stale_per_run_files(tmp_path):
     assert list((out / good.label).iterdir()) == []
 
 
+def test_emit_removes_run_dirs_absent_from_new_sweep(tmp_path):
+    """Re-emitting a sweep deletes the earlier sweep's runs it no longer has, and nothing else."""
+    out = tmp_path / "sweep"
+    for case in ([12.0, 0.2], [12.0, 0.4]):
+        cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": [case]}})
+        emit_outputs(run_scenario(cfg), out)
+        (out / "notes").mkdir(exist_ok=True)
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["L12_T0.4", "notes"]
+    labels = [run["label"] for run in json.loads((out / "reports.json").read_text())["runs"]]
+    assert labels == ["L12_T0.4"]
+
+
+def test_python_m_twistlab_runs_without_warnings():
+    src = str(Path(twistlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "twistlab", "--help"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: twistlab")
+    assert proc.stderr == ""
+
+
 def test_runner_import_loads_no_scipy():
     """The package depends on numpy alone; scipy is a test-only dependency."""
     src = str(Path(twistlab.__file__).resolve().parents[1])

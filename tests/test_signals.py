@@ -78,14 +78,14 @@ def test_d_is_periodic_along_periodic_profiles():
 def test_bound_L_sinusoid():
     T = 0.44
     pert = SinusoidPerturbation(8.0, T)
-    assert bound_L(lambda t: float(pert.q(t)), T) == pytest.approx(8.0, rel=1e-3)
+    assert bound_L(pert.q, T) == pytest.approx(8.0, rel=1e-3)
 
 
 def test_bound_L_constant_speed_formula():
     omega_r = 18.0
     profile = MotionProfile.constant_speed(omega_r)
     _, T = constant_speed_characterization(CALIBRATED, omega_r)
-    L = bound_L(lambda t: float(eval_q(CALIBRATED, profile, t)), T)
+    L = bound_L(lambda t: eval_q(CALIBRATED, profile, t), T)
     assert L == pytest.approx(9.0, rel=1e-4)
 
 
@@ -94,7 +94,7 @@ def test_bound_L_calibrated_range():
     for omega_r in range(16, 24):
         profile = MotionProfile.constant_speed(float(omega_r))
         _, T = constant_speed_characterization(CALIBRATED, float(omega_r))
-        L = bound_L(lambda t: float(eval_q(CALIBRATED, profile, t)), T)
+        L = bound_L(lambda t: eval_q(CALIBRATED, profile, t), T)
         assert 8.0 <= L <= 12.0
 
 
@@ -102,16 +102,60 @@ def test_bound_L_dominates_samples():
     """The bound is an upper envelope on a fresh random grid."""
     T = 0.37
     profile = MotionProfile.constant_speed(TWO_PI / T)
-    q = lambda t: float(eval_q(CALIBRATED, profile, t))
+    q = lambda t: eval_q(CALIBRATED, profile, t)
     L = bound_L(q, T)
     rng = np.random.default_rng(17)
-    for t in rng.uniform(0.0, 5.0, size=300):
-        assert abs(q(float(t))) <= L * (1 + 1e-12)
+    assert np.all(np.abs(q(rng.uniform(0.0, 5.0, size=300))) <= L * (1 + 1e-12))
 
 
 def test_bound_L_rejects_non_finite():
     with pytest.raises(ValueError):
-        bound_L(lambda t: math.inf if t > 0.1 else 0.0, 1.0)
+        bound_L(lambda t: np.where(t > 0.1, np.inf, 0.0), 1.0)
+
+
+
+def _scalar_bound_L(q, period):
+    """bound_L as it sampled q before it took an array callable: one float call per time."""
+    t = np.linspace(0.0, period, 10000, endpoint=False)
+    values = np.abs(np.asarray([float(q(ti)) for ti in t]))
+    k = int(np.argmax(values))
+    spacing = period / 10000
+    fine = np.linspace(t[k] - spacing, t[k] + spacing, 1001)
+    return float(max(values[k], np.abs(np.asarray([float(q(ti)) for ti in fine])).max()))
+
+
+def test_bound_L_array_call_matches_scalar_sampling():
+    """Sampling q on whole arrays gives exactly the bound of one scalar call per sample."""
+    gentle = FrictionCoggingModel(coulomb=0.003, steepness=100.0, viscous=0.01)
+    cases = [(lambda t, f=f, m=m: eval_q(m, MotionProfile.sinusoidal_velocity(f), t), 1.0 / f)
+             for m, freqs in ((gentle, (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)), (CALIBRATED, (2.0, 8.0)))
+             for f in freqs]
+    cases.append((lambda t: eval_q(CALIBRATED, MotionProfile.constant_speed(18.0), t),
+                  TWO_PI / 18.0))
+    cases.append((SinusoidPerturbation(8.0, 0.44, phase=0.3).q, 0.44))
+    for q, period in cases:
+        assert bound_L(q, period) == _scalar_bound_L(q, period)
+    assert bound_L(lambda t: -3.7, 1.3) == 3.7  # a constant broadcasts over the samples
+
+
+def test_scalar_torque_is_bit_identical_to_torque():
+    """The float closure of the RK4 loops equals the numpy torque bit for bit, signed zeros too."""
+    omegas = [0.0, -0.0, 5e-324, -1e-300, 1e-6, -3e-3, 0.01, -0.5, 1.0, 7.25, -18.0,
+              23.0, 1e3, -4.4e4, 1e8, -1e300]
+    thetas = [0.0, -0.0, 1e-300, 0.3, -1.7, math.pi, 12.5, -250.0, 1e5, -3e7]
+    rng = np.random.default_rng(11)
+    omegas += (rng.standard_normal(150) * 30.0).tolist()
+    thetas += rng.uniform(-1e3, 1e3, 150).tolist()
+    # math.atan rounds these three differently from np.arctan on some platforms (steepness 1)
+    omegas += [0.28585315191874305, -1.2969441221999225, 7.902235856800126]
+    models = [CALIBRATED, FrictionCoggingModel(steepness=1.0, harmonics=()),
+              FrictionCoggingModel(coulomb=0.003, steepness=350.0, viscous=0.02,
+                                   harmonics=((0.5, 0.0), (0.13, -0.8)))]
+    for model in models:
+        torque = model.scalar_torque()
+        for omega in omegas:
+            for theta in thetas:
+                assert repr(torque(omega, theta)) == repr(float(model.torque(omega, theta)))
 
 
 def _period_mean(q, T):
