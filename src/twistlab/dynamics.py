@@ -17,22 +17,15 @@ import numpy as np
 __all__ = [
     "DEFAULT_DELTA",
     "Gains",
-    "PhaseState",
-    "NearSingularityError",
     "default_layer_width",
     "saturation",
     "twisting_law",
     "twisting_action",
-    "eval_phase",
     "regularized_field",
 ]
 
 #: Fallback boundary-layer width when no accuracy target is active.
 DEFAULT_DELTA = 1e-4
-
-
-class NearSingularityError(ValueError):
-    """Phase-form evaluation requested too close to the w1 = 0 axis."""
 
 
 def default_layer_width(accuracy: float | None = None) -> float:
@@ -64,18 +57,6 @@ class Gains:
             raise ValueError(f"k2 must be positive and finite, got {self.k2}")
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Phase-plane state: error w1 and error rate w2."""
-
-    w1: float
-    w2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
-            raise ValueError("phase state must be finite")
 
 
 def saturation(q, delta):
@@ -123,24 +104,6 @@ def twisting_action(x1, z, gains: Gains):
     :func:`twisting_law`.
     """
     return -gains.k1 * np.sqrt(np.abs(x1)) * saturation(x1, gains.delta) + z
-
-
-def eval_phase(state: PhaseState, gains: Gains, q_at_t: float) -> tuple[float, float]:
-    """Phase-coordinate form (w1, w2) = (x1, dx1/dt); singular at w1 = 0.
-
-    dw1 = w2
-    dw2 = -(k1/2)*|w1|^(-1/2)*w2 - k2*sgn(w1) + q(t)
-
-    Analysis cross-checks only: simulate in (x1, x2) and map instead.
-    """
-    if abs(state.w1) < 1e-9:
-        raise NearSingularityError(
-            f"|w1| = {abs(state.w1)} is below the singularity floor 1e-09"
-        )
-    dw1 = state.w2
-    dw2 = (-0.5 * gains.k1 * state.w2 / math.sqrt(abs(state.w1))
-           - gains.k2 * float(np.sign(state.w1)) + q_at_t)
-    return dw1, dw2
 
 
 def regularized_field(gains: Gains, rate: Callable[[float], float]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -140,37 +141,56 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
     """Classical RK4 over ``n_steps`` fixed steps; returns (times, states).
 
     ``field(t, x)`` receives the state as a tuple and returns the derivative
-    tuple.  The hot loop runs on pure Python floats; the benchmark's traced
-    run reports its cost per step as ``integrator.us_per_step``.
-    Raises :class:`DivergenceError` as soon as a component goes non-finite.
+    tuple.  The step is written out on Python float locals for the two state
+    sizes the program integrates: 2 (the reduced loop ``(x1, x2)``) and 3
+    (the motor loop ``(theta, omega, z)``); any other size raises
+    ValueError.  The benchmark's traced run reports its cost per step as
+    ``integrator.us_per_step``.  Raises :class:`DivergenceError` as soon as
+    a component goes non-finite.
     """
     x = tuple(float(v) for v in x0)
-    m = len(x)
+    if len(x) not in (2, 3):
+        raise ValueError(f"rk4_solve integrates 2- or 3-state systems, got {len(x)} states")
     n_records = n_steps // record_stride + 1
-    times = np.empty(n_records)
-    states = np.empty((n_records, m))
+    times = t0 + (np.arange(n_records) * record_stride) * dt
     times[0] = t0
-    states[0] = x
+    records = array("d", x)
 
     half = 0.5 * dt
     sixth = dt / 6.0
     isfinite = math.isfinite
-    rec = 1
-    for k in range(n_steps):
-        t = t0 + k * dt
-        a = field(t, x)
-        b = field(t + half, tuple(x[i] + half * a[i] for i in range(m)))
-        c = field(t + half, tuple(x[i] + half * b[i] for i in range(m)))
-        e = field(t + dt, tuple(x[i] + dt * c[i] for i in range(m)))
-        x = tuple(x[i] + sixth * (a[i] + 2.0 * (b[i] + c[i]) + e[i]) for i in range(m))
-        for v in x:
-            if not isfinite(v):
+    if len(x) == 2:
+        x1, x2 = x
+        for k in range(n_steps):
+            t = t0 + k * dt
+            th = t + half
+            a1, a2 = field(t, (x1, x2))
+            b1, b2 = field(th, (x1 + half * a1, x2 + half * a2))
+            c1, c2 = field(th, (x1 + half * b1, x2 + half * b2))
+            e1, e2 = field(t + dt, (x1 + dt * c1, x2 + dt * c2))
+            x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
+            x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
+            if not (isfinite(x1) and isfinite(x2)):
                 raise DivergenceError(t + dt)
-        if (k + 1) % record_stride == 0:
-            times[rec] = t0 + (k + 1) * dt
-            states[rec] = x
-            rec += 1
-    return times, states
+            if (k + 1) % record_stride == 0:
+                records.extend((x1, x2))
+    else:
+        x1, x2, x3 = x
+        for k in range(n_steps):
+            t = t0 + k * dt
+            th = t + half
+            a1, a2, a3 = field(t, (x1, x2, x3))
+            b1, b2, b3 = field(th, (x1 + half * a1, x2 + half * a2, x3 + half * a3))
+            c1, c2, c3 = field(th, (x1 + half * b1, x2 + half * b2, x3 + half * b3))
+            e1, e2, e3 = field(t + dt, (x1 + dt * c1, x2 + dt * c2, x3 + dt * c3))
+            x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
+            x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
+            x3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + e3)
+            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+                raise DivergenceError(t + dt)
+            if (k + 1) % record_stride == 0:
+                records.extend((x1, x2, x3))
+    return times, np.frombuffer(records, dtype=float).reshape(n_records, len(x))
 
 
 def integrate(field: Callable, x0, cfg: IntegrationConfig,
@@ -184,7 +204,7 @@ def integrate(field: Callable, x0, cfg: IntegrationConfig,
     """
     start = tuple(float(v) for v in x0)
     if len(start) != 2:
-        raise ValueError("integrate expects a planar state; use rk4_solve for other sizes")
+        raise ValueError(f"integrate expects a planar state (x1, x2), got {len(start)} states")
 
     times, states = rk4_solve(field, start, 0.0, cfg.dt, cfg.n_steps, cfg.record_stride)
     x1 = states[:, 0].copy()
@@ -219,20 +239,17 @@ def detect_crossings(traj: Trajectory, layer_width: float | None = None) -> list
     if layer_width is None:
         layer_width = float(traj.metadata.get("delta", 0.0))
 
-    raw: list[tuple[float, int, int, int]] = []  # (t_cross, direction, left, right)
-    last_sign = 0.0
-    last_idx = 0
-    for i, v in enumerate(values):
-        s = 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
-        if s == 0.0:
-            continue
-        if last_sign != 0.0 and s != last_sign:
-            a, b = last_idx, i
-            # root of the linear interpolant between the bracketing samples
-            frac = values[a] / (values[a] - values[b])
-            raw.append((float(t[a] + frac * (t[b] - t[a])), int(s), a, b))
-        last_sign = s
-        last_idx = i
+    # bracketing pairs: consecutive nonzero samples of opposite sign (zeros
+    # and NaN carry no sign and are skipped)
+    nz = np.flatnonzero((values > 0.0) | (values < 0.0))
+    flip = np.flatnonzero((values[nz[1:]] > 0.0) != (values[nz[:-1]] > 0.0))
+    left, right = nz[flip], nz[flip + 1]
+    va, vb = values[left], values[right]
+    # root of the linear interpolant between the bracketing samples
+    frac = va / (va - vb)
+    t_cross = t[left] + frac * (t[right] - t[left])
+    raw = list(zip(t_cross.tolist(), np.where(vb > 0.0, 1, -1).tolist(),
+                   left.tolist(), right.tolist()))
 
     if not raw or layer_width <= 0.0:
         return [(tc, dirn) for tc, dirn, _, _ in raw]

@@ -53,6 +53,9 @@ SECTION_KEYS = {
     "perturbation": {f.name for f in fields(FrictionCoggingModel)},
 }
 
+#: Values the runner uses for integration keys a config leaves out.
+INTEGRATION_DEFAULTS = {"steps_per_period": 2000, "periods": 40, "record_stride": 1}
+
 #: Keys of the ``parameters`` section, per scenario.
 PARAMETER_KEYS = {
     "constant_speed": {"omega_r"},
@@ -90,6 +93,18 @@ class ScenarioConfig:
             if unknown:
                 raise ValueError("unknown config keys: "
                                  + ", ".join(f"{name}.{key}" for key in unknown))
+        steps = {**INTEGRATION_DEFAULTS, **self.integration}
+        for key, value in steps.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"integration.{key} must be a positive integer, got {value!r}")
+        n_steps = steps["steps_per_period"] * steps["periods"]
+        if n_steps % steps["record_stride"] != 0:
+            raise ValueError(f"integration.record_stride {steps['record_stride']} does not divide "
+                             f"the step count {n_steps} (steps_per_period * periods)")
+        n = self.analysis.get("n", 0.5)
+        if (not isinstance(n, (int, float)) or isinstance(n, bool)
+                or not 0.0 < n <= 0.5):
+            raise ValueError(f"analysis.n must lie in (0, 0.5], got {n!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -194,13 +209,7 @@ def _resolve_gains(spec: dict, rate_bound: float, period: float) -> Gains:
 
 
 def _integration(cfg: ScenarioConfig, period: float) -> IntegrationConfig:
-    icfg = cfg.integration
-    return IntegrationConfig.for_period(
-        period,
-        steps_per_period=int(icfg.get("steps_per_period", 2000)),
-        periods=int(icfg.get("periods", 40)),
-        record_stride=int(icfg.get("record_stride", 1)),
-    )
+    return IntegrationConfig.for_period(period, **{**INTEGRATION_DEFAULTS, **cfg.integration})
 
 
 def _fast_sinusoid_rate(pert: SinusoidPerturbation):

@@ -161,19 +161,6 @@ class MotionProfile:
             descriptor=f"sinusoidal velocity f={frequency_hz:g}Hz accel_peak={accel_peak:g}",
         )
 
-    def consistency_error(self, t_end: float) -> float:
-        """Max |theta(t) - theta(0) - integral(omega)| on a sample grid.
-
-        Uses cumulative trapezoid quadrature; callers assert this stays at
-        integration-error scale to validate hand-built profiles.
-        """
-        t = np.linspace(0.0, t_end, 2001)
-        w = np.asarray([float(self.omega(ti)) for ti in t])
-        th = np.asarray([float(self.theta(ti)) for ti in t])
-        dt = t[1] - t[0]
-        integral = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dt)))
-        return float(np.max(np.abs(th - th[0] - integral)))
-
 
 def eval_d(model: FrictionCoggingModel, profile: MotionProfile, t):
     """Disturbance torque along a motion profile."""

@@ -1,19 +1,53 @@
 """Control-law and vector-field unit tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twistlab.dynamics import (Gains, NearSingularityError, PhaseState,
-                               default_layer_width, eval_phase,
-                               regularized_field, saturation, twisting_action,
-                               twisting_law)
+from twistlab.dynamics import (Gains, default_layer_width, regularized_field,
+                               saturation, twisting_action, twisting_law)
 from twistlab.integrator import IntegrationConfig, integrate
 
 GAINS = Gains(k1=0.9, k2=11.65, delta=1e-4)
 LAW = twisting_law(GAINS)
+
+
+class NearSingularityError(ValueError):
+    """Phase-form evaluation requested too close to the w1 = 0 axis."""
+
+
+@dataclass(frozen=True)
+class PhaseState:
+    """Phase-plane state: error w1 and error rate w2."""
+
+    w1: float
+    w2: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
+            raise ValueError("phase state must be finite")
+
+
+def eval_phase(state: PhaseState, gains: Gains, q_at_t: float) -> tuple[float, float]:
+    """Phase-coordinate form (w1, w2) = (x1, dx1/dt) of the loop; singular at w1 = 0.
+
+    dw1 = w2
+    dw2 = -(k1/2)*|w1|^(-1/2)*w2 - k2*sgn(w1) + q(t)
+
+    An independent form of the discontinuous loop that the simulated
+    (x1, x2) trajectories are cross-checked against.
+    """
+    if abs(state.w1) < 1e-9:
+        raise NearSingularityError(
+            f"|w1| = {abs(state.w1)} is below the singularity floor 1e-09"
+        )
+    dw1 = state.w2
+    dw2 = (-0.5 * gains.k1 * state.w2 / math.sqrt(abs(state.w1))
+           - gains.k2 * float(np.sign(state.w1)) + q_at_t)
+    return dw1, dw2
 
 
 def test_saturation_examples():

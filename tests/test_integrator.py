@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from twistlab import plant
 from twistlab.dynamics import Gains, regularized_field
 from twistlab.integrator import (DivergenceError, IntegrationConfig,
                                  Trajectory, detect_crossings, integrate,
                                  rk4_solve)
+from twistlab.plant import MotorModel, simulate_motor_loop
+from twistlab.signals import MotionProfile
 
 
 def _make_traj(t, x1, metadata=None):
@@ -17,6 +20,131 @@ def _make_traj(t, x1, metadata=None):
                       x2=zeros.copy(), u=zeros.copy(), d=zeros.copy(), q=zeros.copy(),
                       metadata={"dt": float(t[1] - t[0]), "record_stride": 1,
                                 **(metadata or {})})
+
+
+def _reference_rk4(field, x0, t0, dt, n_steps, record_stride=1):
+    """Generic tuple-loop RK4 for any state size: the reference rk4_solve must match bit for bit."""
+    x = tuple(float(v) for v in x0)
+    m = len(x)
+    n_records = n_steps // record_stride + 1
+    times = np.empty(n_records)
+    states = np.empty((n_records, m))
+    times[0] = t0
+    states[0] = x
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    rec = 1
+    for k in range(n_steps):
+        t = t0 + k * dt
+        a = field(t, x)
+        b = field(t + half, tuple(x[i] + half * a[i] for i in range(m)))
+        c = field(t + half, tuple(x[i] + half * b[i] for i in range(m)))
+        e = field(t + dt, tuple(x[i] + dt * c[i] for i in range(m)))
+        x = tuple(x[i] + sixth * (a[i] + 2.0 * (b[i] + c[i]) + e[i]) for i in range(m))
+        for v in x:
+            if not math.isfinite(v):
+                raise DivergenceError(t + dt)
+        if (k + 1) % record_stride == 0:
+            times[rec] = t0 + (k + 1) * dt
+            states[rec] = x
+            rec += 1
+    return times, states
+
+
+def _assert_matches_reference(field, *args):
+    times, states = rk4_solve(field, *args)
+    ref_times, ref_states = _reference_rk4(field, *args)
+    assert times.tobytes() == ref_times.tobytes()
+    assert states.shape == ref_states.shape
+    assert states.tobytes() == ref_states.tobytes()
+
+
+def _reference_crossings(traj, layer_width=None):
+    """Sample-by-sample sign scan of ``x1`` that detect_crossings must match exactly."""
+    values = traj.x1
+    t = traj.t
+    if layer_width is None:
+        layer_width = float(traj.metadata.get("delta", 0.0))
+    raw = []
+    last_sign = 0.0
+    last_idx = 0
+    for i, v in enumerate(values):
+        s = 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
+        if s == 0.0:
+            continue
+        if last_sign != 0.0 and s != last_sign:
+            a, b = last_idx, i
+            frac = values[a] / (values[a] - values[b])
+            raw.append((float(t[a] + frac * (t[b] - t[a])), int(s), a, b))
+        last_sign = s
+        last_idx = i
+    if not raw or layer_width <= 0.0:
+        return [(tc, dirn) for tc, dirn, _, _ in raw]
+    events = []
+    group_start = 0
+    for j in range(1, len(raw) + 1):
+        if j < len(raw):
+            span = values[raw[j - 1][2]:raw[j][3] + 1]
+            if np.all(np.abs(span) < layer_width):
+                continue
+        events.append((raw[group_start][0], raw[j - 1][1]))
+        group_start = j
+    return events
+
+
+def test_rk4_solve_matches_reference_on_the_reduced_loop():
+    """Bit for bit, including steps inside the boundary layer and strided records."""
+    L, T = 12.0, 0.35
+    w = 2 * math.pi / T
+    rate = lambda t: L * math.sin(w * t)
+    over = Gains(k1=9.04, k2=13.2, delta=1e-4)      # reaches the layer and stays in it
+    under = Gains(k1=0.9, k2=6.0, delta=2e-3)       # limit cycle through a wide layer
+    for gains, x0 in ((over, (1.0, 0.0)), (under, (0.0, 0.0))):
+        field = regularized_field(gains, rate)
+        times, states = rk4_solve(field, x0, 0.0, T / 2000, 8000)
+        assert np.count_nonzero(np.abs(states[:, 0]) < gains.delta) > 100
+        for stride in (1, 4, 7):
+            _assert_matches_reference(field, x0, 0.0, T / 2000, 8000, stride)
+    # a generic planar field with a nonzero start time
+    _assert_matches_reference(lambda t, x: (x[1], -math.sin(x[0]) + math.cos(5 * t)),
+                              (0.4, -0.2), 0.125, 1e-3, 3000, 3)
+
+
+@pytest.mark.parametrize("reference", [MotionProfile.constant_speed(18.0),
+                                       MotionProfile.sinusoidal_velocity(4.0)])
+def test_rk4_solve_matches_reference_on_the_motor_loop(reference, monkeypatch):
+    """The continuous motor loop's 3-state field, bit for bit, with strided records."""
+    calls = []
+
+    def capture(field, *args):
+        calls.append(field)
+        return rk4_solve(field, *args)
+
+    monkeypatch.setattr(plant, "rk4_solve", capture)
+    simulate_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
+                        IntegrationConfig(dt=1e-4, t_end=0.3), initial_error=0.5)
+    (field,) = calls
+    for stride in (1, 6):
+        _assert_matches_reference(field, (0.0, 18.5, 0.1), 0.0, 1e-4, 3000, stride)
+
+
+def test_rk4_solve_divergence_time_matches_reference():
+    planar = lambda t, x: (x[0] * x[0], 0.0)
+    spatial = lambda t, x: (0.0, 1.0, x[2] * x[2])
+    for field, x0 in ((planar, (1.0, 0.0)), (spatial, (0.0, 0.0, 1.0))):
+        with pytest.raises(DivergenceError) as expected:
+            _reference_rk4(field, x0, 0.0, 1e-3, 2000)
+        with pytest.raises(DivergenceError) as actual:
+            rk4_solve(field, x0, 0.0, 1e-3, 2000)
+        assert actual.value.time == expected.value.time
+
+
+def test_rk4_solve_rejects_other_state_sizes():
+    for x0 in ((1.0,), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=f"got {len(x0)} states"):
+            rk4_solve(lambda t, x: x, x0, 0.0, 1e-3, 10)
+    with pytest.raises(ValueError, match="planar"):
+        integrate(lambda t, x: x, (1.0, 0.0, 0.0), IntegrationConfig(dt=1e-3, t_end=0.01))
 
 
 def test_linear_drift():
@@ -147,6 +275,33 @@ def test_detect_crossings_coalesces_layer_chatter():
     assert events[0][1] == -1
     # without layer metadata every wiggle counts
     assert len(detect_crossings(traj, layer_width=0.0)) == 9
+
+
+def test_detect_crossings_matches_sample_scan():
+    """Zeros, runs of zeros, NaN, one sample and layer chatter give the loop's exact events."""
+    t = np.arange(40) * 0.01
+    chatter = np.concatenate([np.full(10, 1.0),
+                              0.02 * np.array([1, -1, 1, 0, -1, 1, -1, 1, 0.0, -1]),
+                              np.full(10, -1.0), 0.05 * np.sin(np.arange(10.0))])
+    signals = [
+        np.sin(2 * math.pi * 3.3 * t),
+        np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 2.0, -0.0, 0.0, -3.0] * 4),
+        np.array([0.0] * 5 + [-1.0, 1.0] * 5 + [0.0] * 25),
+        np.array([1.0, np.nan, -1.0, np.nan, np.nan, 2.0, -2.0, np.nan, 0.0, 1.0] * 4),
+        chatter,
+        np.zeros(40),
+    ]
+    for x in signals:
+        for width in (None, 0.0, 0.03, 0.5):
+            traj = _make_traj(t, x, metadata={"delta": 0.03})
+            expected = _reference_crossings(traj, width)
+            actual = detect_crossings(traj, width)
+            assert actual == expected
+            assert all(type(tc) is float and type(d) is int for tc, d in actual)
+    assert len(detect_crossings(_make_traj(t, chatter), 0.0)) > 8
+    one = Trajectory(t=np.array([0.0]), x1=np.array([1.0]), x2=np.zeros(1), u=np.zeros(1),
+                     d=np.zeros(1), q=np.zeros(1), metadata={"dt": 1.0})
+    assert detect_crossings(one) == _reference_crossings(one) == []
 
 
 def test_trajectory_validation():

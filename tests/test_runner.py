@@ -35,6 +35,16 @@ def _constant_speed_config(**overrides):
     return cfg
 
 
+#: Out-of-range values; each must fail at load, naming its dotted path.
+OUT_OF_RANGE = [
+    ("integration", "periods", -1), ("integration", "periods", 0),
+    ("integration", "steps_per_period", 0), ("integration", "steps_per_period", 2.5),
+    ("integration", "steps_per_period", "2000"), ("integration", "record_stride", 0),
+    ("integration", "record_stride", True), ("analysis", "n", 0.9),
+    ("analysis", "n", 0), ("analysis", "n", "0.5"), ("analysis", "n", None),
+]
+
+
 def test_config_schema_validation():
     with pytest.raises(ValueError):
         ScenarioConfig.from_dict({"scenario": "synthetic_q", "parameters": {}})
@@ -47,6 +57,21 @@ def test_config_schema_validation():
     for seed in ("7", 1.5, True):
         with pytest.raises(ValueError, match="seed must be an integer"):
             ScenarioConfig.from_dict({**SYNTHETIC, "seed": seed})
+    for section, key, value in OUT_OF_RANGE:
+        with pytest.raises(ValueError, match=rf"{section}\.{key}"):
+            ScenarioConfig.from_dict({**SYNTHETIC, section: {**SYNTHETIC.get(section, {}),
+                                                             key: value}})
+    with pytest.raises(ValueError, match=r"integration\.record_stride 3 does not divide"):
+        ScenarioConfig.from_dict({**SYNTHETIC, "integration": {"steps_per_period": 2000,
+                                                               "periods": 20,
+                                                               "record_stride": 3}})
+    # the defaults count too: 2000 * 40 steps are not a multiple of 3
+    with pytest.raises(ValueError, match=r"integration\.record_stride 3"):
+        ScenarioConfig.from_dict({**SYNTHETIC, "integration": {"record_stride": 3}})
+    for ok in ({"steps_per_period": 2000, "periods": 20, "record_stride": 8},
+               {"steps_per_period": 300}):
+        ScenarioConfig.from_dict({**SYNTHETIC, "integration": ok})
+    ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25}})
 
 
 def test_config_override():
@@ -61,6 +86,12 @@ def test_config_override():
         cfg.with_override("nonexistent.key", "1")
     with pytest.raises(ValueError, match="seed must be an integer"):
         cfg.with_override("seed", "abc")
+    for section, key, value in OUT_OF_RANGE:
+        with pytest.raises(ValueError, match=rf"{section}\.{key}"):
+            cfg.with_override(f"{section}.{key}", json.dumps(value))
+    with pytest.raises(ValueError, match=r"integration\.record_stride"):
+        cfg.with_override("integration.record_stride", "7")
+    assert cfg.with_override("integration.record_stride", "4").integration["record_stride"] == 4
 
 
 @pytest.mark.parametrize("section,key", [

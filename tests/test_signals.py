@@ -210,10 +210,20 @@ def test_sinusoid_perturbation_d_integrates_q():
         SinusoidPerturbation(1.0, 0.0)
 
 
+def _consistency_error(profile: MotionProfile, t_end: float) -> float:
+    """Max |theta(t) - theta(0) - integral(omega)| over [0, t_end], by cumulative trapezoids."""
+    t = np.linspace(0.0, t_end, 2001)
+    w = np.asarray([float(profile.omega(ti)) for ti in t])
+    th = np.asarray([float(profile.theta(ti)) for ti in t])
+    dt = t[1] - t[0]
+    integral = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dt)))
+    return float(np.max(np.abs(th - th[0] - integral)))
+
+
 def test_motion_profiles_are_consistent():
     """theta must integrate omega for both reference families."""
-    assert MotionProfile.constant_speed(18.0).consistency_error(1.0) < 1e-9
-    assert MotionProfile.sinusoidal_velocity(2.0).consistency_error(1.0) < 1e-5
+    assert _consistency_error(MotionProfile.constant_speed(18.0), 1.0) < 1e-9
+    assert _consistency_error(MotionProfile.sinusoidal_velocity(2.0), 1.0) < 1e-5
 
 
 def test_friction_model_validation():
