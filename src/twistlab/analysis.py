@@ -9,7 +9,7 @@ recorded samples directly, which at 2000 steps per period resolves the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class LimitCycleReport:
 
     ``coarse_bound`` is the averaging-based width bound (k2+L)n^2T^2/2;
     ``tight_bound`` its under-tuned refinement, None when the run is not in
-    the under-tuned regime or the k1 premise fails.
+    the under-tuned regime or the k1 premise fails.  ``tolerance`` is the
+    strobe-gap tolerance the verdict was taken against.
     """
 
     converged: bool
@@ -63,7 +64,7 @@ class LimitCycleReport:
     coarse_bound: float | None = None
     tight_bound: float | None = None
     crossings_per_period: int | None = None
-    metadata: dict = field(default_factory=dict)
+    tolerance: float | None = None
 
     def __post_init__(self) -> None:
         if self.converged:
@@ -245,9 +246,9 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
                  n: float = 0.5, tol: float | None = None) -> LimitCycleReport:
     """Full per-run measurement: convergence, amplitude, period, bounds, crossings.
 
-    The amplitude is measured over the final recorded period (steady state);
-    the measurement window is noted in the report metadata.  The period is
-    estimated from the last five periods of the error channel.
+    The amplitude is measured over the final recorded period (steady state).
+    The period is estimated from the last five periods of the error channel,
+    and crossings inside the boundary layer ``gains.delta`` are merged.
     """
     if tol is None:
         tol = default_tolerance(gains.delta)
@@ -263,8 +264,7 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
 
     if not converged:
         return LimitCycleReport(
-            converged=False, coarse_bound=coarse, tight_bound=tight,
-            metadata={"tolerance": tol, "forcing_period": period, "rate_bound": rate_bound},
+            converged=False, coarse_bound=coarse, tight_bound=tight, tolerance=tol,
         )
 
     t_end = float(traj.t[-1])
@@ -277,7 +277,7 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
     except AperiodicSignalError:
         measured_period = None
 
-    crossings = detect_crossings(traj)
+    crossings = detect_crossings(traj, gains.delta)
     per_cycle = sum(1 for tc, _ in crossings if window_start <= tc <= t_end)
 
     return LimitCycleReport(
@@ -288,11 +288,5 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
         coarse_bound=coarse,
         tight_bound=tight,
         crossings_per_period=per_cycle,
-        metadata={
-            "tolerance": tol,
-            "forcing_period": period,
-            "rate_bound": rate_bound,
-            "amplitude_window": (window_start, t_end),
-            "amplitude_window_note": "one steady-state period at the end of the run",
-        },
+        tolerance=tol,
     )

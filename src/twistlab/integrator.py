@@ -28,6 +28,9 @@ __all__ = [
 CSV_HEADER = "t,x1,x2,u,d,q"
 CSV_CHUNK_ROWS = 1024
 
+#: Period-aligned stepping used when a caller or config leaves a key out.
+INTEGRATION_DEFAULTS = {"steps_per_period": 2000, "periods": 40, "record_stride": 1}
+
 
 class DivergenceError(RuntimeError):
     """A state component became non-finite; carries the blow-up time."""
@@ -65,8 +68,11 @@ class IntegrationConfig:
         return round(self.t_end / self.dt)
 
     @classmethod
-    def for_period(cls, period: float, steps_per_period: int = 2000,
-                   periods: int = 20, record_stride: int = 1) -> "IntegrationConfig":
+    def for_period(cls, period: float,
+                   steps_per_period: int = INTEGRATION_DEFAULTS["steps_per_period"],
+                   periods: int = INTEGRATION_DEFAULTS["periods"],
+                   record_stride: int = INTEGRATION_DEFAULTS["record_stride"],
+                   ) -> "IntegrationConfig":
         """Config aligned to a forcing period: dt = period / steps_per_period.
 
         Samples then land exactly on period multiples, which the stroboscopic
@@ -91,8 +97,9 @@ class Trajectory:
 
     ``u`` holds the input actually applied to the plant (the inner
     super-twisting action for reduced-loop runs, the motor torque command
-    for virtual-motor runs).  ``extras`` carries channels outside the
-    canonical CSV schema, e.g. the motor's omega/theta.
+    for virtual-motor runs).  ``dt`` is the integration step and
+    ``record_stride`` the steps between records.  ``extras`` carries
+    channels outside the canonical CSV schema, e.g. the motor's omega.
     """
 
     t: np.ndarray
@@ -101,7 +108,8 @@ class Trajectory:
     u: np.ndarray
     d: np.ndarray
     q: np.ndarray
-    metadata: dict
+    dt: float
+    record_stride: int = 1
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -118,7 +126,7 @@ class Trajectory:
     @property
     def sample_dt(self) -> float:
         """Spacing between records (record_stride * dt)."""
-        return float(self.metadata["dt"] * self.metadata.get("record_stride", 1))
+        return float(self.dt * self.record_stride)
 
     def to_csv(self, path) -> None:
         """Write the canonical `t,x1,x2,u,d,q` table (shortest round-trip floats).
@@ -194,13 +202,12 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
 
 
 def integrate(field: Callable, x0, cfg: IntegrationConfig,
-              channels: Callable[[np.ndarray, np.ndarray], dict] | None = None,
-              metadata: dict | None = None) -> Trajectory:
+              channels: Callable[[np.ndarray, np.ndarray], dict] | None = None) -> Trajectory:
     """Integrate a planar field from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
 
     ``channels(t, X)`` may supply the u/d/q channels (vectorized, evaluated
-    on the records); any other keys it returns are stored under ``extras``.
-    Channels default to zeros.
+    on the records); a channel it leaves out is zero, and any other key
+    raises ValueError.
     """
     start = tuple(float(v) for v in x0)
     if len(start) != 2:
@@ -210,34 +217,28 @@ def integrate(field: Callable, x0, cfg: IntegrationConfig,
     x1 = states[:, 0].copy()
     x2 = states[:, 1].copy()
 
-    derived = dict(channels(times, states)) if channels is not None else {}
-    u = np.asarray(derived.pop("u", np.zeros_like(times)), dtype=float)
-    d = np.asarray(derived.pop("d", np.zeros_like(times)), dtype=float)
-    q = np.asarray(derived.pop("q", np.zeros_like(times)), dtype=float)
-    extras = {k: np.asarray(v, dtype=float) for k, v in derived.items()}
-
-    meta = {"dt": cfg.dt, "record_stride": cfg.record_stride, "t0": 0.0}
-    if metadata:
-        meta.update(metadata)
-    return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, metadata=meta, extras=extras)
+    derived = channels(times, states) if channels is not None else {}
+    if set(derived) - {"u", "d", "q"}:
+        raise ValueError(f"channels may return only u, d and q, got {sorted(derived)}")
+    u, d, q = (np.asarray(derived.get(name, np.zeros_like(times)), dtype=float)
+               for name in ("u", "d", "q"))
+    return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, dt=cfg.dt,
+                      record_stride=cfg.record_stride)
 
 
-def detect_crossings(traj: Trajectory, layer_width: float | None = None) -> list[tuple[float, int]]:
+def detect_crossings(traj: Trajectory, layer_width: float = 0.0) -> list[tuple[float, int]]:
     """Linear-interpolated zero crossings of ``x1``, as (time, direction).
 
     ``direction`` is the sign of ``x1`` after the crossing.  Crossing
     clusters whose intermediate samples stay inside the boundary layer
     (|value| < layer_width for more than one step) are coalesced into a
     single event: that chatter is a regularization artifact, not cycle
-    structure.  ``layer_width`` defaults to the trajectory's ``delta``
-    metadata when present.
+    structure.  With the default width 0 every sign change counts.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     values = traj.x1
     t = traj.t
-    if layer_width is None:
-        layer_width = float(traj.metadata.get("delta", 0.0))
 
     # bracketing pairs: consecutive nonzero samples of opposite sign (zeros
     # and NaN carry no sign and are skipped)

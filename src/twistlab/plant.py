@@ -49,11 +49,12 @@ class MotorModel:
         if not (self.inertia > 0.0 and math.isfinite(self.inertia)):
             raise ValueError(f"inertia must be positive and finite, got {self.inertia}")
         if 1.0 / self.inertia < 1e-12:
-            raise ValueError(f"input gain 1/inertia = {1.0 / self.inertia!r} is below 1e-12")
-        if self.encoder_quantum < 0.0:
-            raise ValueError("encoder_quantum must be non-negative")
+            raise ValueError(f"inertia {self.inertia!r} puts the input gain 1/inertia below 1e-12")
+        if not 0.0 <= self.encoder_quantum < math.inf:
+            raise ValueError(f"encoder_quantum must be finite and non-negative, "
+                             f"got {self.encoder_quantum}")
         if self.velocity_window < 1:
-            raise ValueError("velocity_window must be at least 1")
+            raise ValueError(f"velocity_window must be at least 1, got {self.velocity_window}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     """Closed-loop run of the virtual motor; records the error as x1.
 
     The trajectory's ``u`` channel holds the torque command u0 and
-    ``extras`` carries omega/theta/integral_state, which
-    :func:`reconstruct_disturbance` consumes.  With the encoder and noise
+    ``extras`` carries omega (which :func:`reconstruct_disturbance`
+    consumes) and integral_state.  With the encoder and noise
     disabled (the baseline) the loop is a continuous ODE; otherwise the
     controller runs in sampled mode on the measured velocity with u0 held
     over each step.  In sampled mode the recorded ``u`` and ``q`` are
@@ -131,21 +132,9 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     omega_dot = (u0 + d) / J
     q = np.asarray(model.rate(omega, omega_dot, theta))
 
-    metadata = {
-        "dt": cfg.dt,
-        "record_stride": cfg.record_stride,
-        "t0": 0.0,
-        "k1": gains.k1,
-        "k2": gains.k2,
-        "delta": gains.delta,
-        "inertia": J,
-        "perturbation": model.describe(),
-        "reference": reference.descriptor,
-        "sampled_controller": sampled,
-    }
     return Trajectory(t=times, x1=e, x2=z + d / J, u=u0, d=d, q=q,
-                      metadata=metadata,
-                      extras={"omega": omega, "theta": theta, "integral_state": z.copy()})
+                      dt=cfg.dt, record_stride=cfg.record_stride,
+                      extras={"omega": omega, "integral_state": z.copy()})
 
 
 def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,

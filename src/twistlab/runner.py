@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import (LimitCycleReport, bound_comparison_table, build_report,
                        scaling_fit)
 from .dynamics import Gains, default_layer_width, regularized_field, twisting_action
-from .integrator import IntegrationConfig, Trajectory, integrate
+from .integrator import INTEGRATION_DEFAULTS, IntegrationConfig, Trajectory, integrate
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
                       TWO_PI, bound_L, constant_speed_characterization, eval_q)
@@ -53,9 +53,6 @@ SECTION_KEYS = {
     "perturbation": {f.name for f in fields(FrictionCoggingModel)},
 }
 
-#: Values the runner uses for integration keys a config leaves out.
-INTEGRATION_DEFAULTS = {"steps_per_period": 2000, "periods": 40, "record_stride": 1}
-
 #: Keys of the ``parameters`` section, per scenario.
 PARAMETER_KEYS = {
     "constant_speed": {"omega_r"},
@@ -64,9 +61,17 @@ PARAMETER_KEYS = {
 }
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ScenarioConfig:
-    """One scenario plus everything needed to execute and analyze it."""
+    """One scenario plus everything needed to execute and analyze it.
+
+    Loading builds ``motor_model`` from the ``motor`` and ``perturbation``
+    sections, so their out-of-range values fail before any case runs.
+    """
 
     scenario: str
     parameters: dict
@@ -102,9 +107,32 @@ class ScenarioConfig:
             raise ValueError(f"integration.record_stride {steps['record_stride']} does not divide "
                              f"the step count {n_steps} (steps_per_period * periods)")
         n = self.analysis.get("n", 0.5)
-        if (not isinstance(n, (int, float)) or isinstance(n, bool)
-                or not 0.0 < n <= 0.5):
+        if not (_is_real(n) and 0.0 < n <= 0.5):
             raise ValueError(f"analysis.n must lie in (0, 0.5], got {n!r}")
+        tol = self.analysis.get("tolerance")
+        if tol is not None and not (_is_real(tol) and math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"analysis.tolerance must be finite and > 0, got {tol!r}")
+
+        motor = {"inertia": 1.0, "encoder_quantum": 0.0, "noise_std": 0.0, **self.motor}
+        for key in ("inertia", "encoder_quantum", "noise_std"):
+            if not _is_real(motor[key]):
+                raise ValueError(f"motor.{key} must be a number, got {motor[key]!r}")
+        if not (math.isfinite(motor["noise_std"]) and motor["noise_std"] >= 0.0):
+            raise ValueError(f"motor.noise_std must be finite and >= 0, got {motor['noise_std']!r}")
+        window = motor.get("velocity_window", 1)
+        if not isinstance(window, int) or isinstance(window, bool):
+            raise ValueError(f"motor.velocity_window must be an integer, got {window!r}")
+        try:
+            friction = FrictionCoggingModel(**self.perturbation)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config section 'perturbation': {exc}") from exc
+        try:
+            self.motor_model = MotorModel(inertia=float(motor["inertia"]),
+                                          friction_cogging=friction,
+                                          encoder_quantum=float(motor["encoder_quantum"]),
+                                          velocity_window=window)
+        except ValueError as exc:  # MotorModel's messages open with the field name
+            raise ValueError(f"motor.{exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -181,6 +209,12 @@ def _cases(cfg: ScenarioConfig) -> list[dict]:
             cases.append({"label": f"L{L:g}_T{T:g}", "rate_bound": L, "period": T})
     if not cases:
         raise ValueError(f"config error: empty parameter set for scenario {cfg.scenario!r}")
+    seen: set[str] = set()
+    for case in cases:
+        if case["label"] in seen:
+            raise ValueError(f"config error: two cases share the label {case['label']!r} "
+                             "(labels keep 6 significant digits); each needs its own run directory")
+        seen.add(case["label"])
     return cases
 
 
@@ -222,7 +256,6 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
     """Run one parameter case end to end; exceptions become a recorded error."""
     result = RunResult(label=case["label"], params=dict(case))
     try:
-        model = FrictionCoggingModel(**cfg.perturbation)
         n = float(cfg.analysis.get("n", 0.5))
 
         if cfg.scenario == "synthetic_q":
@@ -238,13 +271,11 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
                 u = twisting_action(states[:, 0], states[:, 1] - d, gains)
                 return {"u": u, "d": d, "q": q}
 
-            traj = integrate(
-                regularized_field(gains, _fast_sinusoid_rate(pert)), x0, icfg,
-                channels=channels,
-                metadata={"k1": gains.k1, "k2": gains.k2, "delta": gains.delta,
-                          "perturbation": pert.describe()},
-            )
+            traj = integrate(regularized_field(gains, _fast_sinusoid_rate(pert)), x0, icfg,
+                             channels=channels)
         else:
+            motor = cfg.motor_model
+            model = motor.friction_cogging
             if cfg.scenario == "constant_speed":
                 omega_r = case["omega_r"]
                 L, T = constant_speed_characterization(model, omega_r)
@@ -257,12 +288,6 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
                 L = bound_L(lambda t: eval_q(model, profile, t), T)
             gains = _resolve_gains(cfg.gains, L, T)
             icfg = _integration(cfg, T)
-            motor = MotorModel(
-                inertia=float(cfg.motor.get("inertia", 1.0)),
-                friction_cogging=model,
-                encoder_quantum=float(cfg.motor.get("encoder_quantum", 0.0)),
-                velocity_window=int(cfg.motor.get("velocity_window", 1)),
-            )
             noise_std = float(cfg.motor.get("noise_std", 0.0))
             rng = np.random.default_rng(cfg.seed + index) if noise_std > 0.0 else None
             traj = simulate_motor_loop(
@@ -408,7 +433,7 @@ def _summary_text(results: list[RunResult], fit) -> str:
             continue
         rep = r.report
         if not rep.converged:
-            lines.append(f"{r.label}: NOT CONVERGED (tol={rep.metadata.get('tolerance'):g})")
+            lines.append(f"{r.label}: NOT CONVERGED (tol={rep.tolerance:g})")
             continue
         checks = []
         if r.gains is not None:
@@ -431,7 +456,7 @@ def _summary_text(results: list[RunResult], fit) -> str:
             f"tight_bound={tight} satisfied={'yes' if satisfied else 'NO'} "
             f"crossings/cycle={rep.crossings_per_period} [{'; '.join(checks)}]"
         )
-        lines.append(f"  amplitude window: {rep.metadata.get('amplitude_window_note', '')}")
+        lines.append("  amplitude window: one steady-state period at the end of the run")
     if fit is not None:
         lines.append(
             f"scaling fit: amplitude ~ {fit[1]:.6g} * T^{fit[0]:.4g} (r^2={fit[2]:.4g})"

@@ -48,9 +48,6 @@ class SinusoidPerturbation:
         w = TWO_PI / self.period
         return self.rate_amplitude / w * (math.cos(self.phase) - np.cos(w * t + self.phase))
 
-    def describe(self) -> str:
-        return f"sinusoid rate L={self.rate_amplitude:g} T={self.period:g}"
-
 
 @dataclass(frozen=True)
 class FrictionCoggingModel:
@@ -119,10 +116,6 @@ class FrictionCoggingModel:
             cog = cog + amp * np.cos(theta + phase)
         return q + omega * cog
 
-    def describe(self) -> str:
-        return (f"friction+cogging coulomb={self.coulomb:g} steepness={self.steepness:g} "
-                f"viscous={self.viscous:g} harmonics={self.harmonics!r}")
-
 
 @dataclass(frozen=True)
 class MotionProfile:
@@ -131,7 +124,6 @@ class MotionProfile:
     omega: Callable[[float], float]
     theta: Callable[[float], float]
     omega_dot: Callable[[float], float]
-    descriptor: str = ""
 
     @classmethod
     def constant_speed(cls, omega_r: float, theta0: float = 0.0) -> "MotionProfile":
@@ -140,7 +132,6 @@ class MotionProfile:
             omega=lambda t: omega_r + 0.0 * t,
             theta=lambda t: omega_r * t + theta0,
             omega_dot=lambda t: 0.0 * t,
-            descriptor=f"constant speed omega_r={omega_r:g}",
         )
 
     @classmethod
@@ -158,7 +149,6 @@ class MotionProfile:
             omega=lambda t: amp * np.cos(w * t),
             theta=lambda t: amp / w * np.sin(w * t),
             omega_dot=lambda t: -accel_peak * np.sin(w * t),
-            descriptor=f"sinusoidal velocity f={frequency_hz:g}Hz accel_peak={accel_peak:g}",
         )
 
 

@@ -25,8 +25,7 @@ def _synthetic_run(gains, rate_amplitude, period, periods=30, spp=2000, x0=(0.0,
     w = 2 * math.pi / period
     field = tl.regularized_field(gains, lambda t: rate_amplitude * math.sin(w * t))
     cfg = tl.IntegrationConfig.for_period(period, spp, periods)
-    return tl.integrate(field, x0, cfg,
-                        metadata={"k1": gains.k1, "k2": gains.k2, "delta": gains.delta})
+    return tl.integrate(field, x0, cfg)
 
 
 def test_criterion_1_gain_formulas():

@@ -22,7 +22,7 @@ def _synthetic(period=0.25, periods=12, spp=200, amplitude=1.0, drift=0.0):
     x2 = amplitude * np.cos(2 * math.pi * t / period) + drift * t
     zeros = np.zeros_like(t)
     return Trajectory(t=t, x1=x1, x2=x2, u=zeros.copy(), d=zeros.copy(), q=zeros.copy(),
-                      metadata={"dt": period / spp, "record_stride": 1})
+                      dt=period / spp)
 
 
 def test_stroboscopic_converged_periodic():
@@ -151,8 +151,7 @@ def test_build_report_on_under_tuned_run():
     w = 2 * math.pi / T
     cfg = IntegrationConfig.for_period(T, 2000, 25)
     traj = integrate(regularized_field(gains, lambda t: L * math.sin(w * t)),
-                     (0.0, 0.0), cfg,
-                     metadata={"k1": gains.k1, "k2": gains.k2, "delta": gains.delta})
+                     (0.0, 0.0), cfg)
     report = build_report(traj, T, L, gains)
     assert report.converged
     assert report.amplitude <= report.coarse_bound
@@ -166,7 +165,7 @@ def test_build_report_on_under_tuned_run():
 
     # crossing count is even and stable across successive periods
     from twistlab.integrator import detect_crossings
-    crossings = detect_crossings(traj)
+    crossings = detect_crossings(traj, gains.delta)
     counts = []
     for k in (1, 2, 3):
         lo, hi = traj.t[-1] - k * T, traj.t[-1] - (k - 1) * T

@@ -14,12 +14,11 @@ from twistlab.plant import MotorModel, simulate_motor_loop
 from twistlab.signals import MotionProfile
 
 
-def _make_traj(t, x1, metadata=None):
+def _make_traj(t, x1):
     zeros = np.zeros_like(t)
     return Trajectory(t=np.asarray(t, float), x1=np.asarray(x1, float),
                       x2=zeros.copy(), u=zeros.copy(), d=zeros.copy(), q=zeros.copy(),
-                      metadata={"dt": float(t[1] - t[0]), "record_stride": 1,
-                                **(metadata or {})})
+                      dt=float(t[1] - t[0]))
 
 
 def _reference_rk4(field, x0, t0, dt, n_steps, record_stride=1):
@@ -59,12 +58,10 @@ def _assert_matches_reference(field, *args):
     assert states.tobytes() == ref_states.tobytes()
 
 
-def _reference_crossings(traj, layer_width=None):
+def _reference_crossings(traj, layer_width=0.0):
     """Sample-by-sample sign scan of ``x1`` that detect_crossings must match exactly."""
     values = traj.x1
     t = traj.t
-    if layer_width is None:
-        layer_width = float(traj.metadata.get("delta", 0.0))
     raw = []
     last_sign = 0.0
     last_idx = 0
@@ -243,6 +240,9 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 0], traj.t)
     assert np.array_equal(data[:, 1], traj.x1)
     assert np.array_equal(data[:, 3], traj.u)
+    with pytest.raises(ValueError, match="only u, d and q"):
+        integrate(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg,
+                  channels=lambda t, X: {"u": np.sin(t), "theta": t})
 
 
 def test_detect_crossings_sine():
@@ -269,12 +269,12 @@ def test_detect_crossings_coalesces_layer_chatter():
         0.02 * np.array([1, -1, 1, -1, 1, -1, 1, -1, 1, -1.0]),  # chatter inside layer
         np.full(10, -1.0),                               # solidly negative
     ])
-    traj = _make_traj(t, x, metadata={"delta": delta})
-    events = detect_crossings(traj)
+    traj = _make_traj(t, x)
+    events = detect_crossings(traj, delta)
     assert len(events) == 1
     assert events[0][1] == -1
-    # without layer metadata every wiggle counts
-    assert len(detect_crossings(traj, layer_width=0.0)) == 9
+    # with no layer width, the default, every wiggle counts
+    assert len(detect_crossings(traj)) == len(detect_crossings(traj, layer_width=0.0)) == 9
 
 
 def test_detect_crossings_matches_sample_scan():
@@ -292,15 +292,15 @@ def test_detect_crossings_matches_sample_scan():
         np.zeros(40),
     ]
     for x in signals:
-        for width in (None, 0.0, 0.03, 0.5):
-            traj = _make_traj(t, x, metadata={"delta": 0.03})
+        traj = _make_traj(t, x)
+        for width in (0.0, 0.03, 0.5):
             expected = _reference_crossings(traj, width)
             actual = detect_crossings(traj, width)
             assert actual == expected
             assert all(type(tc) is float and type(d) is int for tc, d in actual)
     assert len(detect_crossings(_make_traj(t, chatter), 0.0)) > 8
     one = Trajectory(t=np.array([0.0]), x1=np.array([1.0]), x2=np.zeros(1), u=np.zeros(1),
-                     d=np.zeros(1), q=np.zeros(1), metadata={"dt": 1.0})
+                     d=np.zeros(1), q=np.zeros(1), dt=1.0)
     assert detect_crossings(one) == _reference_crossings(one) == []
 
 
@@ -310,4 +310,4 @@ def test_trajectory_validation():
         _make_traj(t, np.zeros(3))
     with pytest.raises(ValueError):
         Trajectory(t=np.array([0.0, 1.0]), x1=np.zeros(3), x2=np.zeros(2),
-                   u=np.zeros(2), d=np.zeros(2), q=np.zeros(2), metadata={"dt": 1.0})
+                   u=np.zeros(2), d=np.zeros(2), q=np.zeros(2), dt=1.0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import twistlab
+from twistlab.integrator import detect_crossings
 from twistlab.runner import (SCHEMA_VERSION, RunResult, ScenarioConfig,
                              emit_outputs, main, run_scenario)
 
@@ -42,6 +43,14 @@ OUT_OF_RANGE = [
     ("integration", "steps_per_period", "2000"), ("integration", "record_stride", 0),
     ("integration", "record_stride", True), ("analysis", "n", 0.9),
     ("analysis", "n", 0), ("analysis", "n", "0.5"), ("analysis", "n", None),
+    ("analysis", "tolerance", -1), ("analysis", "tolerance", 0),
+    ("analysis", "tolerance", math.nan), ("analysis", "tolerance", "abc"),
+    ("motor", "noise_std", -1e-3), ("motor", "noise_std", math.nan),
+    ("motor", "noise_std", math.inf), ("motor", "noise_std", "1e-3"),
+    ("motor", "inertia", 0), ("motor", "inertia", -1.0), ("motor", "inertia", 1e13),
+    ("motor", "inertia", "abc"), ("motor", "encoder_quantum", -1e-5),
+    ("motor", "encoder_quantum", math.nan), ("motor", "velocity_window", 0),
+    ("motor", "velocity_window", 2.5),
 ]
 
 
@@ -71,7 +80,9 @@ def test_config_schema_validation():
     for ok in ({"steps_per_period": 2000, "periods": 20, "record_stride": 8},
                {"steps_per_period": 300}):
         ScenarioConfig.from_dict({**SYNTHETIC, "integration": ok})
-    ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25}})
+    ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25, "tolerance": 1e-3}})
+    ScenarioConfig.from_dict({**SYNTHETIC, "motor": {"inertia": 2, "encoder_quantum": 1e-5,
+                                                     "velocity_window": 4, "noise_std": 0.0}})
 
 
 def test_config_override():
@@ -116,6 +127,28 @@ def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
     assert main(["simulate", "--config", str(path),
                  "--override", "integration.steps_per_periods=10"]) == 1
     assert "integration.steps_per_periods" in capsys.readouterr().err
+
+
+#: Two L values that agree to 6 significant digits, and so share a label.
+CLASHING_CASES = [[12.345671, 0.2], [12.345674, 0.2]]
+
+
+def test_duplicate_case_labels_rejected_before_any_case_runs():
+    cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": CLASHING_CASES}})
+    with pytest.raises(ValueError, match=r"'L12\.3457_T0\.2'"):
+        run_scenario(cfg)
+    cfg = ScenarioConfig.from_dict(_constant_speed_config(parameters={"omega_r": [18.0, 18]}))
+    with pytest.raises(ValueError, match=r"'wr18'"):
+        run_scenario(cfg)
+
+
+def test_cli_duplicate_case_labels_exit_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SYNTHETIC, "parameters": {"cases": CLASHING_CASES}}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert "L12.3457_T0.2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_parameter_set_is_config_error():
@@ -262,6 +295,13 @@ def test_constant_speed_sweep_all_converge():
     assert all(r.ok for r in results)
     for r in results:
         assert r.report.measured_period == pytest.approx(r.period, rel=0.02)
+        # crossings are counted with the run's own boundary layer merged
+        t_end = r.trajectory.t[-1]
+        events = detect_crossings(r.trajectory, r.gains.delta)
+        assert r.report.crossings_per_period == sum(
+            1 for tc, _ in events if t_end - r.period <= tc <= t_end)
+    # at 12 rad/s the cycle stays inside the layer: its sign changes are chatter
+    assert results[0].report.crossings_per_period == 0
 
 
 def test_sinusoidal_velocity_sweep():
