@@ -80,13 +80,12 @@ def default_tolerance(delta: float) -> float:
 
 
 def _strobe_stride(traj: Trajectory, period: float) -> int:
-    """Record stride corresponding to one forcing period; must divide evenly."""
-    sample_dt = traj.sample_dt
-    stride = period / sample_dt
+    """Records per forcing period; the step must divide the period evenly."""
+    stride = period / traj.dt
     stride_int = round(stride)
     if stride_int < 1 or abs(stride - stride_int) > 1e-6 * max(stride, 1.0):
         raise ValueError(
-            f"samples not aligned to the period: T/sample_dt = {stride!r}"
+            f"samples not aligned to the period: T/dt = {stride!r}"
         )
     return stride_int
 
@@ -273,7 +272,7 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
 
     tail = traj.t >= t_end - PERIOD_WINDOW_CYCLES * period - 1e-12
     try:
-        measured_period = estimate_period(traj.x1[tail], traj.sample_dt)
+        measured_period = estimate_period(traj.x1[tail], traj.dt)
     except AperiodicSignalError:
         measured_period = None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ CSV_HEADER = "t,x1,x2,u,d,q"
 CSV_CHUNK_ROWS = 1024
 
 #: Period-aligned stepping used when a caller or config leaves a key out.
-INTEGRATION_DEFAULTS = {"steps_per_period": 2000, "periods": 40, "record_stride": 1}
+INTEGRATION_DEFAULTS = {"steps_per_period": 2000, "periods": 40}
 
 
 class DivergenceError(RuntimeError):
@@ -42,25 +42,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size, horizon and record decimation for one integration run."""
+    """Step size and horizon for one integration run; every step is recorded."""
 
     dt: float
     t_end: float
-    record_stride: int = 1
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.record_stride < 1 or self.record_stride != int(self.record_stride):
-            raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
         if self.n_steps < 1:
             raise ValueError("horizon shorter than one step")
-        if self.n_steps % self.record_stride != 0:
-            raise ValueError(
-                f"step count {self.n_steps} is not a multiple of record_stride {self.record_stride}"
-            )
 
     @property
     def n_steps(self) -> int:
@@ -70,9 +63,7 @@ class IntegrationConfig:
     @classmethod
     def for_period(cls, period: float,
                    steps_per_period: int = INTEGRATION_DEFAULTS["steps_per_period"],
-                   periods: int = INTEGRATION_DEFAULTS["periods"],
-                   record_stride: int = INTEGRATION_DEFAULTS["record_stride"],
-                   ) -> "IntegrationConfig":
+                   periods: int = INTEGRATION_DEFAULTS["periods"]) -> "IntegrationConfig":
         """Config aligned to a forcing period: dt = period / steps_per_period.
 
         Samples then land exactly on period multiples, which the stroboscopic
@@ -88,18 +79,18 @@ class IntegrationConfig:
             )
         dt = period / steps_per_period
         n_steps = steps_per_period * periods
-        return cls(dt=dt, t_end=n_steps * dt, record_stride=record_stride)
+        return cls(dt=dt, t_end=n_steps * dt)
 
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled run record with control and disturbance channels.
+    """Run record, one row per integration step, with control and disturbance channels.
 
     ``u`` holds the input actually applied to the plant (the inner
     super-twisting action for reduced-loop runs, the motor torque command
-    for virtual-motor runs).  ``dt`` is the integration step and
-    ``record_stride`` the steps between records.  ``extras`` carries
-    channels outside the canonical CSV schema, e.g. the motor's omega.
+    for virtual-motor runs).  ``dt`` is the integration step, and so the
+    spacing of the records.  ``omega``, outside the canonical CSV schema,
+    holds the rotor speed of virtual-motor runs.
     """
 
     t: np.ndarray
@@ -109,8 +100,7 @@ class Trajectory:
     d: np.ndarray
     q: np.ndarray
     dt: float
-    record_stride: int = 1
-    extras: dict = field(default_factory=dict)
+    omega: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = len(self.t)
@@ -122,11 +112,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def sample_dt(self) -> float:
-        """Spacing between records (record_stride * dt)."""
-        return float(self.dt * self.record_stride)
 
     def to_csv(self, path) -> None:
         """Write the canonical `t,x1,x2,u,d,q` table (shortest round-trip floats).
@@ -145,8 +130,8 @@ class Trajectory:
 
 
 def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
-              n_steps: int, record_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 over ``n_steps`` fixed steps; returns (times, states).
+              n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 over ``n_steps`` fixed steps; returns (times, states) at every step.
 
     ``field(t, x)`` receives the state as a tuple and returns the derivative
     tuple.  The step is written out on Python float locals for the two state
@@ -159,9 +144,7 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
     x = tuple(float(v) for v in x0)
     if len(x) not in (2, 3):
         raise ValueError(f"rk4_solve integrates 2- or 3-state systems, got {len(x)} states")
-    n_records = n_steps // record_stride + 1
-    times = t0 + (np.arange(n_records) * record_stride) * dt
-    times[0] = t0
+    times = t0 + np.arange(n_steps + 1) * dt
     records = array("d", x)
 
     half = 0.5 * dt
@@ -180,8 +163,7 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
             x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
             if not (isfinite(x1) and isfinite(x2)):
                 raise DivergenceError(t + dt)
-            if (k + 1) % record_stride == 0:
-                records.extend((x1, x2))
+            records.extend((x1, x2))
     else:
         x1, x2, x3 = x
         for k in range(n_steps):
@@ -196,9 +178,8 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
             x3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + e3)
             if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
                 raise DivergenceError(t + dt)
-            if (k + 1) % record_stride == 0:
-                records.extend((x1, x2, x3))
-    return times, np.frombuffer(records, dtype=float).reshape(n_records, len(x))
+            records.extend((x1, x2, x3))
+    return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, len(x))
 
 
 def integrate(field: Callable, x0, cfg: IntegrationConfig,
@@ -213,7 +194,7 @@ def integrate(field: Callable, x0, cfg: IntegrationConfig,
     if len(start) != 2:
         raise ValueError(f"integrate expects a planar state (x1, x2), got {len(start)} states")
 
-    times, states = rk4_solve(field, start, 0.0, cfg.dt, cfg.n_steps, cfg.record_stride)
+    times, states = rk4_solve(field, start, 0.0, cfg.dt, cfg.n_steps)
     x1 = states[:, 0].copy()
     x2 = states[:, 1].copy()
 
@@ -222,8 +203,7 @@ def integrate(field: Callable, x0, cfg: IntegrationConfig,
         raise ValueError(f"channels may return only u, d and q, got {sorted(derived)}")
     u, d, q = (np.asarray(derived.get(name, np.zeros_like(times)), dtype=float)
                for name in ("u", "d", "q"))
-    return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, dt=cfg.dt,
-                      record_stride=cfg.record_stride)
+    return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, dt=cfg.dt)
 
 
 def detect_crossings(traj: Trajectory, layer_width: float = 0.0) -> list[tuple[float, int]]:

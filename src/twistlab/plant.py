@@ -88,14 +88,13 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
                         rng: np.random.Generator | None = None) -> Trajectory:
     """Closed-loop run of the virtual motor; records the error as x1.
 
-    The trajectory's ``u`` channel holds the torque command u0 and
-    ``extras`` carries omega (which :func:`reconstruct_disturbance`
-    consumes) and integral_state.  With the encoder and noise
-    disabled (the baseline) the loop is a continuous ODE; otherwise the
-    controller runs in sampled mode on the measured velocity with u0 held
-    over each step.  In sampled mode the recorded ``u`` and ``q`` are
-    rebuilt after the run from the true error, not from the measured error
-    the controller acted on.
+    The trajectory's ``u`` channel holds the torque command u0 and its
+    ``omega`` the rotor speed, which :func:`reconstruct_disturbance`
+    consumes.  With the encoder and noise disabled (the baseline) the loop
+    is a continuous ODE; otherwise the controller runs in sampled mode on
+    the measured velocity with u0 held over each step.  In sampled mode the
+    recorded ``u`` and ``q`` are rebuilt after the run from the true error,
+    not from the measured error the controller acted on.
     """
     model = motor.friction_cogging
     J = motor.inertia
@@ -118,7 +117,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
             u0 = (u + float(ref_accel(t))) / inv_inertia
             return (omega, (u0 + torque(omega, theta)) / J, dz)
 
-        times, states = rk4_solve(field, x0, 0.0, cfg.dt, cfg.n_steps, cfg.record_stride)
+        times, states = rk4_solve(field, x0, 0.0, cfg.dt, cfg.n_steps)
     else:
         times, states = _sampled_motor_loop(motor, reference, gains, cfg, x0,
                                             noise_std, rng)
@@ -133,8 +132,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     q = np.asarray(model.rate(omega, omega_dot, theta))
 
     return Trajectory(t=times, x1=e, x2=z + d / J, u=u0, d=d, q=q,
-                      dt=cfg.dt, record_stride=cfg.record_stride,
-                      extras={"omega": omega, "integral_state": z.copy()})
+                      dt=cfg.dt, omega=omega)
 
 
 def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
@@ -160,7 +158,7 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    n_steps, stride = cfg.n_steps, cfg.record_stride
+    n_steps = cfg.n_steps
     isfinite = math.isfinite
 
     # memoryviews index to Python floats without holding a float object per step
@@ -169,8 +167,7 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     ref_accel = memoryview(np.broadcast_to(reference.omega_dot(grid), grid.shape).astype(float))
     noise = memoryview(noise_std * rng.standard_normal(n_steps)) if noise_std > 0.0 else None
 
-    n_records = n_steps // stride + 1
-    times = (np.arange(n_records) * stride) * dt
+    times = np.arange(n_steps + 1) * dt
     theta, omega, z = x0
     records = array("d", (theta, omega, z))
 
@@ -204,9 +201,8 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
         z += dt * dz
         if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
             raise DivergenceError(k * dt + dt)
-        if (k + 1) % stride == 0:
-            records.extend((theta, omega, z))
-    return times, np.frombuffer(records, dtype=float).reshape(n_records, 3)
+        records.extend((theta, omega, z))
+    return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
 
 
 def robust_differentiate(samples: np.ndarray, dt: float,
@@ -249,10 +245,9 @@ def reconstruct_disturbance(traj: Trajectory, motor: MotorModel,
     second stage sees a rougher signal, so it accepts its own config
     (defaults to ``diff_cfg``).
     """
-    if "omega" not in traj.extras:
+    if traj.omega is None:
         raise ValueError("trajectory does not carry motor velocity samples")
-    dt = traj.sample_dt
-    omega_dot_hat = robust_differentiate(traj.extras["omega"], dt, diff_cfg)
+    omega_dot_hat = robust_differentiate(traj.omega, traj.dt, diff_cfg)
     d_hat = motor.inertia * omega_dot_hat - traj.u
-    q_hat = robust_differentiate(d_hat, dt, rate_diff_cfg or diff_cfg)
+    q_hat = robust_differentiate(d_hat, traj.dt, rate_diff_cfg or diff_cfg)
     return d_hat, q_hat

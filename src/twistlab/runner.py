@@ -45,13 +45,16 @@ SCENARIOS = ("constant_speed", "sinusoidal_velocity", "synthetic_q")
 SECTION_KEYS = {
     "gains": {"source", "k1", "k2", "delta", "rate_bound", "margin", "eta", "n",
               "k1_max", "objective"},
-    "integration": {"steps_per_period", "periods", "record_stride"},
+    "integration": {"steps_per_period", "periods"},
     "motor": {"inertia", "encoder_quantum", "velocity_window", "noise_std"},
     "analysis": {"n", "tolerance"},
     "initial": {"x1", "x2", "error", "integral"},
     "tuning": {"rate_bound", "period", "eta", "n", "margin", "k1", "k1_max", "objective"},
     "perturbation": {f.name for f in fields(FrictionCoggingModel)},
 }
+
+#: Values of ``gains.source``; all but ``explicit`` resolve per case from its (L, T).
+GAIN_SOURCES = ("explicit", "finite_time", "tune_k2", "optimize")
 
 #: Keys of the ``parameters`` section, per scenario.
 PARAMETER_KEYS = {
@@ -70,7 +73,8 @@ class ScenarioConfig:
     """One scenario plus everything needed to execute and analyze it.
 
     Loading builds ``motor_model`` from the ``motor`` and ``perturbation``
-    sections, so their out-of-range values fail before any case runs.
+    sections and ``explicit_gains`` from an ``explicit`` gains source (else
+    None), so their out-of-range values fail before any case runs.
     """
 
     scenario: str
@@ -102,10 +106,6 @@ class ScenarioConfig:
         for key, value in steps.items():
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"integration.{key} must be a positive integer, got {value!r}")
-        n_steps = steps["steps_per_period"] * steps["periods"]
-        if n_steps % steps["record_stride"] != 0:
-            raise ValueError(f"integration.record_stride {steps['record_stride']} does not divide "
-                             f"the step count {n_steps} (steps_per_period * periods)")
         n = self.analysis.get("n", 0.5)
         if not (_is_real(n) and 0.0 < n <= 0.5):
             raise ValueError(f"analysis.n must lie in (0, 0.5], got {n!r}")
@@ -124,8 +124,8 @@ class ScenarioConfig:
             raise ValueError(f"motor.velocity_window must be an integer, got {window!r}")
         try:
             friction = FrictionCoggingModel(**self.perturbation)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config section 'perturbation': {exc}") from exc
+        except ValueError as exc:  # its messages open with the field name
+            raise ValueError(f"perturbation.{exc}") from exc
         try:
             self.motor_model = MotorModel(inertia=float(motor["inertia"]),
                                           friction_cogging=friction,
@@ -133,6 +133,20 @@ class ScenarioConfig:
                                           velocity_window=window)
         except ValueError as exc:  # MotorModel's messages open with the field name
             raise ValueError(f"motor.{exc}") from exc
+
+        source = self.gains.get("source", "explicit")
+        if source not in GAIN_SOURCES:
+            raise ValueError(f"gains.source must be one of {GAIN_SOURCES}, got {source!r}")
+        self.explicit_gains = None
+        if source == "explicit":
+            spec = {"delta": default_layer_width(), **self.gains}
+            for key in ("k1", "k2", "delta"):
+                if not _is_real(spec.get(key)):
+                    raise ValueError(f"gains.{key} must be a number, got {spec.get(key)!r}")
+            try:
+                self.explicit_gains = Gains(*(float(spec[key]) for key in ("k1", "k2", "delta")))
+            except ValueError as exc:  # Gains' messages open with the field name
+                raise ValueError(f"gains.{exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -218,12 +232,12 @@ def _cases(cfg: ScenarioConfig) -> list[dict]:
     return cases
 
 
-def _resolve_gains(spec: dict, rate_bound: float, period: float) -> Gains:
-    """Build the run's gains from its source descriptor and (L, T)."""
-    source = spec.get("source", "explicit")
-    if source == "explicit":
-        return Gains(k1=float(spec["k1"]), k2=float(spec["k2"]),
-                     delta=float(spec.get("delta", default_layer_width())))
+def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gains:
+    """The run's gains: the config's explicit pair, or resolved against (L, T)."""
+    if cfg.explicit_gains is not None:
+        return cfg.explicit_gains
+    spec = cfg.gains
+    source = spec["source"]
     if source == "finite_time":
         L = float(spec.get("rate_bound", rate_bound))
         return finite_time_gains(L, margin=float(spec.get("margin", 1.1)),
@@ -236,10 +250,8 @@ def _resolve_gains(spec: dict, rate_bound: float, period: float) -> Gains:
         k2 = tune_k2(k1, accuracy)
         return Gains(k1=k1, k2=k2,
                      delta=float(spec.get("delta", default_layer_width(eta))))
-    if source == "optimize":
-        return optimize_gains(accuracy, k1_max=float(spec["k1_max"]),
-                              objective=spec.get("objective", "k2"))
-    raise ValueError(f"unknown gains source {source!r}")
+    return optimize_gains(accuracy, k1_max=float(spec["k1_max"]),
+                          objective=spec.get("objective", "k2"))
 
 
 def _integration(cfg: ScenarioConfig, period: float) -> IntegrationConfig:
@@ -261,7 +273,7 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
         if cfg.scenario == "synthetic_q":
             L, T = case["rate_bound"], case["period"]
             pert = SinusoidPerturbation(L, T, phase=float(cfg.parameters.get("phase", 0.0)))
-            gains = _resolve_gains(cfg.gains, L, T)
+            gains = _resolve_gains(cfg, L, T)
             icfg = _integration(cfg, T)
             x0 = (float(cfg.initial.get("x1", 0.0)), float(cfg.initial.get("x2", 0.0)))
 
@@ -286,7 +298,7 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
                 profile = MotionProfile.sinusoidal_velocity(
                     f, accel_peak=float(cfg.parameters.get("accel_peak", 100.0)))
                 L = bound_L(lambda t: eval_q(model, profile, t), T)
-            gains = _resolve_gains(cfg.gains, L, T)
+            gains = _resolve_gains(cfg, L, T)
             icfg = _integration(cfg, T)
             noise_std = float(cfg.motor.get("noise_std", 0.0))
             rng = np.random.default_rng(cfg.seed + index) if noise_std > 0.0 else None

@@ -68,11 +68,22 @@ class FrictionCoggingModel:
     harmonics: tuple[tuple[float, float], ...] = ((0.5, 0.0),)  # (N*m, rad)
 
     def __post_init__(self) -> None:
-        if self.steepness <= 0.0:
-            raise ValueError(f"steepness must be positive, got {self.steepness}")
-        if self.coulomb < 0.0 or self.viscous < 0.0:
-            raise ValueError("friction coefficients must be non-negative")
-        object.__setattr__(self, "harmonics", tuple((float(a), float(p)) for a, p in self.harmonics))
+        # each message opens with the field name, so a config error can name its key
+        for name in ("coulomb", "steepness", "viscous"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and 0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if self.steepness == 0.0:
+            raise ValueError("steepness must be positive, got 0")
+        try:
+            harmonics = tuple((float(a), float(p)) for a, p in self.harmonics)
+        except (TypeError, ValueError):
+            raise ValueError(f"harmonics must be (amplitude, phase) number pairs, "
+                             f"got {self.harmonics!r}") from None
+        if not all(math.isfinite(v) for pair in harmonics for v in pair):
+            raise ValueError(f"harmonics must be finite, got {self.harmonics!r}")
+        object.__setattr__(self, "harmonics", harmonics)
 
     @property
     def harmonic_sum(self) -> float:

@@ -158,7 +158,7 @@ def test_criterion_7_disturbance_reconstruction():
     rel_rms = math.sqrt(np.mean((d_hat[skip:] - traj.d[skip:]) ** 2)
                         / np.mean(traj.d[skip:] ** 2))
     assert rel_rms < 0.02
-    period = tl.estimate_period(q_hat[skip:], traj.sample_dt)
+    period = tl.estimate_period(q_hat[skip:], traj.dt)
     assert period == pytest.approx(T, rel=0.02)
     _report_line("7 reconstruction", f"RMS={100 * rel_rms:.2f}% period={period:.4f}")
 

@@ -197,7 +197,7 @@ def test_phase_state_consistency_along_trajectory():
                      (0.0, 0.0), cfg)
     x1 = traj.x1
     w2 = twisting_action(x1, traj.x2, gains)
-    dt = traj.sample_dt
+    dt = traj.dt
     dw2_fd = (w2[2:] - w2[:-2]) / (2 * dt)
     q = L * np.sin(w * traj.t)
 

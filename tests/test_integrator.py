@@ -21,18 +21,16 @@ def _make_traj(t, x1):
                       dt=float(t[1] - t[0]))
 
 
-def _reference_rk4(field, x0, t0, dt, n_steps, record_stride=1):
+def _reference_rk4(field, x0, t0, dt, n_steps):
     """Generic tuple-loop RK4 for any state size: the reference rk4_solve must match bit for bit."""
     x = tuple(float(v) for v in x0)
     m = len(x)
-    n_records = n_steps // record_stride + 1
-    times = np.empty(n_records)
-    states = np.empty((n_records, m))
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, m))
     times[0] = t0
     states[0] = x
     half = 0.5 * dt
     sixth = dt / 6.0
-    rec = 1
     for k in range(n_steps):
         t = t0 + k * dt
         a = field(t, x)
@@ -43,10 +41,8 @@ def _reference_rk4(field, x0, t0, dt, n_steps, record_stride=1):
         for v in x:
             if not math.isfinite(v):
                 raise DivergenceError(t + dt)
-        if (k + 1) % record_stride == 0:
-            times[rec] = t0 + (k + 1) * dt
-            states[rec] = x
-            rec += 1
+        times[k + 1] = t0 + (k + 1) * dt
+        states[k + 1] = x
     return times, states
 
 
@@ -90,7 +86,7 @@ def _reference_crossings(traj, layer_width=0.0):
 
 
 def test_rk4_solve_matches_reference_on_the_reduced_loop():
-    """Bit for bit, including steps inside the boundary layer and strided records."""
+    """Bit for bit, including steps inside the boundary layer."""
     L, T = 12.0, 0.35
     w = 2 * math.pi / T
     rate = lambda t: L * math.sin(w * t)
@@ -100,17 +96,16 @@ def test_rk4_solve_matches_reference_on_the_reduced_loop():
         field = regularized_field(gains, rate)
         times, states = rk4_solve(field, x0, 0.0, T / 2000, 8000)
         assert np.count_nonzero(np.abs(states[:, 0]) < gains.delta) > 100
-        for stride in (1, 4, 7):
-            _assert_matches_reference(field, x0, 0.0, T / 2000, 8000, stride)
+        _assert_matches_reference(field, x0, 0.0, T / 2000, 8000)
     # a generic planar field with a nonzero start time
     _assert_matches_reference(lambda t, x: (x[1], -math.sin(x[0]) + math.cos(5 * t)),
-                              (0.4, -0.2), 0.125, 1e-3, 3000, 3)
+                              (0.4, -0.2), 0.125, 1e-3, 3000)
 
 
 @pytest.mark.parametrize("reference", [MotionProfile.constant_speed(18.0),
                                        MotionProfile.sinusoidal_velocity(4.0)])
 def test_rk4_solve_matches_reference_on_the_motor_loop(reference, monkeypatch):
-    """The continuous motor loop's 3-state field, bit for bit, with strided records."""
+    """The continuous motor loop's 3-state field, bit for bit."""
     calls = []
 
     def capture(field, *args):
@@ -121,8 +116,7 @@ def test_rk4_solve_matches_reference_on_the_motor_loop(reference, monkeypatch):
     simulate_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
                         IntegrationConfig(dt=1e-4, t_end=0.3), initial_error=0.5)
     (field,) = calls
-    for stride in (1, 6):
-        _assert_matches_reference(field, (0.0, 18.5, 0.1), 0.0, 1e-4, 3000, stride)
+    _assert_matches_reference(field, (0.0, 18.5, 0.1), 0.0, 1e-4, 3000)
 
 
 def test_rk4_solve_divergence_time_matches_reference():
@@ -204,12 +198,13 @@ def test_divergence_error_carries_time():
 
 
 def test_records_are_finite_and_uniform():
-    cfg = IntegrationConfig(dt=1e-3, t_end=0.4, record_stride=4)
+    cfg = IntegrationConfig(dt=1e-3, t_end=0.4)
     traj = integrate(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
-    assert len(traj) == 101
+    assert len(traj) == 401
     assert np.all(np.isfinite(traj.x1)) and np.all(np.isfinite(traj.x2))
     spacing = np.diff(traj.t)
-    assert np.allclose(spacing, 4e-3, rtol=1e-9)
+    assert np.allclose(spacing, traj.dt, rtol=1e-9)
+    assert traj.dt == 1e-3
 
 
 def test_config_validation():
@@ -217,8 +212,6 @@ def test_config_validation():
         IntegrationConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         IntegrationConfig(dt=1e-3, t_end=-1.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(dt=1e-3, t_end=1.0, record_stride=3)  # 1000 % 3 != 0
     with pytest.warns(UserWarning):
         IntegrationConfig.for_period(1.0, steps_per_period=100, periods=2)
 

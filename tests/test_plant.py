@@ -1,10 +1,12 @@
 """Virtual-motor and differentiator tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from twistlab import plant
 from twistlab.analysis import estimate_period
 from twistlab.dynamics import Gains, default_layer_width, twisting_law
 from twistlab.integrator import IntegrationConfig, rk4_solve
@@ -18,6 +20,21 @@ from twistlab.tuning import finite_time_gains
 CALIBRATED = FrictionCoggingModel()
 QUIET = FrictionCoggingModel(coulomb=0.0, steepness=100.0, viscous=0.0, harmonics=())
 GENTLE = FrictionCoggingModel(coulomb=0.003, steepness=100.0, viscous=0.01)
+
+
+def _run_with_states(monkeypatch, *args, **kwargs):
+    """simulate_motor_loop plus the (theta, omega, z) records its rk4_solve call returned."""
+    calls = []
+
+    def capture(*solve_args):
+        times, states = rk4_solve(*solve_args)
+        calls.append(states)
+        return times, states
+
+    monkeypatch.setattr(plant, "rk4_solve", capture)
+    traj = simulate_motor_loop(*args, **kwargs)
+    (states,) = calls
+    return traj, states
 
 
 def test_differentiator_config_sizing():
@@ -70,20 +87,20 @@ def test_motor_loop_finite_time_convergence():
     assert abs(results[0] - results[1]) < gains.delta
 
 
-def test_motor_loop_constant_speed_periodicity():
+def test_motor_loop_constant_speed_periodicity(monkeypatch):
     """Calibrated motor at omega_r = 18 settles on a cycle at the cogging period."""
     motor = MotorModel(friction_cogging=CALIBRATED)
     reference = MotionProfile.constant_speed(18.0)
     gains = Gains(0.9, 11.65, default_layer_width(0.2))
     _, T = constant_speed_characterization(CALIBRATED, 18.0)
     cfg = IntegrationConfig.for_period(T, 2000, 30)
-    traj = simulate_motor_loop(motor, reference, gains, cfg)
+    traj, states = _run_with_states(monkeypatch, motor, reference, gains, cfg)
     tail = traj.t >= traj.t[-1] - 5 * T
-    period = estimate_period(traj.x1[tail], traj.sample_dt)
+    period = estimate_period(traj.x1[tail], traj.dt)
     assert period == pytest.approx(T, rel=0.02)
     assert np.all(np.isfinite(traj.u))
     # converged loop keeps a bounded integral state
-    assert np.max(np.abs(traj.extras["integral_state"])) < 5.0
+    assert np.max(np.abs(states[:, 2])) < 5.0
 
 
 def test_motor_loop_sinusoidal_reference_periodicity():
@@ -94,30 +111,30 @@ def test_motor_loop_sinusoidal_reference_periodicity():
     cfg = IntegrationConfig.for_period(0.5, 2000, 24)
     traj = simulate_motor_loop(motor, reference, gains, cfg)
     tail = traj.t >= traj.t[-1] - 5 * 0.5
-    period = estimate_period(traj.x1[tail], traj.sample_dt)
+    period = estimate_period(traj.x1[tail], traj.dt)
     assert period == pytest.approx(0.5, rel=0.02)
 
 
-def test_motor_loop_records_consistent_channels():
+def test_motor_loop_records_consistent_channels(monkeypatch):
     """x2 = integral state + d/J and u is the applied torque command."""
     motor = MotorModel(friction_cogging=CALIBRATED)
     reference = MotionProfile.constant_speed(18.0)
     gains = Gains(0.9, 11.65)
     cfg = IntegrationConfig.for_period(2 * math.pi / 18.0, 2000, 12)
-    traj = simulate_motor_loop(motor, reference, gains, cfg)
-    assert np.allclose(traj.x2, traj.extras["integral_state"] + traj.d / motor.inertia)
-    assert np.allclose(traj.x1, traj.extras["omega"] - 18.0)
+    traj, states = _run_with_states(monkeypatch, motor, reference, gains, cfg)
+    assert np.allclose(traj.x2, states[:, 2] + traj.d / motor.inertia)
+    assert np.allclose(traj.x1, traj.omega - 18.0)
 
 
-def test_motor_loop_torque_is_law_plus_reference_acceleration():
+def test_motor_loop_torque_is_law_plus_reference_acceleration(monkeypatch):
     """With J = 1 the recorded torque command is u + domega_r/dt, bit for bit."""
     motor = MotorModel(friction_cogging=GENTLE)
     reference = MotionProfile.sinusoidal_velocity(4.0)
     gains = Gains(0.9, 19.65, default_layer_width(0.2))
     cfg = IntegrationConfig.for_period(0.25, 400, 2)
-    traj = simulate_motor_loop(motor, reference, gains, cfg)
+    traj, states = _run_with_states(monkeypatch, motor, reference, gains, cfg)
     law = twisting_law(gains)
-    z = traj.extras["integral_state"]
+    z = states[:, 2]
     for i, t in enumerate(traj.t):
         u, _ = law(float(traj.x1[i]), float(z[i]), 0.0)
         assert traj.u[i] == u + float(reference.omega_dot(float(t)))
@@ -183,7 +200,7 @@ def test_reconstruct_disturbance_accuracy():
     rel_rms = math.sqrt(np.mean(err ** 2) / np.mean(traj.d[skip:] ** 2))
     assert rel_rms < 0.02
     # reconstructed rate carries the forcing period
-    period = estimate_period(q_hat[skip:], traj.sample_dt)
+    period = estimate_period(q_hat[skip:], traj.dt)
     assert period == pytest.approx(T, rel=0.02)
 
 
@@ -196,6 +213,10 @@ def test_reconstruct_zero_perturbation():
     d_hat, _ = reconstruct_disturbance(traj, motor,
                                        DifferentiatorConfig.from_rate_bound(10.0))
     assert np.max(np.abs(d_hat[len(traj) // 2:])) < 0.05
+    # a record without rotor speed samples (e.g. a reduced-loop run) is rejected
+    with pytest.raises(ValueError, match="velocity"):
+        reconstruct_disturbance(dataclasses.replace(traj, omega=None), motor,
+                                DifferentiatorConfig.from_rate_bound(10.0))
 
 
 def test_reconstruct_requires_motor_channels():

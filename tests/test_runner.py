@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import twistlab
+from twistlab import runner
+from twistlab.dynamics import Gains
 from twistlab.integrator import detect_crossings
 from twistlab.runner import (SCHEMA_VERSION, RunResult, ScenarioConfig,
                              emit_outputs, main, run_scenario)
@@ -40,8 +42,7 @@ def _constant_speed_config(**overrides):
 OUT_OF_RANGE = [
     ("integration", "periods", -1), ("integration", "periods", 0),
     ("integration", "steps_per_period", 0), ("integration", "steps_per_period", 2.5),
-    ("integration", "steps_per_period", "2000"), ("integration", "record_stride", 0),
-    ("integration", "record_stride", True), ("analysis", "n", 0.9),
+    ("integration", "steps_per_period", "2000"), ("analysis", "n", 0.9),
     ("analysis", "n", 0), ("analysis", "n", "0.5"), ("analysis", "n", None),
     ("analysis", "tolerance", -1), ("analysis", "tolerance", 0),
     ("analysis", "tolerance", math.nan), ("analysis", "tolerance", "abc"),
@@ -51,6 +52,13 @@ OUT_OF_RANGE = [
     ("motor", "inertia", "abc"), ("motor", "encoder_quantum", -1e-5),
     ("motor", "encoder_quantum", math.nan), ("motor", "velocity_window", 0),
     ("motor", "velocity_window", 2.5),
+    ("perturbation", "viscous", math.nan), ("perturbation", "viscous", -0.01),
+    ("perturbation", "coulomb", math.inf), ("perturbation", "coulomb", "0.4"),
+    ("perturbation", "steepness", math.inf), ("perturbation", "steepness", 0),
+    ("perturbation", "harmonics", [[math.nan, 0.0]]), ("perturbation", "harmonics", [[0.5]]),
+    ("gains", "source", "optimise"), ("gains", "source", None), ("gains", "k1", 0),
+    ("gains", "k1", "3.6"), ("gains", "k2", math.nan), ("gains", "k2", None),
+    ("gains", "delta", -1e-5),
 ]
 
 
@@ -70,16 +78,17 @@ def test_config_schema_validation():
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
             ScenarioConfig.from_dict({**SYNTHETIC, section: {**SYNTHETIC.get(section, {}),
                                                              key: value}})
-    with pytest.raises(ValueError, match=r"integration\.record_stride 3 does not divide"):
-        ScenarioConfig.from_dict({**SYNTHETIC, "integration": {"steps_per_period": 2000,
-                                                               "periods": 20,
-                                                               "record_stride": 3}})
-    # the defaults count too: 2000 * 40 steps are not a multiple of 3
-    with pytest.raises(ValueError, match=r"integration\.record_stride 3"):
-        ScenarioConfig.from_dict({**SYNTHETIC, "integration": {"record_stride": 3}})
-    for ok in ({"steps_per_period": 2000, "periods": 20, "record_stride": 8},
-               {"steps_per_period": 300}):
+    # an explicit source needs both gains
+    with pytest.raises(ValueError, match=r"gains\.k2"):
+        ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"source": "explicit", "k1": 3.6}})
+    for ok in ({"steps_per_period": 2000, "periods": 20}, {"steps_per_period": 300}):
         ScenarioConfig.from_dict({**SYNTHETIC, "integration": ok})
+    cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"k1": 3.6, "k2": 6.0}})
+    assert cfg.explicit_gains == Gains(3.6, 6.0)  # default source and layer width
+    cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"source": "finite_time"}})
+    assert cfg.explicit_gains is None
+    ScenarioConfig.from_dict({**SYNTHETIC, "perturbation": {"coulomb": 0, "viscous": 0.0,
+                                                            "harmonics": []}})
     ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25, "tolerance": 1e-3}})
     ScenarioConfig.from_dict({**SYNTHETIC, "motor": {"inertia": 2, "encoder_quantum": 1e-5,
                                                      "velocity_window": 4, "noise_std": 0.0}})
@@ -100,15 +109,12 @@ def test_config_override():
     for section, key, value in OUT_OF_RANGE:
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
             cfg.with_override(f"{section}.{key}", json.dumps(value))
-    with pytest.raises(ValueError, match=r"integration\.record_stride"):
-        cfg.with_override("integration.record_stride", "7")
-    assert cfg.with_override("integration.record_stride", "4").integration["record_stride"] == 4
 
 
 @pytest.mark.parametrize("section,key", [
     ("gains", "k3"), ("integration", "steps_per_periods"), ("motor", "inertial"),
     ("analysis", "tol"), ("initial", "x3"), ("tuning", "eta_max"),
-    ("parameters", "omega_r"), ("perturbation", "coulombb"),
+    ("parameters", "omega_r"), ("perturbation", "coulombb"), ("integration", "record_stride"),
 ])
 def test_unknown_nested_key_names_its_path(section, key):
     """A typo in a nested section fails at load time, naming the dotted path."""
@@ -127,6 +133,21 @@ def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
     assert main(["simulate", "--config", str(path),
                  "--override", "integration.steps_per_periods=10"]) == 1
     assert "integration.steps_per_periods" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["integration.record_stride=1", "perturbation.viscous=NaN",
+                                      'gains.source="optimise"'])
+def test_cli_bad_config_exits_1_before_any_case_runs(override, tmp_path, capsys, monkeypatch):
+    def no_case(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(runner, "_execute_case", no_case)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_constant_speed_config()))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--override", override]) == 1
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 #: Two L values that agree to 6 significant digits, and so share a label.

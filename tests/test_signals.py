@@ -231,3 +231,9 @@ def test_friction_model_validation():
         FrictionCoggingModel(steepness=0.0)
     with pytest.raises(ValueError):
         FrictionCoggingModel(coulomb=-1.0)
+    # non-finite values are rejected, and each message opens with the field name
+    for kwargs in ({"viscous": math.nan}, {"steepness": math.inf}, {"coulomb": -math.inf},
+                   {"harmonics": ((math.nan, 0.0),)}, {"harmonics": ((0.5, math.inf),)}):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            FrictionCoggingModel(**kwargs)
