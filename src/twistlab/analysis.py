@@ -38,6 +38,9 @@ CONSECUTIVE_CONTRACTIONS = 3
 #: Periods of signal used for period estimation (excludes transients).
 PERIOD_WINDOW_CYCLES = 5
 
+#: Recorded periods the strobe map needs before it can judge convergence.
+MIN_STROBE_PERIODS = 10
+
 
 class InsufficientDataError(ValueError):
     """Trajectory too short for the requested analysis."""
@@ -96,14 +99,14 @@ def stroboscopic_convergence(traj: Trajectory, period: float,
 
     Converged when the Euclidean distance between consecutive strobe samples
     stays below ``tol`` for three consecutive periods; returns the time of
-    the first strobe sample opening such a window.  Requires at least 10
-    recorded periods.
+    the first strobe sample opening such a window.  Requires at least
+    ``MIN_STROBE_PERIODS`` recorded periods.
     """
     stride = _strobe_stride(traj, period)
     n_periods = (len(traj) - 1) // stride
-    if n_periods < 10:
+    if n_periods < MIN_STROBE_PERIODS:
         raise InsufficientDataError(
-            f"trajectory covers {n_periods} periods; need at least 10"
+            f"trajectory covers {n_periods} periods; need at least {MIN_STROBE_PERIODS}"
         )
     idx = np.arange(0, n_periods + 1) * stride
     pts = np.column_stack((traj.x1[idx], traj.x2[idx]))

@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (LimitCycleReport, bound_comparison_table, build_report,
-                       scaling_fit)
-from .dynamics import Gains, default_layer_width, regularized_field, twisting_action
+from .analysis import (MIN_STROBE_PERIODS, LimitCycleReport, bound_comparison_table,
+                       build_report, scaling_fit)
+from .dynamics import (DEFAULT_DELTA, Gains, default_layer_width, regularized_field,
+                       twisting_action)
 from .integrator import INTEGRATION_DEFAULTS, IntegrationConfig, Trajectory, integrate
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
@@ -40,41 +41,109 @@ SCHEMA_VERSION = 1
 
 SCENARIOS = ("constant_speed", "sinusoidal_velocity", "synthetic_q")
 
-#: Keys the runner reads from each nested config section; any other key is
-#: rejected up front, so a typo cannot silently fall back to a default.
-SECTION_KEYS = {
-    "gains": {"source", "k1", "k2", "delta", "rate_bound", "margin", "eta", "n",
-              "k1_max", "objective"},
-    "integration": {"steps_per_period", "periods"},
-    "motor": {"inertia", "encoder_quantum", "velocity_window", "noise_std"},
-    "analysis": {"n", "tolerance"},
-    "initial": {"x1", "x2", "error", "integral"},
-    "tuning": {"rate_bound", "period", "eta", "n", "margin", "k1", "k1_max", "objective"},
-    "perturbation": {f.name for f in fields(FrictionCoggingModel)},
+def _number(what: str, ok=lambda v: True, kind=float):
+    """Check: a finite number passing ``ok``, kept as ``kind`` (an int must be given as one)."""
+    def check(value):
+        if not (isinstance(value, int if kind is int else (int, float))
+                and not isinstance(value, bool) and math.isfinite(value) and ok(value)):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return kind(value)
+    return check
+
+
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {choices}, got {value!r}")
+        return value
+    return check
+
+
+def _each(check):
+    """Check: a non-empty list whose every entry passes ``check``."""
+    def check_list(value):
+        if not (isinstance(value, (list, tuple)) and value):
+            raise ValueError(f"must be a non-empty list, got {value!r}")
+        return [check(entry) for entry in value]
+    return check_list
+
+
+def _case(entry) -> tuple[float, float]:
+    """A ``synthetic_q`` case, ``[L, T]`` or ``{"rate_bound": L, "period": T}``, as (L, T)."""
+    if isinstance(entry, dict) and set(entry) == {"rate_bound", "period"}:
+        entry = (entry["rate_bound"], entry["period"])
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise ValueError(f"must be [L, T] or {{rate_bound, period}}, got {entry!r}")
+    return _finite(entry[0]), _positive(entry[1])
+
+
+_finite = _number("a finite number")
+_positive = _number("a finite number > 0", lambda v: v > 0.0)
+_count = _number("an integer >= 1", lambda v: v >= 1, int)
+
+# Rows that more than one section or gains source reads.
+_N = (0.5, _number("a number in (0, 0.5]", lambda v: 0.0 < v <= 0.5))
+_MARGIN = (1.1, _number("a finite number > 1", lambda v: v > 1.0))
+_OBJECTIVE = ("k2", _one_of("k1", "k2"))
+_DELTA = (DEFAULT_DELTA, _positive)
+_ZERO = (0.0, _finite)
+
+#: Every key the runner reads, per config section.  A row is ``(default, check)``,
+#: or a bare check for a key that must be given; a default of None is resolved
+#: where the key is read.  ``gains`` rows depend on ``gains.source``,
+#: ``parameters`` and ``initial`` rows on the scenario, and ``tuning`` is checked
+#: only when it is non-empty.  A key with no row is rejected at load.
+CONFIG_TABLE = {
+    "integration": {"steps_per_period": (INTEGRATION_DEFAULTS["steps_per_period"], _count),
+                    "periods": (INTEGRATION_DEFAULTS["periods"],
+                                _number(f"an integer >= {MIN_STROBE_PERIODS}",
+                                        lambda v: v >= MIN_STROBE_PERIODS, int))},
+    "analysis": {"n": _N, "tolerance": (None, lambda v: None if v is None else _positive(v))},
+    "motor": {"inertia": (1.0, _finite), "encoder_quantum": (0.0, _finite),
+              "velocity_window": (1, _count),
+              "noise_std": (0.0, _number("a finite number >= 0", lambda v: v >= 0.0))},
+    # checked by the model, which loading builds
+    "perturbation": {f.name: (f.default, lambda v: v) for f in fields(FrictionCoggingModel)},
+    "gains": {
+        "explicit": {"k1": _positive, "k2": _positive, "delta": _DELTA},
+        "finite_time": {"margin": _MARGIN, "rate_bound": (None, _positive), "delta": _DELTA},
+        "tune_k2": {"k1": _positive, "eta": _positive, "n": _N, "delta": (None, _positive)},
+        "optimize": {"k1_max": _positive, "eta": _positive, "n": _N, "objective": _OBJECTIVE},
+    },
+    "parameters": {
+        "constant_speed": {"omega_r": _each(_number("a finite nonzero number", lambda v: v != 0))},
+        "sinusoidal_velocity": {"frequency_hz": _each(_positive), "accel_peak": (100.0, _finite)},
+        "synthetic_q": {"cases": _each(_case), "phase": _ZERO},
+    },
+    "initial": {"constant_speed": {"error": _ZERO, "integral": _ZERO},
+                "sinusoidal_velocity": {"error": _ZERO, "integral": _ZERO},
+                "synthetic_q": {"x1": _ZERO, "x2": _ZERO}},
+    "tuning": {"rate_bound": _positive, "period": _positive, "eta": _positive, "n": _N,
+               "margin": _MARGIN, "k1": (None, _positive), "k1_max": (None, _positive),
+               "objective": _OBJECTIVE},
 }
 
-#: Values of ``gains.source``; all but ``explicit`` resolve per case from its (L, T).
-GAIN_SOURCES = ("explicit", "finite_time", "tune_k2", "optimize")
 
-#: Keys of the ``parameters`` section, per scenario.
-PARAMETER_KEYS = {
-    "constant_speed": {"omega_r"},
-    "sinusoidal_velocity": {"frequency_hz", "accel_peak"},
-    "synthetic_q": {"cases", "phase"},
-}
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _check(name: str, section: dict, key: str, row):
+    """One key's checked value, or its row's default when the section leaves it out."""
+    if key in section:
+        try:
+            return (row[1] if isinstance(row, tuple) else row)(section[key])
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{name}.{key} {exc}") from None
+    if not isinstance(row, tuple):
+        raise ValueError(f"{name}.{key} is required")
+    return row[0]
 
 
 @dataclass
 class ScenarioConfig:
     """One scenario plus everything needed to execute and analyze it.
 
-    Loading builds ``motor_model`` from the ``motor`` and ``perturbation``
-    sections and ``explicit_gains`` from an ``explicit`` gains source (else
-    None), so their out-of-range values fail before any case runs.
+    The sections keep the keys as written.  Loading checks them against
+    ``CONFIG_TABLE`` into ``checked`` (section -> key -> value, defaults filled
+    in) and builds the labelled ``cases`` and ``motor_model``, so a bad config
+    fails before any case runs.
     """
 
     scenario: str
@@ -91,62 +160,48 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        allowed = dict(SECTION_KEYS, parameters=PARAMETER_KEYS[self.scenario])
-        for name, keys in allowed.items():
-            section = getattr(self, name)
-            if not isinstance(section, dict):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in CONFIG_TABLE:
+            if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"config section {name!r} must be an object")
-            unknown = sorted(set(section) - keys)
-            if unknown:
-                raise ValueError("unknown config keys: "
-                                 + ", ".join(f"{name}.{key}" for key in unknown))
-        steps = {**INTEGRATION_DEFAULTS, **self.integration}
-        for key, value in steps.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"integration.{key} must be a positive integer, got {value!r}")
-        n = self.analysis.get("n", 0.5)
-        if not (_is_real(n) and 0.0 < n <= 0.5):
-            raise ValueError(f"analysis.n must lie in (0, 0.5], got {n!r}")
-        tol = self.analysis.get("tolerance")
-        if tol is not None and not (_is_real(tol) and math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"analysis.tolerance must be finite and > 0, got {tol!r}")
+        source_row = ("explicit", _one_of(*CONFIG_TABLE["gains"]))
+        source = _check("gains", self.gains, "source", source_row)
+        table = dict(CONFIG_TABLE, gains={"source": source_row, **CONFIG_TABLE["gains"][source]},
+                     parameters=CONFIG_TABLE["parameters"][self.scenario],
+                     initial=CONFIG_TABLE["initial"][self.scenario],
+                     tuning=CONFIG_TABLE["tuning"] if self.tuning else {})
+        self.checked = {}
+        for name, rows in table.items():
+            section = getattr(self, name)
+            extra = sorted(set(section) - set(rows))
+            if extra:
+                raise ValueError("unknown config keys: " + ", ".join(f"{name}.{k}" for k in extra))
+            self.checked[name] = {k: _check(name, section, k, row) for k, row in rows.items()}
 
-        motor = {"inertia": 1.0, "encoder_quantum": 0.0, "noise_std": 0.0, **self.motor}
-        for key in ("inertia", "encoder_quantum", "noise_std"):
-            if not _is_real(motor[key]):
-                raise ValueError(f"motor.{key} must be a number, got {motor[key]!r}")
-        if not (math.isfinite(motor["noise_std"]) and motor["noise_std"] >= 0.0):
-            raise ValueError(f"motor.noise_std must be finite and >= 0, got {motor['noise_std']!r}")
-        window = motor.get("velocity_window", 1)
-        if not isinstance(window, int) or isinstance(window, bool):
-            raise ValueError(f"motor.velocity_window must be an integer, got {window!r}")
         try:
-            friction = FrictionCoggingModel(**self.perturbation)
+            friction = FrictionCoggingModel(**self.checked["perturbation"])
         except ValueError as exc:  # its messages open with the field name
             raise ValueError(f"perturbation.{exc}") from exc
+        motor = {k: v for k, v in self.checked["motor"].items() if k != "noise_std"}
         try:
-            self.motor_model = MotorModel(inertia=float(motor["inertia"]),
-                                          friction_cogging=friction,
-                                          encoder_quantum=float(motor["encoder_quantum"]),
-                                          velocity_window=window)
+            self.motor_model = MotorModel(friction_cogging=friction, **motor)
         except ValueError as exc:  # MotorModel's messages open with the field name
             raise ValueError(f"motor.{exc}") from exc
 
-        source = self.gains.get("source", "explicit")
-        if source not in GAIN_SOURCES:
-            raise ValueError(f"gains.source must be one of {GAIN_SOURCES}, got {source!r}")
-        self.explicit_gains = None
-        if source == "explicit":
-            spec = {"delta": default_layer_width(), **self.gains}
-            for key in ("k1", "k2", "delta"):
-                if not _is_real(spec.get(key)):
-                    raise ValueError(f"gains.{key} must be a number, got {spec.get(key)!r}")
-            try:
-                self.explicit_gains = Gains(*(float(spec[key]) for key in ("k1", "k2", "delta")))
-            except ValueError as exc:  # Gains' messages open with the field name
-                raise ValueError(f"gains.{exc}") from exc
+        params = self.checked["parameters"]
+        if self.scenario == "constant_speed":
+            self.cases = [{"label": f"wr{v:g}", "omega_r": v} for v in params["omega_r"]]
+        elif self.scenario == "sinusoidal_velocity":
+            self.cases = [{"label": f"f{v:g}", "frequency_hz": v} for v in params["frequency_hz"]]
+        else:
+            self.cases = [{"label": f"L{L:g}_T{T:g}", "rate_bound": L, "period": T}
+                          for L, T in params["cases"]]
+        labels = [case["label"] for case in self.cases]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"config error: two cases share the label {label!r} (labels "
+                                 "keep 6 significant digits); each needs its own run directory")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -171,17 +226,11 @@ class ScenarioConfig:
         except json.JSONDecodeError:
             value = raw_value
         head, _, rest = dotted_key.partition(".")
-        if head not in self.__dataclass_fields__:
+        if head not in (CONFIG_TABLE if rest else self.__dataclass_fields__):
             raise ValueError(f"unknown config section {head!r}")
-        if not rest:
-            return replace(self, **{head: value})
-        section = json.loads(json.dumps(getattr(self, head)))  # deep copy
-        node = section
-        parts = rest.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
-        return replace(self, **{head: section})
+        if rest:  # every section is flat, so a deeper path names a key that no row has
+            value = {**getattr(self, head), rest: value}
+        return replace(self, **{head: value})
 
 
 @dataclass
@@ -205,57 +254,19 @@ class RunResult:
                 and self.report.amplitude <= self.report.coarse_bound)
 
 
-def _cases(cfg: ScenarioConfig) -> list[dict]:
-    if cfg.scenario == "constant_speed":
-        values = cfg.parameters.get("omega_r", [])
-        cases = [{"label": f"wr{v:g}", "omega_r": float(v)} for v in values]
-    elif cfg.scenario == "sinusoidal_velocity":
-        values = cfg.parameters.get("frequency_hz", [])
-        cases = [{"label": f"f{v:g}", "frequency_hz": float(v)} for v in values]
-    else:
-        raw = cfg.parameters.get("cases", [])
-        cases = []
-        for entry in raw:
-            if isinstance(entry, dict):
-                L, T = float(entry["rate_bound"]), float(entry["period"])
-            else:
-                L, T = float(entry[0]), float(entry[1])
-            cases.append({"label": f"L{L:g}_T{T:g}", "rate_bound": L, "period": T})
-    if not cases:
-        raise ValueError(f"config error: empty parameter set for scenario {cfg.scenario!r}")
-    seen: set[str] = set()
-    for case in cases:
-        if case["label"] in seen:
-            raise ValueError(f"config error: two cases share the label {case['label']!r} "
-                             "(labels keep 6 significant digits); each needs its own run directory")
-        seen.add(case["label"])
-    return cases
-
-
 def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gains:
     """The run's gains: the config's explicit pair, or resolved against (L, T)."""
-    if cfg.explicit_gains is not None:
-        return cfg.explicit_gains
-    spec = cfg.gains
-    source = spec["source"]
-    if source == "finite_time":
-        L = float(spec.get("rate_bound", rate_bound))
-        return finite_time_gains(L, margin=float(spec.get("margin", 1.1)),
-                                 delta=spec.get("delta"))
-    eta = float(spec["eta"])
-    n = float(spec.get("n", 0.5))
-    accuracy = AccuracySpec(eta=eta, rate_bound=rate_bound, period=period, n=n)
-    if source == "tune_k2":
-        k1 = float(spec["k1"])
-        k2 = tune_k2(k1, accuracy)
-        return Gains(k1=k1, k2=k2,
-                     delta=float(spec.get("delta", default_layer_width(eta))))
-    return optimize_gains(accuracy, k1_max=float(spec["k1_max"]),
-                          objective=spec.get("objective", "k2"))
-
-
-def _integration(cfg: ScenarioConfig, period: float) -> IntegrationConfig:
-    return IntegrationConfig.for_period(period, **{**INTEGRATION_DEFAULTS, **cfg.integration})
+    g = cfg.checked["gains"]
+    if g["source"] == "explicit":
+        return Gains(g["k1"], g["k2"], g["delta"])
+    if g["source"] == "finite_time":
+        L = rate_bound if g["rate_bound"] is None else g["rate_bound"]
+        return finite_time_gains(L, margin=g["margin"], delta=g["delta"])
+    accuracy = AccuracySpec(eta=g["eta"], rate_bound=rate_bound, period=period, n=g["n"])
+    if g["source"] == "tune_k2":
+        delta = default_layer_width(g["eta"]) if g["delta"] is None else g["delta"]
+        return Gains(k1=g["k1"], k2=tune_k2(g["k1"], accuracy), delta=delta)
+    return optimize_gains(accuracy, k1_max=g["k1_max"], objective=g["objective"])
 
 
 def _fast_sinusoid_rate(pert: SinusoidPerturbation):
@@ -267,15 +278,13 @@ def _fast_sinusoid_rate(pert: SinusoidPerturbation):
 def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
     """Run one parameter case end to end; exceptions become a recorded error."""
     result = RunResult(label=case["label"], params=dict(case))
+    params, initial = cfg.checked["parameters"], cfg.checked["initial"]
     try:
-        n = float(cfg.analysis.get("n", 0.5))
-
         if cfg.scenario == "synthetic_q":
             L, T = case["rate_bound"], case["period"]
-            pert = SinusoidPerturbation(L, T, phase=float(cfg.parameters.get("phase", 0.0)))
+            pert = SinusoidPerturbation(L, T, phase=params["phase"])
             gains = _resolve_gains(cfg, L, T)
-            icfg = _integration(cfg, T)
-            x0 = (float(cfg.initial.get("x1", 0.0)), float(cfg.initial.get("x2", 0.0)))
+            icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
 
             def channels(t: np.ndarray, states: np.ndarray) -> dict:
                 d = np.asarray(pert.d(t))
@@ -283,8 +292,8 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
                 u = twisting_action(states[:, 0], states[:, 1] - d, gains)
                 return {"u": u, "d": d, "q": q}
 
-            traj = integrate(regularized_field(gains, _fast_sinusoid_rate(pert)), x0, icfg,
-                             channels=channels)
+            traj = integrate(regularized_field(gains, _fast_sinusoid_rate(pert)),
+                             (initial["x1"], initial["x2"]), icfg, channels=channels)
         else:
             motor = cfg.motor_model
             model = motor.friction_cogging
@@ -295,23 +304,19 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
             else:
                 f = case["frequency_hz"]
                 T = 1.0 / f
-                profile = MotionProfile.sinusoidal_velocity(
-                    f, accel_peak=float(cfg.parameters.get("accel_peak", 100.0)))
+                profile = MotionProfile.sinusoidal_velocity(f, accel_peak=params["accel_peak"])
                 L = bound_L(lambda t: eval_q(model, profile, t), T)
             gains = _resolve_gains(cfg, L, T)
-            icfg = _integration(cfg, T)
-            noise_std = float(cfg.motor.get("noise_std", 0.0))
+            icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
+            noise_std = cfg.checked["motor"]["noise_std"]
             rng = np.random.default_rng(cfg.seed + index) if noise_std > 0.0 else None
             traj = simulate_motor_loop(
-                motor, profile, gains, icfg,
-                initial_error=float(cfg.initial.get("error", 0.0)),
-                initial_integral=float(cfg.initial.get("integral", 0.0)),
-                noise_std=noise_std, rng=rng,
+                motor, profile, gains, icfg, initial_error=initial["error"],
+                initial_integral=initial["integral"], noise_std=noise_std, rng=rng,
             )
 
-        tol = cfg.analysis.get("tolerance")
-        report = build_report(traj, T, L, gains, n=n,
-                              tol=None if tol is None else float(tol))
+        analysis = cfg.checked["analysis"]
+        report = build_report(traj, T, L, gains, n=analysis["n"], tol=analysis["tolerance"])
         result.rate_bound, result.period = L, T
         result.gains, result.trajectory, result.report = gains, traj, report
     except Exception as exc:  # per-run failures recorded, sweep continues
@@ -321,12 +326,11 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[RunResult]:
     """Execute every parameter case; failures are recorded per run."""
-    cases = _cases(cfg)
-    if workers <= 1 or len(cases) == 1:
-        return [_execute_case(cfg, case, i) for i, case in enumerate(cases)]
+    if workers <= 1 or len(cfg.cases) == 1:
+        return [_execute_case(cfg, case, i) for i, case in enumerate(cfg.cases)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_execute_case, cfg, case, i)
-                   for i, case in enumerate(cases)]
+                   for i, case in enumerate(cfg.cases)]
         return [f.result() for f in futures]
 
 
@@ -499,9 +503,8 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_run(args, single: bool) -> int:
     cfg = _load_config(args)
-    cases = _cases(cfg)
-    if single and len(cases) != 1:
-        print(f"simulate expects exactly one parameter case, found {len(cases)}; "
+    if single and len(cfg.cases) != 1:
+        print(f"simulate expects exactly one parameter case, found {len(cfg.cases)}; "
               "use `sweep` for parameter sets", file=sys.stderr)
         return 1
     results = run_scenario(cfg, workers=args.workers)
@@ -515,23 +518,18 @@ def _cmd_run(args, single: bool) -> int:
 
 def _cmd_tune(args) -> int:
     cfg = _load_config(args)
-    t = cfg.tuning
+    t = cfg.checked["tuning"]
     if not t:
         print("config has no `tuning` section", file=sys.stderr)
         return 1
-    L = float(t["rate_bound"])
-    T = float(t["period"])
-    eta = float(t["eta"])
-    n = float(t.get("n", 0.5))
+    L, T, eta, n = t["rate_bound"], t["period"], t["eta"], t["n"]
     spec = AccuracySpec(eta=eta, rate_bound=L, period=T, n=n)
 
-    ft = finite_time_gains(L, margin=float(t.get("margin", 1.1)))
-    print(f"finite-time gains (margin {t.get('margin', 1.1)}): "
-          f"k1={ft.k1:.6g} k2={ft.k2:.6g}")
+    ft = finite_time_gains(L, margin=t["margin"])
+    print(f"finite-time gains (margin {t['margin']}): k1={ft.k1:.6g} k2={ft.k2:.6g}")
 
     status = 0
-    if "k1" in t:
-        k1 = float(t["k1"])
+    if (k1 := t["k1"]) is not None:
         try:
             k2 = tune_k2(k1, spec)
             feasible = tight_bound_feasible(k1, k2, L)
@@ -546,11 +544,10 @@ def _cmd_tune(args) -> int:
         except (InfeasibleSpecError, RegimeError) as exc:
             print(f"fixed k1={k1:g}: infeasible ({exc})")
             status = 2
-    if "k1_max" in t:
+    if t["k1_max"] is not None:
         try:
-            g = optimize_gains(spec, k1_max=float(t["k1_max"]),
-                               objective=t.get("objective", "k2"))
-            print(f"optimized (objective {t.get('objective', 'k2')}): "
+            g = optimize_gains(spec, k1_max=t["k1_max"], objective=t["objective"])
+            print(f"optimized (objective {t['objective']}): "
                   f"k1={g.k1:.6g} k2={g.k2:.6g} delta={g.delta:g}")
         except InfeasibleSpecError as exc:
             print(f"optimizer: infeasible ({exc})")

@@ -16,6 +16,7 @@ from twistlab.dynamics import Gains
 from twistlab.integrator import detect_crossings
 from twistlab.runner import (SCHEMA_VERSION, RunResult, ScenarioConfig,
                              emit_outputs, main, run_scenario)
+from twistlab.tuning import finite_time_gains
 
 SYNTHETIC = {
     "schema_version": 1,
@@ -58,7 +59,28 @@ OUT_OF_RANGE = [
     ("perturbation", "harmonics", [[math.nan, 0.0]]), ("perturbation", "harmonics", [[0.5]]),
     ("gains", "source", "optimise"), ("gains", "source", None), ("gains", "k1", 0),
     ("gains", "k1", "3.6"), ("gains", "k2", math.nan), ("gains", "k2", None),
-    ("gains", "delta", -1e-5),
+    ("gains", "delta", -1e-5), ("gains", "objective", "zzz"), ("initial", "error", 0.1),
+    ("initial", "x1", "abc"), ("parameters", "cases", [[math.nan, 0.3]]),
+    ("parameters", "cases", [[12, -0.3]]), ("integration", "periods", 5),
+]
+
+#: Valid ``tuning`` section (the values ``test_cli_tune`` passes with).
+TUNING = {"rate_bound": 12.0, "period": 0.3125, "eta": 0.2, "k1": 0.9, "k1_max": 0.9}
+
+#: Whole sections that must fail at load, naming the dotted key: keys that a
+#: gains source does not read, and missing or out-of-range keys it does.
+BAD_SECTIONS = [
+    ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "delta": 1e-6}, "gains.delta"),
+    ("gains", {"source": "tune_k2", "k1": 0.9, "eta": 0.2, "k2": 5.0}, "gains.k2"),
+    ("gains", {"source": "tune_k2", "eta": 0.2}, "gains.k1"),
+    ("gains", {"source": "optimize", "eta": 0.2}, "gains.k1_max"),
+    ("gains", {"source": "finite_time", "margin": -1}, "gains.margin"),
+    ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "objective": "k3"},
+     "gains.objective"),
+    ("tuning", {**TUNING, "eta": -1}, "tuning.eta"),
+    ("tuning", {"rate_bound": 12.0, "period": 0.3125}, "tuning.eta"),
+    ("tuning", {**TUNING, "k1_max": 0}, "tuning.k1_max"),
+    ("tuning", {**TUNING, "objective": "k3"}, "tuning.objective"),
 ]
 
 
@@ -71,22 +93,26 @@ def test_config_schema_validation():
         ScenarioConfig.from_dict({**SYNTHETIC, "bogus": 1})
     with pytest.raises(ValueError):
         ScenarioConfig(scenario="warp_drive", parameters={})
-    for seed in ("7", 1.5, True):
+    for seed in ("7", 1.5, True, -1):
         with pytest.raises(ValueError, match="seed must be an integer"):
             ScenarioConfig.from_dict({**SYNTHETIC, "seed": seed})
     for section, key, value in OUT_OF_RANGE:
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
             ScenarioConfig.from_dict({**SYNTHETIC, section: {**SYNTHETIC.get(section, {}),
                                                              key: value}})
+    for section, value, key in BAD_SECTIONS:
+        with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+            ScenarioConfig.from_dict({**SYNTHETIC, section: value})
     # an explicit source needs both gains
     with pytest.raises(ValueError, match=r"gains\.k2"):
         ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"source": "explicit", "k1": 3.6}})
     for ok in ({"steps_per_period": 2000, "periods": 20}, {"steps_per_period": 300}):
         ScenarioConfig.from_dict({**SYNTHETIC, "integration": ok})
     cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"k1": 3.6, "k2": 6.0}})
-    assert cfg.explicit_gains == Gains(3.6, 6.0)  # default source and layer width
+    assert runner._resolve_gains(cfg, 12.0, 0.2) == Gains(3.6, 6.0)  # default source and delta
     cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"source": "finite_time"}})
-    assert cfg.explicit_gains is None
+    assert runner._resolve_gains(cfg, 12.0, 0.2) == finite_time_gains(12.0)
+    ScenarioConfig.from_dict({**SYNTHETIC, "tuning": TUNING})
     ScenarioConfig.from_dict({**SYNTHETIC, "perturbation": {"coulomb": 0, "viscous": 0.0,
                                                             "harmonics": []}})
     ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25, "tolerance": 1e-3}})
@@ -102,13 +128,17 @@ def test_config_override():
     assert cfg.integration["periods"] == 20  # original untouched
     nested = cfg.with_override("gains.k1", "1.25")
     assert nested.gains["k1"] == 1.25
-    with pytest.raises(ValueError):
-        cfg.with_override("nonexistent.key", "1")
+    for path in ("nonexistent.key", "seed.x"):
+        with pytest.raises(ValueError):
+            cfg.with_override(path, "1")
     with pytest.raises(ValueError, match="seed must be an integer"):
         cfg.with_override("seed", "abc")
     for section, key, value in OUT_OF_RANGE:
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
             cfg.with_override(f"{section}.{key}", json.dumps(value))
+    for section, value, key in BAD_SECTIONS:
+        with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+            cfg.with_override(section, json.dumps(value))
 
 
 @pytest.mark.parametrize("section,key", [
@@ -135,8 +165,16 @@ def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
     assert "integration.steps_per_periods" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["integration.record_stride=1", "perturbation.viscous=NaN",
-                                      'gains.source="optimise"'])
+@pytest.mark.parametrize("override", [
+    "integration.record_stride=1", "perturbation.viscous=NaN", 'gains.source="optimise"',
+    'gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2, "delta": 1e-6}',
+    'gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2, "k2": 5.0}',
+    'gains.objective="zzz"', "initial.x1=0.1", 'gains={"source": "tune_k2", "eta": 0.2}',
+    'gains={"source": "optimize", "eta": 0.2}', 'gains={"source": "finite_time", "margin": -1}',
+    'gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2, "objective": "k3"}',
+    'initial.error="abc"', "parameters.omega_r=[NaN]", "parameters.omega_r=[0]",
+    "integration.periods=5", "seed=-1",
+])
 def test_cli_bad_config_exits_1_before_any_case_runs(override, tmp_path, capsys, monkeypatch):
     def no_case(*args):
         raise AssertionError("a case ran")
@@ -155,12 +193,10 @@ CLASHING_CASES = [[12.345671, 0.2], [12.345674, 0.2]]
 
 
 def test_duplicate_case_labels_rejected_before_any_case_runs():
-    cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": CLASHING_CASES}})
     with pytest.raises(ValueError, match=r"'L12\.3457_T0\.2'"):
-        run_scenario(cfg)
-    cfg = ScenarioConfig.from_dict(_constant_speed_config(parameters={"omega_r": [18.0, 18]}))
+        ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": CLASHING_CASES}})
     with pytest.raises(ValueError, match=r"'wr18'"):
-        run_scenario(cfg)
+        ScenarioConfig.from_dict(_constant_speed_config(parameters={"omega_r": [18.0, 18]}))
 
 
 def test_cli_duplicate_case_labels_exit_1(tmp_path, capsys):
@@ -173,9 +209,31 @@ def test_cli_duplicate_case_labels_exit_1(tmp_path, capsys):
 
 
 def test_empty_parameter_set_is_config_error():
-    cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": []}})
     with pytest.raises(ValueError):
-        run_scenario(cfg)
+        ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": []}})
+
+
+#: Per gains source: a valid section, and a non-default valid value for each key it reads.
+GAINS_KEY_CHANGES = {
+    "explicit": ({"k1": 3.6, "k2": 6.0}, {"k1": 3.7, "k2": 6.5, "delta": 1e-5}),
+    "finite_time": ({}, {"margin": 1.5, "rate_bound": 20.0, "delta": 1e-5}),
+    "tune_k2": ({"k1": 0.9, "eta": 0.2}, {"k1": 0.8, "eta": 0.1, "n": 0.25, "delta": 1e-5}),
+    "optimize": ({"k1_max": 0.9, "eta": 0.2},
+                 {"k1_max": 0.8, "eta": 0.1, "n": 0.25, "objective": "k1"}),
+}
+
+
+def test_every_gains_key_is_read():
+    """Each key a gains source accepts changes the gains it resolves."""
+    assert set(GAINS_KEY_CHANGES) == set(runner.CONFIG_TABLE["gains"])
+    for source, (base, changes) in GAINS_KEY_CHANGES.items():
+        assert set(changes) == set(runner.CONFIG_TABLE["gains"][source])
+        gains = {"source": source, **base}
+        reference = runner._resolve_gains(ScenarioConfig.from_dict({**SYNTHETIC, "gains": gains}),
+                                          12.0, 0.3125)
+        for key, value in changes.items():
+            cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {**gains, key: value}})
+            assert runner._resolve_gains(cfg, 12.0, 0.3125) != reference, (source, key)
 
 
 def test_synthetic_sweep_and_outputs(tmp_path):
