@@ -182,28 +182,20 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, len(x))
 
 
-def integrate(field: Callable, x0, cfg: IntegrationConfig,
-              channels: Callable[[np.ndarray, np.ndarray], dict] | None = None) -> Trajectory:
+def integrate(field: Callable, x0, cfg: IntegrationConfig) -> Trajectory:
     """Integrate a planar field from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
 
-    ``channels(t, X)`` may supply the u/d/q channels (vectorized, evaluated
-    on the records); a channel it leaves out is zero, and any other key
-    raises ValueError.
+    The ``u``, ``d`` and ``q`` channels are zero; a caller that knows them
+    swaps them in with ``dataclasses.replace``.
     """
     start = tuple(float(v) for v in x0)
     if len(start) != 2:
         raise ValueError(f"integrate expects a planar state (x1, x2), got {len(start)} states")
 
     times, states = rk4_solve(field, start, 0.0, cfg.dt, cfg.n_steps)
-    x1 = states[:, 0].copy()
-    x2 = states[:, 1].copy()
-
-    derived = channels(times, states) if channels is not None else {}
-    if set(derived) - {"u", "d", "q"}:
-        raise ValueError(f"channels may return only u, d and q, got {sorted(derived)}")
-    u, d, q = (np.asarray(derived.get(name, np.zeros_like(times)), dtype=float)
-               for name in ("u", "d", "q"))
-    return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, dt=cfg.dt)
+    u, d, q = (np.zeros_like(times) for _ in range(3))
+    return Trajectory(t=times, x1=states[:, 0].copy(), x2=states[:, 1].copy(),
+                      u=u, d=d, q=q, dt=cfg.dt)
 
 
 def detect_crossings(traj: Trajectory, layer_width: float = 0.0) -> list[tuple[float, int]]:

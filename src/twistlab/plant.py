@@ -35,24 +35,25 @@ class MotorModel:
 
     Inertia defaults to 1.0 (normalized): only gain/bound ratios matter, so
     torque-like quantities then share the error's units.  Encoder
-    quantization is off by default; switching it on re-routes the controller
-    through a backward-differenced velocity estimate without touching the
-    baseline physics.
+    quantization and velocity noise are off by default; switching either on
+    re-routes the controller through a backward-differenced, noisy velocity
+    estimate without touching the baseline physics.
     """
 
     inertia: float = 1.0
     friction_cogging: FrictionCoggingModel = FrictionCoggingModel()
     encoder_quantum: float = 0.0        # position LSB in rad; 0 disables
     velocity_window: int = 1            # samples for backward differencing
+    noise_std: float = 0.0              # std of the velocity measurement noise; 0 disables
 
     def __post_init__(self) -> None:
         if not (self.inertia > 0.0 and math.isfinite(self.inertia)):
             raise ValueError(f"inertia must be positive and finite, got {self.inertia}")
         if 1.0 / self.inertia < 1e-12:
             raise ValueError(f"inertia {self.inertia!r} puts the input gain 1/inertia below 1e-12")
-        if not 0.0 <= self.encoder_quantum < math.inf:
-            raise ValueError(f"encoder_quantum must be finite and non-negative, "
-                             f"got {self.encoder_quantum}")
+        for name in ("encoder_quantum", "noise_std"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.velocity_window < 1:
             raise ValueError(f"velocity_window must be at least 1, got {self.velocity_window}")
 
@@ -61,13 +62,12 @@ class MotorModel:
 class DifferentiatorConfig:
     """Sliding-mode differentiator gains sized from a Lipschitz bound.
 
-    ``rate_bound`` estimates the Lipschitz constant of the derivative being
-    recovered (i.e. a bound on the second derivative of the input signal).
+    The bound :meth:`from_rate_bound` takes estimates the Lipschitz constant of
+    the derivative being recovered (a bound on the second derivative of the input).
     """
 
     lambda1: float
     lambda2: float
-    rate_bound: float
 
     def __post_init__(self) -> None:
         if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
@@ -78,13 +78,12 @@ class DifferentiatorConfig:
         """Standard sizing: lambda1 = 1.5*sqrt(C), lambda2 = 1.1*C."""
         if rate_bound <= 0.0:
             raise ValueError(f"rate_bound must be positive, got {rate_bound}")
-        return cls(lambda1=1.5 * math.sqrt(rate_bound), lambda2=1.1 * rate_bound,
-                   rate_bound=rate_bound)
+        return cls(lambda1=1.5 * math.sqrt(rate_bound), lambda2=1.1 * rate_bound)
 
 
 def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                         cfg: IntegrationConfig, initial_error: float = 0.0,
-                        initial_integral: float = 0.0, noise_std: float = 0.0,
+                        initial_integral: float = 0.0,
                         rng: np.random.Generator | None = None) -> Trajectory:
     """Closed-loop run of the virtual motor; records the error as x1.
 
@@ -106,7 +105,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     omega0 = float(ref_omega(0.0)) + initial_error
     x0 = (theta0, omega0, initial_integral)
 
-    sampled = motor.encoder_quantum > 0.0 or noise_std > 0.0
+    sampled = motor.encoder_quantum > 0.0 or motor.noise_std > 0.0
     if not sampled:
         torque = model.scalar_torque()
 
@@ -119,8 +118,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
 
         times, states = rk4_solve(field, x0, 0.0, cfg.dt, cfg.n_steps)
     else:
-        times, states = _sampled_motor_loop(motor, reference, gains, cfg, x0,
-                                            noise_std, rng)
+        times, states = _sampled_motor_loop(motor, reference, gains, cfg, x0, rng)
 
     theta = states[:, 0]
     omega = states[:, 1]
@@ -136,7 +134,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
 
 
 def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
-                        cfg: IntegrationConfig, x0, noise_std: float,
+                        cfg: IntegrationConfig, x0,
                         rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
     """Stepped loop: u0 from the quantized/noisy measurement, held per step.
 
@@ -147,6 +145,7 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     same two-state field, without its per-call set-up.  The controller's
     integral state takes an Euler step.
     """
+    noise_std = motor.noise_std
     if noise_std > 0.0 and rng is None:
         raise ValueError("noise injection requires an rng")
     torque = motor.friction_cogging.scalar_torque()
@@ -171,15 +170,18 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     theta, omega, z = x0
     records = array("d", (theta, omega, z))
 
-    measured: list[float] = []
+    # the last window + 1 positions; step k's at k % ring, step k - window's at slot - window
+    ring = window + 1
+    measured = [0.0] * ring
+    window_dt = window * dt
     for k in range(n_steps):
         theta_meas = math.floor(theta / quantum) * quantum if quantum > 0.0 else theta
-        measured.append(theta_meas)
-        if len(measured) > window + 1:
-            measured.pop(0)
-        if len(measured) > 1:
-            span = len(measured) - 1
-            omega_meas = (measured[-1] - measured[0]) / (span * dt)
+        slot = k % ring
+        measured[slot] = theta_meas
+        if k >= window:
+            omega_meas = (theta_meas - measured[slot - window]) / window_dt
+        elif k:
+            omega_meas = (theta_meas - measured[0]) / (k * dt)
         else:
             omega_meas = omega
         if noise_std > 0.0:
@@ -210,9 +212,9 @@ def robust_differentiate(samples: np.ndarray, dt: float,
     """First-order sliding-mode differentiator over a uniformly sampled series.
 
     Tracks the input with an internal observer and returns the derivative
-    estimate per sample; after the transient the error is tied to
-    ``cfg.rate_bound`` and the sampling step.  Initialized on the first
-    sample with zero derivative.
+    estimate per sample; after the transient the error is tied to the
+    rate bound ``cfg`` was sized from and the sampling step.  Initialized
+    on the first sample with zero derivative.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:

@@ -69,11 +69,9 @@ def _each(check):
 
 
 def _case(entry) -> tuple[float, float]:
-    """A ``synthetic_q`` case, ``[L, T]`` or ``{"rate_bound": L, "period": T}``, as (L, T)."""
-    if isinstance(entry, dict) and set(entry) == {"rate_bound", "period"}:
-        entry = (entry["rate_bound"], entry["period"])
+    """A ``synthetic_q`` case ``[L, T]``, as (L, T)."""
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise ValueError(f"must be [L, T] or {{rate_bound, period}}, got {entry!r}")
+        raise ValueError(f"must be [L, T], got {entry!r}")
     return _finite(entry[0]), _positive(entry[1])
 
 
@@ -87,23 +85,25 @@ _MARGIN = (1.1, _number("a finite number > 1", lambda v: v > 1.0))
 _OBJECTIVE = ("k2", _one_of("k1", "k2"))
 _DELTA = (DEFAULT_DELTA, _positive)
 _ZERO = (0.0, _finite)
+# the motor scenarios' rows; the models, which loading builds, check the ranges
+_MOTOR = {"inertia": (1.0, _finite), "encoder_quantum": (0.0, _finite),
+          "velocity_window": (1, _count), "noise_std": (0.0, _finite)}
+_PERTURBATION = {f.name: (f.default, lambda v: v) for f in fields(FrictionCoggingModel)}
 
 #: Every key the runner reads, per config section.  A row is ``(default, check)``,
 #: or a bare check for a key that must be given; a default of None is resolved
-#: where the key is read.  ``gains`` rows depend on ``gains.source``,
-#: ``parameters`` and ``initial`` rows on the scenario, and ``tuning`` is checked
-#: only when it is non-empty.  A key with no row is rejected at load.
+#: where the key is read.  ``gains`` rows depend on ``gains.source``, ``motor``,
+#: ``perturbation``, ``parameters`` and ``initial`` rows on the scenario, and
+#: ``tuning`` is checked only when it is non-empty.  A key with no row is rejected.
 CONFIG_TABLE = {
     "integration": {"steps_per_period": (INTEGRATION_DEFAULTS["steps_per_period"], _count),
                     "periods": (INTEGRATION_DEFAULTS["periods"],
                                 _number(f"an integer >= {MIN_STROBE_PERIODS}",
                                         lambda v: v >= MIN_STROBE_PERIODS, int))},
     "analysis": {"n": _N, "tolerance": (None, lambda v: None if v is None else _positive(v))},
-    "motor": {"inertia": (1.0, _finite), "encoder_quantum": (0.0, _finite),
-              "velocity_window": (1, _count),
-              "noise_std": (0.0, _number("a finite number >= 0", lambda v: v >= 0.0))},
-    # checked by the model, which loading builds
-    "perturbation": {f.name: (f.default, lambda v: v) for f in fields(FrictionCoggingModel)},
+    "motor": {"constant_speed": _MOTOR, "sinusoidal_velocity": _MOTOR, "synthetic_q": {}},
+    "perturbation": {"constant_speed": _PERTURBATION, "sinusoidal_velocity": _PERTURBATION,
+                     "synthetic_q": {}},
     "gains": {
         "explicit": {"k1": _positive, "k2": _positive, "delta": _DELTA},
         "finite_time": {"margin": _MARGIN, "rate_bound": (None, _positive), "delta": _DELTA},
@@ -142,13 +142,14 @@ class ScenarioConfig:
 
     The sections keep the keys as written.  Loading checks them against
     ``CONFIG_TABLE`` into ``checked`` (section -> key -> value, defaults filled
-    in) and builds the labelled ``cases`` and ``motor_model``, so a bad config
-    fails before any case runs.
+    in) and builds the labelled ``cases`` and, for the motor scenarios,
+    ``motor_model`` (None for ``synthetic_q``), so a bad config fails before
+    any case runs.
     """
 
     scenario: str
     parameters: dict
-    gains: dict = field(default_factory=lambda: {"source": "explicit", "k1": 0.9, "k2": 11.65})
+    gains: dict = field(default_factory=dict)
     perturbation: dict = field(default_factory=dict)
     motor: dict = field(default_factory=dict)
     integration: dict = field(default_factory=dict)
@@ -168,9 +169,9 @@ class ScenarioConfig:
         source_row = ("explicit", _one_of(*CONFIG_TABLE["gains"]))
         source = _check("gains", self.gains, "source", source_row)
         table = dict(CONFIG_TABLE, gains={"source": source_row, **CONFIG_TABLE["gains"][source]},
-                     parameters=CONFIG_TABLE["parameters"][self.scenario],
-                     initial=CONFIG_TABLE["initial"][self.scenario],
-                     tuning=CONFIG_TABLE["tuning"] if self.tuning else {})
+                     tuning=CONFIG_TABLE["tuning"] if self.tuning else {},
+                     **{name: CONFIG_TABLE[name][self.scenario]
+                        for name in ("motor", "perturbation", "parameters", "initial")})
         self.checked = {}
         for name, rows in table.items():
             section = getattr(self, name)
@@ -179,15 +180,16 @@ class ScenarioConfig:
                 raise ValueError("unknown config keys: " + ", ".join(f"{name}.{k}" for k in extra))
             self.checked[name] = {k: _check(name, section, k, row) for k, row in rows.items()}
 
-        try:
-            friction = FrictionCoggingModel(**self.checked["perturbation"])
-        except ValueError as exc:  # its messages open with the field name
-            raise ValueError(f"perturbation.{exc}") from exc
-        motor = {k: v for k, v in self.checked["motor"].items() if k != "noise_std"}
-        try:
-            self.motor_model = MotorModel(friction_cogging=friction, **motor)
-        except ValueError as exc:  # MotorModel's messages open with the field name
-            raise ValueError(f"motor.{exc}") from exc
+        self.motor_model = None
+        if self.scenario != "synthetic_q":
+            try:
+                friction = FrictionCoggingModel(**self.checked["perturbation"])
+            except ValueError as exc:  # its messages open with the field name
+                raise ValueError(f"perturbation.{exc}") from exc
+            try:
+                self.motor_model = MotorModel(friction_cogging=friction, **self.checked["motor"])
+            except ValueError as exc:  # MotorModel's messages open with the field name
+                raise ValueError(f"motor.{exc}") from exc
 
         params = self.checked["parameters"]
         if self.scenario == "constant_speed":
@@ -285,15 +287,11 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
             pert = SinusoidPerturbation(L, T, phase=params["phase"])
             gains = _resolve_gains(cfg, L, T)
             icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
-
-            def channels(t: np.ndarray, states: np.ndarray) -> dict:
-                d = np.asarray(pert.d(t))
-                q = np.asarray(pert.q(t))
-                u = twisting_action(states[:, 0], states[:, 1] - d, gains)
-                return {"u": u, "d": d, "q": q}
-
             traj = integrate(regularized_field(gains, _fast_sinusoid_rate(pert)),
-                             (initial["x1"], initial["x2"]), icfg, channels=channels)
+                             (initial["x1"], initial["x2"]), icfg)
+            d = pert.d(traj.t)
+            traj = replace(traj, u=twisting_action(traj.x1, traj.x2 - d, gains), d=d,
+                           q=pert.q(traj.t))
         else:
             motor = cfg.motor_model
             model = motor.friction_cogging
@@ -308,11 +306,10 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
                 L = bound_L(lambda t: eval_q(model, profile, t), T)
             gains = _resolve_gains(cfg, L, T)
             icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
-            noise_std = cfg.checked["motor"]["noise_std"]
-            rng = np.random.default_rng(cfg.seed + index) if noise_std > 0.0 else None
+            rng = np.random.default_rng(cfg.seed + index) if motor.noise_std > 0.0 else None
             traj = simulate_motor_loop(
                 motor, profile, gains, icfg, initial_error=initial["error"],
-                initial_integral=initial["integral"], noise_std=noise_std, rng=rng,
+                initial_integral=initial["integral"], rng=rng,
             )
 
         analysis = cfg.checked["analysis"]
@@ -483,14 +480,6 @@ def _summary_text(results: list[RunResult], fit) -> str:
 # ---------------------------------------------------------------------------
 # command-line interface
 
-def _add_common(parser: argparse.ArgumentParser, need_config: bool = True) -> None:
-    parser.add_argument("--config", required=need_config, help="JSON scenario config")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel runs for sweeps")
-    parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
-                        help="dotted-path config override, e.g. integration.periods=60")
-
-
 def _load_config(args) -> ScenarioConfig:
     cfg = ScenarioConfig.from_file(args.config)
     for item in args.override:
@@ -556,9 +545,6 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if not args.out:
-        print("table requires --out pointing at a results directory", file=sys.stderr)
-        return 1
     path = Path(args.out) / "reports.json"
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -586,11 +572,18 @@ def main(argv=None) -> int:
         description="Under-tuned super-twisting loop simulation and tuning laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("simulate", help="run a single parameter case"))
-    _add_common(sub.add_parser("sweep", help="run a parameter sweep"))
-    _add_common(sub.add_parser("tune", help="print the gain calculus for a spec"))
-    table_parser = sub.add_parser("table", help="re-render the bounds table from stored results")
-    _add_common(table_parser, need_config=False)
+    runs = [sub.add_parser("simulate", help="run a single parameter case"),
+            sub.add_parser("sweep", help="run a parameter sweep")]
+    tune = sub.add_parser("tune", help="print the gain calculus for a spec")
+    table = sub.add_parser("table", help="re-render the bounds table from stored results")
+    for command in (*runs, tune):
+        command.add_argument("--config", required=True, help="JSON scenario config")
+        command.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
+                             help="dotted-path config override, e.g. integration.periods=60")
+    for command in runs:
+        command.add_argument("--out", default=None, help="output directory")
+        command.add_argument("--workers", type=int, default=1, help="parallel runs for sweeps")
+    table.add_argument("--out", required=True, help="results directory of an earlier sweep")
 
     args = parser.parse_args(argv)
     try:

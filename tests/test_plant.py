@@ -44,7 +44,7 @@ def test_differentiator_config_sizing():
     with pytest.raises(ValueError):
         DifferentiatorConfig.from_rate_bound(0.0)
     with pytest.raises(ValueError):
-        DifferentiatorConfig(lambda1=0.0, lambda2=1.0, rate_bound=1.0)
+        DifferentiatorConfig(lambda1=0.0, lambda2=1.0)
 
 
 def test_robust_differentiate_sine():
@@ -143,12 +143,12 @@ def test_motor_loop_torque_is_law_plus_reference_acceleration(monkeypatch):
 def test_encoder_and_noise_path_stays_bounded():
     motor = MotorModel(friction_cogging=CALIBRATED,
                        encoder_quantum=2 * math.pi / 2 ** 11,
-                       velocity_window=16)
+                       velocity_window=16, noise_std=1e-3)
     reference = MotionProfile.constant_speed(18.0)
     gains = Gains(0.9, 11.65)
     cfg = IntegrationConfig.for_period(2 * math.pi / 18.0, 2000, 12)
     rng = np.random.default_rng(0)
-    traj = simulate_motor_loop(motor, reference, gains, cfg, noise_std=1e-3, rng=rng)
+    traj = simulate_motor_loop(motor, reference, gains, cfg, rng=rng)
     assert np.all(np.isfinite(traj.x1))
     assert np.max(np.abs(traj.x1[len(traj) // 2:])) < 1.0
     # the encoder and the noise reach the controller: the run is not the continuous loop's
@@ -172,7 +172,7 @@ def test_sampled_rotor_step_matches_rk4_solve():
         _, states = _sampled_motor_loop(MotorModel(inertia=J, friction_cogging=model),
                                         MotionProfile.constant_speed(omega), Gains(0.9, 11.65),
                                         IntegrationConfig(dt=dt, t_end=dt), (theta, omega, z),
-                                        0.0, None)
+                                        None)
         u0 = z / (1.0 / J)
 
         def rotor(t, x):
@@ -181,6 +181,42 @@ def test_sampled_rotor_step_matches_rk4_solve():
 
         _, expected = rk4_solve(rotor, (theta, omega), 0.0, dt, 1)
         assert states[1, :2].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 16])
+def test_sampled_velocity_estimate_matches_sliding_list(window):
+    """The sampled loop's ring of positions gives the sliding-list estimate, bit for bit.
+
+    The reference keeps the last ``window + 1`` measured positions in a list
+    and steps the rotor with a one-step ``rk4_solve``.
+    """
+    quantum, noise_std, dt = 1e-5, 1e-3, 1e-4
+    motor = MotorModel(friction_cogging=CALIBRATED, encoder_quantum=quantum,
+                       velocity_window=window, noise_std=noise_std)
+    reference = MotionProfile.sinusoidal_velocity(4.0)
+    gains = Gains(0.9, 19.65)
+    cfg = IntegrationConfig(dt=dt, t_end=300 * dt)
+    x0 = (0.01, 4.5, 0.1)  # theta moves about 40 quanta a step
+    _, states = _sampled_motor_loop(motor, reference, gains, cfg, x0, np.random.default_rng(5))
+
+    law, torque = twisting_law(gains), CALIBRATED.scalar_torque()
+    noise = (noise_std * np.random.default_rng(5).standard_normal(cfg.n_steps)).tolist()
+    grid = np.arange(cfg.n_steps) * dt
+    ref_omega, ref_accel = reference.omega(grid).tolist(), reference.omega_dot(grid).tolist()
+    theta, omega, z = x0
+    measured, expected = [], [x0]
+    for k in range(cfg.n_steps):
+        measured = (measured + [math.floor(theta / quantum) * quantum])[-(window + 1):]
+        span = len(measured) - 1
+        omega_meas = (measured[-1] - measured[0]) / (span * dt) if span else omega
+        u, dz = law(omega_meas + noise[k] - ref_omega[k], z, -0.0)
+        u0 = u + ref_accel[k]
+        _, rotor = rk4_solve(lambda t, x: (x[1], u0 + torque(x[1], x[0])), (theta, omega),
+                             0.0, dt, 1)
+        theta, omega = rotor[1].tolist()
+        z += dt * dz
+        expected.append((theta, omega, z))
+    assert states.tobytes() == np.array(expected).tobytes()
 
 
 def test_reconstruct_disturbance_accuracy():
@@ -240,3 +276,6 @@ def test_motor_model_validation():
         MotorModel(encoder_quantum=-1.0)
     with pytest.raises(ValueError):
         MotorModel(velocity_window=0)
+    for noise_std in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^noise_std"):
+            MotorModel(noise_std=noise_std)

@@ -62,7 +62,13 @@ OUT_OF_RANGE = [
     ("gains", "delta", -1e-5), ("gains", "objective", "zzz"), ("initial", "error", 0.1),
     ("initial", "x1", "abc"), ("parameters", "cases", [[math.nan, 0.3]]),
     ("parameters", "cases", [[12, -0.3]]), ("integration", "periods", 5),
+    ("parameters", "cases", [{"rate_bound": 12.0, "period": 0.2}]),
 ]
+
+#: Sections that only the motor scenarios read; their OUT_OF_RANGE entries run
+#: on a constant-speed config, so each fails on its range check, not as a key
+#: ``synthetic_q`` does not read.
+MOTOR_SECTIONS = ("motor", "perturbation")
 
 #: Valid ``tuning`` section (the values ``test_cli_tune`` passes with).
 TUNING = {"rate_bound": 12.0, "period": 0.3125, "eta": 0.2, "k1": 0.9, "k1_max": 0.9}
@@ -97,15 +103,18 @@ def test_config_schema_validation():
         with pytest.raises(ValueError, match="seed must be an integer"):
             ScenarioConfig.from_dict({**SYNTHETIC, "seed": seed})
     for section, key, value in OUT_OF_RANGE:
+        base = _constant_speed_config() if section in MOTOR_SECTIONS else SYNTHETIC
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
-            ScenarioConfig.from_dict({**SYNTHETIC, section: {**SYNTHETIC.get(section, {}),
-                                                             key: value}})
+            ScenarioConfig.from_dict({**base, section: {**base.get(section, {}), key: value}})
     for section, value, key in BAD_SECTIONS:
         with pytest.raises(ValueError, match=key.replace(".", r"\.")):
             ScenarioConfig.from_dict({**SYNTHETIC, section: value})
     # an explicit source needs both gains
     with pytest.raises(ValueError, match=r"gains\.k2"):
         ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"source": "explicit", "k1": 3.6}})
+    # and a config that leaves gains out has none
+    with pytest.raises(ValueError, match=r"gains\.k1 is required"):
+        ScenarioConfig.from_dict({k: v for k, v in SYNTHETIC.items() if k != "gains"})
     for ok in ({"steps_per_period": 2000, "periods": 20}, {"steps_per_period": 300}):
         ScenarioConfig.from_dict({**SYNTHETIC, "integration": ok})
     cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"k1": 3.6, "k2": 6.0}})
@@ -113,15 +122,16 @@ def test_config_schema_validation():
     cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"source": "finite_time"}})
     assert runner._resolve_gains(cfg, 12.0, 0.2) == finite_time_gains(12.0)
     ScenarioConfig.from_dict({**SYNTHETIC, "tuning": TUNING})
-    ScenarioConfig.from_dict({**SYNTHETIC, "perturbation": {"coulomb": 0, "viscous": 0.0,
-                                                            "harmonics": []}})
+    ScenarioConfig.from_dict(_constant_speed_config(
+        perturbation={"coulomb": 0, "viscous": 0.0, "harmonics": []}))
     ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25, "tolerance": 1e-3}})
-    ScenarioConfig.from_dict({**SYNTHETIC, "motor": {"inertia": 2, "encoder_quantum": 1e-5,
-                                                     "velocity_window": 4, "noise_std": 0.0}})
+    ScenarioConfig.from_dict(_constant_speed_config(
+        motor={"inertia": 2, "encoder_quantum": 1e-5, "velocity_window": 4, "noise_std": 0.0}))
 
 
 def test_config_override():
     cfg = ScenarioConfig.from_dict(SYNTHETIC)
+    motor_cfg = ScenarioConfig.from_dict(_constant_speed_config())
     assert cfg.with_override("seed", "7").seed == 7
     patched = cfg.with_override("integration.periods", "33")
     assert patched.integration["periods"] == 33
@@ -134,8 +144,9 @@ def test_config_override():
     with pytest.raises(ValueError, match="seed must be an integer"):
         cfg.with_override("seed", "abc")
     for section, key, value in OUT_OF_RANGE:
+        base = motor_cfg if section in MOTOR_SECTIONS else cfg
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
-            cfg.with_override(f"{section}.{key}", json.dumps(value))
+            base.with_override(f"{section}.{key}", json.dumps(value))
     for section, value, key in BAD_SECTIONS:
         with pytest.raises(ValueError, match=key.replace(".", r"\.")):
             cfg.with_override(section, json.dumps(value))
@@ -145,9 +156,10 @@ def test_config_override():
     ("gains", "k3"), ("integration", "steps_per_periods"), ("motor", "inertial"),
     ("analysis", "tol"), ("initial", "x3"), ("tuning", "eta_max"),
     ("parameters", "omega_r"), ("perturbation", "coulombb"), ("integration", "record_stride"),
+    ("motor", "noise_std"), ("motor", "inertia"), ("perturbation", "coulomb"),
 ])
 def test_unknown_nested_key_names_its_path(section, key):
-    """A typo in a nested section fails at load time, naming the dotted path."""
+    """A typo, or a key ``synthetic_q`` does not read, fails at load, naming the dotted path."""
     data = json.loads(json.dumps(SYNTHETIC))
     data.setdefault(section, {})[key] = 1
     with pytest.raises(ValueError, match=rf"{section}\.{key}"):
@@ -160,9 +172,9 @@ def test_unknown_nested_key_names_its_path(section, key):
 def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SYNTHETIC))
-    assert main(["simulate", "--config", str(path),
-                 "--override", "integration.steps_per_periods=10"]) == 1
-    assert "integration.steps_per_periods" in capsys.readouterr().err
+    for key in ("integration.steps_per_periods", "motor.noise_std", "perturbation.coulomb"):
+        assert main(["simulate", "--config", str(path), "--override", f"{key}=10"]) == 1
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [
@@ -492,3 +504,23 @@ def test_cli_tune(tmp_path, capsys):
 
 def test_cli_bad_config_path():
     assert main(["simulate", "--config", "/nonexistent/cfg.json"]) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["table", "--out", "OUT", "--config", "CFG"], ["table", "--out", "OUT", "--override", "seed=1"],
+    ["table", "--out", "OUT", "--workers", "2"], ["table"],
+    ["tune", "--config", "CFG", "--out", "NEW"], ["tune", "--config", "CFG", "--workers", "2"],
+])
+def test_cli_rejects_flags_a_command_does_not_read(flags, tmp_path, capsys):
+    """A flag the command does not read, or table without --out, is a usage error (exit 2)."""
+    paths = {"CFG": tmp_path / "cfg.json", "OUT": tmp_path / "out", "NEW": tmp_path / "new"}
+    paths["CFG"].write_text(json.dumps({**SYNTHETIC, "tuning": TUNING}))
+    paths["OUT"].mkdir()
+    (paths["OUT"] / "reports.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION,
+                                                           "runs": []}))
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exited:
+        main([str(paths.get(flag, flag)) for flag in flags])
+    assert exited.value.code == 2
+    assert "usage: twistlab" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
