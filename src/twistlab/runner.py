@@ -237,7 +237,10 @@ class ScenarioConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of one parameter case: trajectory plus measurements or an error."""
+    """Outcome of one parameter case: trajectory plus measurements or an error.
+
+    ``trajectory`` is None once the run's files have been written where it ran.
+    """
 
     label: str
     params: dict
@@ -277,8 +280,13 @@ def _fast_sinusoid_rate(pert: SinusoidPerturbation):
     return lambda t: amp * math.sin(w * t + phase)
 
 
-def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
-    """Run one parameter case end to end; exceptions become a recorded error."""
+def _execute_case(cfg: ScenarioConfig, case: dict, index: int, out_dir=None) -> RunResult:
+    """Run one parameter case end to end; exceptions become a recorded error.
+
+    With ``out_dir``, this process also writes the run's directory and drops the
+    trajectory from the result.  A write error is not a case error: it
+    propagates to the caller.
+    """
     result = RunResult(label=case["label"], params=dict(case))
     params, initial = cfg.checked["parameters"], cfg.checked["initial"]
     try:
@@ -318,15 +326,26 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int) -> RunResult:
         result.gains, result.trajectory, result.report = gains, traj, report
     except Exception as exc:  # per-run failures recorded, sweep continues
         result.error = f"{type(exc).__name__}: {exc}"
+    if out_dir is not None:
+        _emit_run(result, Path(out_dir))
+        result.trajectory = None
     return result
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list[RunResult]:
-    """Execute every parameter case; failures are recorded per run."""
-    if workers <= 1 or len(cfg.cases) == 1:
-        return [_execute_case(cfg, case, i) for i, case in enumerate(cfg.cases)]
+def run_scenario(cfg: ScenarioConfig, workers: int = 1, out_dir=None) -> list[RunResult]:
+    """Execute every parameter case on ``min(workers, len(cfg.cases))`` processes.
+
+    Failures are recorded per run.  With ``out_dir``, each run's directory is
+    written by the process that ran it, and the results carry no trajectories;
+    ``emit_outputs`` then writes the sweep-level files.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    workers = min(workers, len(cfg.cases))
+    if workers == 1:
+        return [_execute_case(cfg, case, i, out_dir) for i, case in enumerate(cfg.cases)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_case, cfg, case, i)
+        futures = [pool.submit(_execute_case, cfg, case, i, out_dir)
                    for i, case in enumerate(cfg.cases)]
         return [f.result() for f in futures]
 
@@ -358,9 +377,24 @@ def _scaling_points(results: list[RunResult]) -> list[tuple[float, float]]:
             and r.report.amplitude > 0.0]
 
 
+def _emit_run(result: RunResult, out: Path) -> None:
+    """Write one run's directory: its trajectory and, once converged, its phase plot."""
+    run_dir = out / result.label
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("trajectory.csv", "phase.csv"):  # a run that no longer writes one keeps none
+        (run_dir / name).unlink(missing_ok=True)
+    if result.trajectory is not None:
+        _atomic_write(run_dir / "trajectory.csv", result.trajectory)
+        if result.report is not None and result.report.converged:
+            _atomic_write(run_dir / "phase.csv",
+                          _phase_csv(result.trajectory, result.period, result.gains))
+
+
 def emit_outputs(results: list[RunResult], out_dir) -> dict:
     """Write per-run CSVs plus sweep-level tables; returns a small summary dict.
 
+    A result with neither a trajectory nor an error was written where it ran
+    (``run_scenario(..., out_dir=)``), so its run directory is left as it is.
     Run directories that an earlier sweep's ``reports.json`` in ``out_dir``
     lists, and that this sweep does not contain, are removed; nothing else
     in ``out_dir`` is touched.
@@ -377,14 +411,8 @@ def emit_outputs(results: list[RunResult], out_dir) -> dict:
             shutil.rmtree(run_dir)
 
     for r in results:
-        run_dir = out / r.label
-        run_dir.mkdir(parents=True, exist_ok=True)
-        for name in ("trajectory.csv", "phase.csv"):  # a run that no longer writes one keeps none
-            (run_dir / name).unlink(missing_ok=True)
-        if r.trajectory is not None:
-            _atomic_write(run_dir / "trajectory.csv", r.trajectory)
-            if r.report is not None and r.report.converged:
-                _atomic_write(run_dir / "phase.csv", _phase_csv(r.trajectory, r.period, r.gains))
+        if r.trajectory is not None or r.error is not None:
+            _emit_run(r, out)
 
     converged = [r for r in results if r.error is None and r.report is not None
                  and r.report.converged]
@@ -496,7 +524,7 @@ def _cmd_run(args, single: bool) -> int:
         print(f"simulate expects exactly one parameter case, found {len(cfg.cases)}; "
               "use `sweep` for parameter sets", file=sys.stderr)
         return 1
-    results = run_scenario(cfg, workers=args.workers)
+    results = run_scenario(cfg, workers=args.workers, out_dir=args.out or None)
     if args.out:
         info = emit_outputs(results, args.out)
         print(f"{info['converged']}/{info['total']} runs converged; outputs in {args.out}")
@@ -566,6 +594,13 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        return _count(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="twistlab",
@@ -582,7 +617,8 @@ def main(argv=None) -> int:
                              help="dotted-path config override, e.g. integration.periods=60")
     for command in runs:
         command.add_argument("--out", default=None, help="output directory")
-        command.add_argument("--workers", type=int, default=1, help="parallel runs for sweeps")
+        command.add_argument("--workers", type=_worker_count, default=1,
+                             help="parallel runs for sweeps (an integer >= 1)")
     table.add_argument("--out", required=True, help="results directory of an earlier sweep")
 
     args = parser.parse_args(argv)

@@ -1,5 +1,6 @@
 """Scenario engine and CLI tests."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -354,6 +355,105 @@ def test_emit_removes_run_dirs_absent_from_new_sweep(tmp_path):
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["L12_T0.4", "notes"]
     labels = [run["label"] for run in json.loads((out / "reports.json").read_text())["runs"]]
     assert labels == ["L12_T0.4"]
+
+
+#: One case per outcome at 1000 steps x 12 periods: wr12 fails (tune_k2 needs k2 <= 0),
+#: wr18 does not converge, wr23 converges.
+MIXED_OUTCOMES = _constant_speed_config(
+    parameters={"omega_r": [12.0, 18.0, 23.0]},
+    gains={"source": "tune_k2", "k1": 5.0, "eta": 1.0},
+    integration={"steps_per_period": 1000, "periods": 12},
+)
+
+
+def _sweep(config: dict, tmp_path, out, *flags) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main(["sweep", "--config", str(path), "--out", str(out), *flags])
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_worker_count_cannot_change_the_outputs(tmp_path):
+    trees = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert _sweep(MIXED_OUTCOMES, tmp_path, out, "--workers", str(workers)) == 2
+        trees.append(_tree(out))
+    assert trees[0] == trees[1] == trees[2]
+    assert {"wr18/trajectory.csv", "wr23/trajectory.csv", "wr23/phase.csv"} < set(trees[0])
+    assert not any(name.startswith("wr12/") for name in trees[0])
+    assert "wr12: FAILED (InfeasibleSpecError" in trees[0]["summary.txt"].decode()
+    assert "wr18: NOT CONVERGED" in trees[0]["summary.txt"].decode()
+
+
+def test_worker_writes_its_run_and_returns_no_trajectory(tmp_path):
+    cfg = ScenarioConfig.from_dict(MIXED_OUTCOMES)
+    results = run_scenario(cfg, workers=2, out_dir=tmp_path)
+    assert [r.trajectory for r in results] == [None, None, None]
+    assert results[2].report.converged
+    assert sorted(p.name for p in (tmp_path / "wr23").iterdir()) == ["phase.csv", "trajectory.csv"]
+
+
+def test_worker_path_removes_stale_per_run_files(tmp_path):
+    """A case that fails on a re-run into the same --out keeps none of its earlier files."""
+    out = tmp_path / "out"
+    config = {**MIXED_OUTCOMES, "parameters": {"omega_r": [12.0, 23.0]},
+              "gains": {"source": "explicit", "k1": 0.9, "k2": 11.65}}
+    assert _sweep(config, tmp_path, out, "--workers", "2") == 2  # wr23 does not converge
+    assert sorted(p.name for p in (out / "wr12").iterdir()) == ["phase.csv", "trajectory.csv"]
+    config["gains"] = MIXED_OUTCOMES["gains"]
+    assert _sweep(config, tmp_path, out, "--workers", "2") == 2
+    assert list((out / "wr12").iterdir()) == []
+    assert sorted(p.name for p in (out / "wr23").iterdir()) == ["phase.csv", "trajectory.csv"]
+
+
+def test_write_error_in_a_worker_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "wr23").write_text("not a directory")
+    assert _sweep(MIXED_OUTCOMES, tmp_path, out, "--workers", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "wr23" in err
+    assert not (out / "reports.json").exists()
+
+
+def test_pool_is_capped_at_the_case_count(tmp_path, monkeypatch):
+    opened = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = ScenarioConfig.from_dict({**SYNTHETIC,
+                                    "parameters": {"cases": [[12.0, 0.2], [12.0, 0.4]]},
+                                    "integration": {"steps_per_period": 500, "periods": 10}})
+    assert len(run_scenario(cfg, workers=4)) == 2
+    assert opened == [2]
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_scenario(cfg, workers=workers)
+    assert opened == [2]
+
+
+@pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-3"], ["--workers=-3"],
+                                   ["--workers", "2.5"]])
+def test_cli_workers_below_one_is_a_usage_error(flags, tmp_path, capsys, monkeypatch):
+    def no_case(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(runner, "_execute_case", no_case)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        _sweep(SYNTHETIC, tmp_path, out, *flags)
+    assert exited.value.code == 2
+    assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_python_m_twistlab_runs_without_warnings():
