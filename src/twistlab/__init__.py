@@ -17,10 +17,9 @@ from .dynamics import (Gains, default_layer_width, regularized_field, saturation
                        twisting_action, twisting_law)
 from .integrator import (DivergenceError, IntegrationConfig, Trajectory,
                          detect_crossings, integrate, rk4_solve)
-from .plant import (DifferentiatorConfig, MotorModel, reconstruct_disturbance,
-                    robust_differentiate, simulate_motor_loop)
+from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
-                      bound_L, constant_speed_characterization, eval_d, eval_q)
+                      bound_L, constant_speed_characterization, eval_q)
 from .tuning import (AccuracySpec, InfeasibleSpecError, RegimeError,
                      check_averaged_conditions, cycle_width_bound,
                      finite_time_gains, optimize_gains, tight_bound_feasible,

@@ -89,8 +89,7 @@ class Trajectory:
     ``u`` holds the input actually applied to the plant (the inner
     super-twisting action for reduced-loop runs, the motor torque command
     for virtual-motor runs).  ``dt`` is the integration step, and so the
-    spacing of the records.  ``omega``, outside the canonical CSV schema,
-    holds the rotor speed of virtual-motor runs.
+    spacing of the records.
     """
 
     t: np.ndarray
@@ -100,7 +99,6 @@ class Trajectory:
     d: np.ndarray
     q: np.ndarray
     dt: float
-    omega: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = len(self.t)

@@ -3,9 +3,7 @@
 The rotor obeys J*domega/dt = u0 + d(omega, theta) with d from the
 friction-plus-cogging model; the speed error e = omega - omega_r is driven
 by the super-twisting law, whose output is mapped onto the rotor torque
-u0 = J*(u + domega_r/dt).  Sliding-mode
-differentiation then reconstructs d and its rate from the recorded signals
-alone, the same way one would on hardware where d is not measurable.
+u0 = J*(u + domega_r/dt).
 """
 
 from __future__ import annotations
@@ -20,13 +18,7 @@ from .dynamics import Gains, twisting_action, twisting_law
 from .integrator import DivergenceError, IntegrationConfig, Trajectory, rk4_solve
 from .signals import FrictionCoggingModel, MotionProfile
 
-__all__ = [
-    "MotorModel",
-    "DifferentiatorConfig",
-    "simulate_motor_loop",
-    "robust_differentiate",
-    "reconstruct_disturbance",
-]
+__all__ = ["MotorModel", "simulate_motor_loop"]
 
 
 @dataclass(frozen=True)
@@ -58,42 +50,18 @@ class MotorModel:
             raise ValueError(f"velocity_window must be at least 1, got {self.velocity_window}")
 
 
-@dataclass(frozen=True)
-class DifferentiatorConfig:
-    """Sliding-mode differentiator gains sized from a Lipschitz bound.
-
-    The bound :meth:`from_rate_bound` takes estimates the Lipschitz constant of
-    the derivative being recovered (a bound on the second derivative of the input).
-    """
-
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self) -> None:
-        if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
-            raise ValueError("differentiator gains must be positive")
-
-    @classmethod
-    def from_rate_bound(cls, rate_bound: float) -> "DifferentiatorConfig":
-        """Standard sizing: lambda1 = 1.5*sqrt(C), lambda2 = 1.1*C."""
-        if rate_bound <= 0.0:
-            raise ValueError(f"rate_bound must be positive, got {rate_bound}")
-        return cls(lambda1=1.5 * math.sqrt(rate_bound), lambda2=1.1 * rate_bound)
-
-
 def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                         cfg: IntegrationConfig, initial_error: float = 0.0,
                         initial_integral: float = 0.0,
                         rng: np.random.Generator | None = None) -> Trajectory:
     """Closed-loop run of the virtual motor; records the error as x1.
 
-    The trajectory's ``u`` channel holds the torque command u0 and its
-    ``omega`` the rotor speed, which :func:`reconstruct_disturbance`
-    consumes.  With the encoder and noise disabled (the baseline) the loop
-    is a continuous ODE; otherwise the controller runs in sampled mode on
-    the measured velocity with u0 held over each step.  In sampled mode the
-    recorded ``u`` and ``q`` are rebuilt after the run from the true error,
-    not from the measured error the controller acted on.
+    The trajectory's ``u`` channel holds the torque command u0.  With the
+    encoder and noise disabled (the baseline) the loop is a continuous ODE;
+    otherwise the controller runs in sampled mode on the measured velocity
+    with u0 held over each step.  In sampled mode the recorded ``u`` and
+    ``q`` are rebuilt after the run from the true error, not from the
+    measured error the controller acted on.
     """
     model = motor.friction_cogging
     J = motor.inertia
@@ -129,8 +97,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     omega_dot = (u0 + d) / J
     q = np.asarray(model.rate(omega, omega_dot, theta))
 
-    return Trajectory(t=times, x1=e, x2=z + d / J, u=u0, d=d, q=q,
-                      dt=cfg.dt, omega=omega)
+    return Trajectory(t=times, x1=e, x2=z + d / J, u=u0, d=d, q=q, dt=cfg.dt)
 
 
 def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
@@ -205,51 +172,3 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
             raise DivergenceError(k * dt + dt)
         records.extend((theta, omega, z))
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
-
-
-def robust_differentiate(samples: np.ndarray, dt: float,
-                         cfg: DifferentiatorConfig) -> np.ndarray:
-    """First-order sliding-mode differentiator over a uniformly sampled series.
-
-    Tracks the input with an internal observer and returns the derivative
-    estimate per sample; after the transient the error is tied to the
-    rate bound ``cfg`` was sized from and the sampling step.  Initialized
-    on the first sample with zero derivative.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D sample series")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    out = np.empty_like(x)
-    lam1, lam2 = cfg.lambda1, cfg.lambda2
-    z0 = float(x[0])
-    z1 = 0.0
-    sqrt = math.sqrt
-    for k in range(len(x)):
-        sigma = z0 - x[k]
-        sgn = 1.0 if sigma > 0.0 else (-1.0 if sigma < 0.0 else 0.0)
-        v = -lam1 * sqrt(abs(sigma)) * sgn + z1
-        out[k] = v
-        z0 += dt * v
-        z1 += dt * (-lam2 * sgn)
-    return out
-
-
-def reconstruct_disturbance(traj: Trajectory, motor: MotorModel,
-                            diff_cfg: DifferentiatorConfig,
-                            rate_diff_cfg: DifferentiatorConfig | None = None,
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the disturbance and its rate from recorded signals only.
-
-    d_hat = J * d/dt(omega) - u0 with the acceleration estimated by
-    :func:`robust_differentiate`; q_hat differentiates d_hat again.  The
-    second stage sees a rougher signal, so it accepts its own config
-    (defaults to ``diff_cfg``).
-    """
-    if traj.omega is None:
-        raise ValueError("trajectory does not carry motor velocity samples")
-    omega_dot_hat = robust_differentiate(traj.omega, traj.dt, diff_cfg)
-    d_hat = motor.inertia * omega_dot_hat - traj.u
-    q_hat = robust_differentiate(d_hat, traj.dt, rate_diff_cfg or diff_cfg)
-    return d_hat, q_hat

@@ -207,6 +207,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -576,20 +578,27 @@ def _cmd_table(args) -> int:
     path = Path(args.out) / "reports.json"
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: must hold a JSON object, got {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_VERSION:
-        print(f"unsupported reports schema in {path}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{path}: unsupported reports schema {payload.get('schema_version')!r}")
+    runs = payload.get("runs")
+    if not (isinstance(runs, list) and all(isinstance(run, dict) for run in runs)):
+        raise ValueError(f"{path}: runs must be a list of objects")
+    width = _number("a finite number >= 0", lambda v: v >= 0.0)
     reports, labels = [], []
-    for run in payload["runs"]:
+    for run in runs:
         if run.get("error") is not None or not run.get("converged"):
             continue
-        labels.append(run["label"])
-        reports.append(LimitCycleReport(
-            converged=True,
-            amplitude=run["amplitude"],
-            coarse_bound=run["coarse_bound"],
-            tight_bound=run.get("tight_bound"),
-        ))
+        measured = {}
+        for key in ("amplitude", "coarse_bound", "tight_bound"):
+            value = run.get(key)
+            try:
+                measured[key] = None if key == "tight_bound" and value is None else width(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: run {run.get('label')!r}: {key} {exc}") from None
+        labels.append(run.get("label"))
+        reports.append(LimitCycleReport(converged=True, **measured))
     print(bound_comparison_table(reports, labels).render())
     return 0
 

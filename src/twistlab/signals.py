@@ -19,7 +19,6 @@ __all__ = [
     "SinusoidPerturbation",
     "FrictionCoggingModel",
     "MotionProfile",
-    "eval_d",
     "eval_q",
     "bound_L",
     "constant_speed_characterization",
@@ -161,11 +160,6 @@ class MotionProfile:
             theta=lambda t: amp / w * np.sin(w * t),
             omega_dot=lambda t: -accel_peak * np.sin(w * t),
         )
-
-
-def eval_d(model: FrictionCoggingModel, profile: MotionProfile, t):
-    """Disturbance torque along a motion profile."""
-    return model.torque(profile.omega(t), profile.theta(t))
 
 
 def eval_q(model: FrictionCoggingModel, profile: MotionProfile, t):

@@ -1,6 +1,5 @@
 """Virtual-motor and differentiator tests."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +9,12 @@ from twistlab import plant
 from twistlab.analysis import estimate_period
 from twistlab.dynamics import Gains, default_layer_width, twisting_law
 from twistlab.integrator import IntegrationConfig, rk4_solve
-from twistlab.plant import (DifferentiatorConfig, MotorModel, _sampled_motor_loop,
-                            reconstruct_disturbance, robust_differentiate,
-                            simulate_motor_loop)
+from twistlab.plant import MotorModel, _sampled_motor_loop, simulate_motor_loop
 from twistlab.signals import (FrictionCoggingModel, MotionProfile,
                               constant_speed_characterization)
 from twistlab.tuning import finite_time_gains
+
+from _reconstruct import reconstruct_disturbance, robust_differentiate
 
 CALIBRATED = FrictionCoggingModel()
 QUIET = FrictionCoggingModel(coulomb=0.0, steepness=100.0, viscous=0.0, harmonics=())
@@ -37,36 +36,25 @@ def _run_with_states(monkeypatch, *args, **kwargs):
     return traj, states
 
 
-def test_differentiator_config_sizing():
-    cfg = DifferentiatorConfig.from_rate_bound(4.0)
-    assert cfg.lambda1 == pytest.approx(3.0)
-    assert cfg.lambda2 == pytest.approx(4.4)
-    with pytest.raises(ValueError):
-        DifferentiatorConfig.from_rate_bound(0.0)
-    with pytest.raises(ValueError):
-        DifferentiatorConfig(lambda1=0.0, lambda2=1.0)
-
-
 def test_robust_differentiate_sine():
     """Padded Lipschitz estimate: a thin margin over sup|d2f/dt2| tracks poorly."""
     dt = 1e-3
     t = np.arange(0.0, 3.0, dt)
-    out = robust_differentiate(np.sin(t), dt, DifferentiatorConfig.from_rate_bound(2.0))
+    out = robust_differentiate(np.sin(t), dt, 2.0)
     tail = t >= 1.0
     assert np.max(np.abs(out[tail] - np.cos(t[tail]))) < 1e-2
 
 
 def test_robust_differentiate_constant():
     dt = 1e-3
-    out = robust_differentiate(np.full(2000, 0.7), dt,
-                               DifferentiatorConfig.from_rate_bound(1.0))
+    out = robust_differentiate(np.full(2000, 0.7), dt, 1.0)
     assert np.max(np.abs(out[500:])) < 1e-3
 
 
 def test_robust_differentiate_ramp():
     dt = 1e-4
     t = np.arange(0.0, 2.0, dt)
-    out = robust_differentiate(2.0 * t, dt, DifferentiatorConfig.from_rate_bound(4.0))
+    out = robust_differentiate(2.0 * t, dt, 4.0)
     assert np.max(np.abs(out[len(t) // 2:] - 2.0)) < 1e-3
 
 
@@ -116,14 +104,24 @@ def test_motor_loop_sinusoidal_reference_periodicity():
 
 
 def test_motor_loop_records_consistent_channels(monkeypatch):
-    """x2 = integral state + d/J and u is the applied torque command."""
+    """x2 = integral state + d/J, and x1 plus the reference speed is the rotor speed."""
     motor = MotorModel(friction_cogging=CALIBRATED)
     reference = MotionProfile.constant_speed(18.0)
     gains = Gains(0.9, 11.65)
     cfg = IntegrationConfig.for_period(2 * math.pi / 18.0, 2000, 12)
     traj, states = _run_with_states(monkeypatch, motor, reference, gains, cfg)
     assert np.allclose(traj.x2, states[:, 2] + traj.d / motor.inertia)
-    assert np.allclose(traj.x1, traj.omega - 18.0)
+    assert (traj.x1 + 18.0).tobytes() == states[:, 1].tobytes()
+
+    # x1 = fl(omega - omega_r), so adding omega_r back rounds twice: within half
+    # an ulp of x1 plus half an ulp of omega (0 on this run, as at constant speed)
+    reference = MotionProfile.sinusoidal_velocity(4.0)
+    cfg = IntegrationConfig.for_period(0.25, 400, 2)
+    traj, states = _run_with_states(monkeypatch, MotorModel(friction_cogging=GENTLE),
+                                    reference, Gains(0.9, 19.65), cfg)
+    omega = states[:, 1]
+    tolerance = 0.5 * (np.spacing(np.abs(traj.x1)) + np.spacing(np.abs(omega)))
+    assert np.all(np.abs(traj.x1 + reference.omega(traj.t) - omega) <= tolerance)
 
 
 def test_motor_loop_torque_is_law_plus_reference_acceleration(monkeypatch):
@@ -227,10 +225,7 @@ def test_reconstruct_disturbance_accuracy():
     _, T = constant_speed_characterization(CALIBRATED, 18.0)
     cfg = IntegrationConfig.for_period(T, 2000, 20)
     traj = simulate_motor_loop(motor, reference, gains, cfg)
-    d_hat, q_hat = reconstruct_disturbance(
-        traj, motor,
-        DifferentiatorConfig.from_rate_bound(50.0),
-        DifferentiatorConfig.from_rate_bound(200.0))
+    d_hat, q_hat = reconstruct_disturbance(traj, traj.x1 + 18.0, motor.inertia, 50.0, 200.0)
     skip = len(traj) // 4
     err = d_hat[skip:] - traj.d[skip:]
     rel_rms = math.sqrt(np.mean(err ** 2) / np.mean(traj.d[skip:] ** 2))
@@ -246,22 +241,8 @@ def test_reconstruct_zero_perturbation():
     gains = finite_time_gains(5.0, 1.1)
     cfg = IntegrationConfig.for_period(2 * math.pi / 10.0, 2000, 10)
     traj = simulate_motor_loop(motor, reference, gains, cfg, initial_error=0.1)
-    d_hat, _ = reconstruct_disturbance(traj, motor,
-                                       DifferentiatorConfig.from_rate_bound(10.0))
+    d_hat, _ = reconstruct_disturbance(traj, traj.x1 + 10.0, motor.inertia, 10.0)
     assert np.max(np.abs(d_hat[len(traj) // 2:])) < 0.05
-    # a record without rotor speed samples (e.g. a reduced-loop run) is rejected
-    with pytest.raises(ValueError, match="velocity"):
-        reconstruct_disturbance(dataclasses.replace(traj, omega=None), motor,
-                                DifferentiatorConfig.from_rate_bound(10.0))
-
-
-def test_reconstruct_requires_motor_channels():
-    from twistlab.integrator import integrate
-    cfg = IntegrationConfig(dt=1e-3, t_end=0.1)
-    traj = integrate(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
-    with pytest.raises(ValueError):
-        reconstruct_disturbance(traj, MotorModel(),
-                                DifferentiatorConfig.from_rate_bound(1.0))
 
 
 def test_motor_model_validation():

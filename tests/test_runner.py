@@ -578,6 +578,29 @@ def test_cli_simulate_and_table(tmp_path, capsys):
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
 
 
+def test_cli_table_rejects_malformed_reports(tmp_path, capsys):
+    """A reports.json of the wrong shape is an error naming the file, not a traceback."""
+    run = {"label": "L12_T0.2", "error": None, "converged": True, "amplitude": 0.01,
+           "coarse_bound": 0.02, "tight_bound": None}
+    path = tmp_path / "reports.json"
+    for payload, detail in (
+        ([], "must hold a JSON object, got list"),
+        ({"schema_version": SCHEMA_VERSION, "runs": {"L12_T0.2": run}}, "runs must be a list"),
+        ({"schema_version": SCHEMA_VERSION, "runs": [{**run, "amplitude": "0.01"}]},
+         "run 'L12_T0.2': amplitude must be a finite number >= 0, got '0.01'"),
+        ({"schema_version": SCHEMA_VERSION, "runs": [{**run, "coarse_bound": "0.02"}]},
+         "run 'L12_T0.2': coarse_bound must be a finite number >= 0, got '0.02'"),
+    ):
+        path.write_text(json.dumps(payload))
+        assert main(["table", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {detail}")
+        assert captured.out == ""
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "runs": [run]}))
+    assert main(["table", "--out", str(tmp_path)]) == 0
+    assert "L12_T0.2" in capsys.readouterr().out
+
+
 def test_cli_sweep_exit_code_on_failure(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({
@@ -604,6 +627,19 @@ def test_cli_tune(tmp_path, capsys):
 
 def test_cli_bad_config_path():
     assert main(["simulate", "--config", "/nonexistent/cfg.json"]) == 1
+
+
+def test_cli_config_that_is_not_an_object_exits_1(tmp_path, capsys, monkeypatch):
+    def no_case(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(runner, "_execute_case", no_case)
+    path = tmp_path / "cfg.json"
+    for text, kind in (("5", "int"), ("[1]", "list"), ("null", "NoneType"), ('"abc"', "str")):
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: config must be a JSON object, got {kind}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [

