@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -39,7 +40,17 @@ __all__ = ["SCHEMA_VERSION", "ScenarioConfig", "RunResult", "run_scenario",
 
 SCHEMA_VERSION = 1
 
+
+def _is_schema(version) -> bool:
+    """Whether a stored ``schema_version`` is ``SCHEMA_VERSION``, given as an integer."""
+    return type(version) is int and version == SCHEMA_VERSION
+
+
 SCENARIOS = ("constant_speed", "sinusoidal_velocity", "synthetic_q")
+
+#: The files a sweep writes beside its run directories.
+SWEEP_FILES = ("bounds.csv", "scaling.csv", "summary.txt", "reports.json")
+
 
 def _number(what: str, ok=lambda v: True, kind=float):
     """Check: a finite number passing ``ok``, kept as ``kind`` (an int must be given as one)."""
@@ -211,7 +222,7 @@ class ScenarioConfig:
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         version = data.pop("schema_version", None)
-        if version != SCHEMA_VERSION:
+        if not _is_schema(version):
             raise ValueError(f"config schema_version {version!r} is not {SCHEMA_VERSION}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
@@ -254,11 +265,14 @@ class RunResult:
     error: str | None = None
 
     @property
+    def converged(self) -> bool:
+        """Ran without an execution error and its limit cycle converged."""
+        return self.error is None and self.report is not None and self.report.converged
+
+    @property
     def ok(self) -> bool:
-        """Converged, bound satisfied, and no execution error."""
-        return (self.error is None and self.report is not None
-                and self.report.converged
-                and self.report.amplitude <= self.report.coarse_bound)
+        """Converged and the bound satisfied."""
+        return self.converged and self.report.amplitude <= self.report.coarse_bound
 
 
 def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gains:
@@ -337,29 +351,44 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int, out_dir=None) -> 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1, out_dir=None) -> list[RunResult]:
     """Execute every parameter case on ``min(workers, len(cfg.cases))`` processes.
 
-    Failures are recorded per run.  With ``out_dir``, each run's directory is
-    written by the process that ran it, and the results carry no trajectories;
-    ``emit_outputs`` then writes the sweep-level files.
+    Failures are recorded per run.  With ``out_dir``, this is the whole sweep
+    into it: the previous sweep there is retired before the first case, each
+    run's directory is written by the process that ran it (its result keeps no
+    trajectory), and ``emit_outputs`` writes the sweep-level files last.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if out_dir is not None:
+        _retire_previous_sweep(Path(out_dir), {case["label"] for case in cfg.cases})
     workers = min(workers, len(cfg.cases))
     if workers == 1:
-        return [_execute_case(cfg, case, i, out_dir) for i, case in enumerate(cfg.cases)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_case, cfg, case, i, out_dir)
-                   for i, case in enumerate(cfg.cases)]
-        return [f.result() for f in futures]
+        results = [_execute_case(cfg, case, i, out_dir) for i, case in enumerate(cfg.cases)]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_execute_case, cfg, case, i, out_dir)
+                       for i, case in enumerate(cfg.cases)]
+            results = [f.result() for f in futures]
+    if out_dir is not None:
+        emit_outputs(results, out_dir)
+    return results
 
 
 def _atomic_write(path: Path, content) -> None:
-    """Write text, or an object through its ``to_csv``, to a temp file renamed to ``path``."""
+    """Write text, or an object through its ``to_csv``, to a temp file renamed to ``path``.
+
+    On failure the temp file is removed and the error re-raised.
+    """
     tmp = path.with_name(f".{path.name}.tmp")
-    if isinstance(content, str):
-        tmp.write_text(content, encoding="utf-8")
-    else:
-        content.to_csv(tmp)
-    os.replace(tmp, path)
+    try:
+        if isinstance(content, str):
+            tmp.write_text(content, encoding="utf-8")
+        else:
+            content.to_csv(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _phase_csv(traj: Trajectory, period: float, gains: Gains) -> str:
@@ -373,12 +402,6 @@ def _phase_csv(traj: Trajectory, period: float, gains: Gains) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scaling_points(results: list[RunResult]) -> list[tuple[float, float]]:
-    return [(r.period, r.report.amplitude) for r in results
-            if r.error is None and r.report is not None and r.report.converged
-            and r.report.amplitude > 0.0]
-
-
 def _emit_run(result: RunResult, out: Path) -> None:
     """Write one run's directory: its trajectory and, once converged, its phase plot."""
     run_dir = out / result.label
@@ -387,43 +410,25 @@ def _emit_run(result: RunResult, out: Path) -> None:
         (run_dir / name).unlink(missing_ok=True)
     if result.trajectory is not None:
         _atomic_write(run_dir / "trajectory.csv", result.trajectory)
-        if result.report is not None and result.report.converged:
+        if result.converged:
             _atomic_write(run_dir / "phase.csv",
                           _phase_csv(result.trajectory, result.period, result.gains))
 
 
-def emit_outputs(results: list[RunResult], out_dir) -> dict:
-    """Write per-run CSVs plus sweep-level tables; returns a small summary dict.
-
-    A result with neither a trajectory nor an error was written where it ran
-    (``run_scenario(..., out_dir=)``), so its run directory is left as it is.
-    Run directories that an earlier sweep's ``reports.json`` in ``out_dir``
-    lists, and that this sweep does not contain, are removed; nothing else
-    in ``out_dir`` is touched.
-    """
+def emit_outputs(results: list[RunResult], out_dir) -> None:
+    """Write the sweep-level files (``SWEEP_FILES``) of ``results`` into ``out_dir``."""
     if not results:
         raise ValueError("no results to emit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    labels = {r.label for r in results}
-    for label in _previous_labels(out) - labels:
-        run_dir = out / label
-        if label != ".." and run_dir.name == label and run_dir.is_dir():  # a child of out
-            shutil.rmtree(run_dir)
-
-    for r in results:
-        if r.trajectory is not None or r.error is not None:
-            _emit_run(r, out)
-
-    converged = [r for r in results if r.error is None and r.report is not None
-                 and r.report.converged]
+    converged = [r for r in results if r.converged]
     table = bound_comparison_table([r.report for r in converged],
                                    [r.label for r in converged])
     _atomic_write(out / "bounds.csv", table)
 
     fit = None
-    points = _scaling_points(results)
+    points = [(r.period, r.report.amplitude) for r in converged if r.report.amplitude > 0.0]
     lines = ["period,amplitude"]
     lines.extend(f"{T!r},{amp!r}" for T, amp in points)
     if len(points) >= 4:
@@ -435,16 +440,22 @@ def emit_outputs(results: list[RunResult], out_dir) -> dict:
     _atomic_write(out / "summary.txt", summary)
 
     _atomic_write(out / "reports.json", json.dumps(_reports_payload(results), indent=2) + "\n")
-    return {"converged": len(converged), "total": len(results), "fit": fit}
 
 
-def _previous_labels(out: Path) -> set[str]:
-    """Run labels listed in an earlier sweep's ``reports.json`` in ``out``, if any."""
+def _retire_previous_sweep(out: Path, labels: set[str]) -> None:
+    """Remove the run directories that ``out``'s ``reports.json`` lists and ``labels``
+    lacks, then the sweep-level files, so no verdict outlives the runs it describes."""
     try:
         payload = json.loads((out / "reports.json").read_text(encoding="utf-8"))
-        return {run["label"] for run in payload["runs"] if isinstance(run["label"], str)}
+        previous = {run["label"] for run in payload["runs"] if isinstance(run["label"], str)}
     except (OSError, ValueError, KeyError, TypeError):
-        return set()
+        previous = set()
+    for label in previous - labels:
+        run_dir = out / label
+        if label != ".." and run_dir.name == label and run_dir.is_dir():  # a child of out
+            shutil.rmtree(run_dir)
+    for name in SWEEP_FILES:
+        (out / name).unlink(missing_ok=True)
 
 
 def _reports_payload(results: list[RunResult]) -> dict:
@@ -528,8 +539,8 @@ def _cmd_run(args, single: bool) -> int:
         return 1
     results = run_scenario(cfg, workers=args.workers, out_dir=args.out or None)
     if args.out:
-        info = emit_outputs(results, args.out)
-        print(f"{info['converged']}/{info['total']} runs converged; outputs in {args.out}")
+        converged = sum(r.converged for r in results)
+        print(f"{converged}/{len(results)} runs converged; outputs in {args.out}")
     else:
         print(_summary_text(results, None), end="")
     return 0 if all(r.ok for r in results) else 2
@@ -580,7 +591,7 @@ def _cmd_table(args) -> int:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: must hold a JSON object, got {type(payload).__name__}")
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    if not _is_schema(payload.get("schema_version")):
         raise ValueError(f"{path}: unsupported reports schema {payload.get('schema_version')!r}")
     runs = payload.get("runs")
     if not (isinstance(runs, list) and all(isinstance(run, dict) for run in runs)):

@@ -206,3 +206,35 @@ def test_criterion_8_numerics():
         )
         assert mismatch <= 10 * tol, f"lambda={lam}: {mismatch} > {10 * tol}"
     _report_line("8 numerics", f"order ratios {ratios[0]:.2f}/{ratios[1]:.2f}")
+
+
+def test_criterion_8_forced_loop_homogeneity():
+    """The forced loop run with (L, lambda*T, lambda^2*delta, (lambda^2*x1, lambda*x2)) is the
+    base run stretched in time by lambda: channels t, x1, x2, u, d, q carry weights
+    1, 2, 1, 1, 1, 0, and for powers of two the match is exact."""
+    L, T, delta, (x1, x2) = 12.0, 0.3, 1e-4, (0.01, -0.2)
+
+    def run(lam):
+        cfg = tl.ScenarioConfig.from_dict({
+            "schema_version": 1,
+            "scenario": "synthetic_q",
+            "parameters": {"cases": [[L, lam * T]], "phase": 0.3},
+            "gains": {"source": "explicit", "k1": 3.6, "k2": 6.0, "delta": lam ** 2 * delta},
+            "initial": {"x1": lam ** 2 * x1, "x2": lam * x2},
+            "integration": {"steps_per_period": 1000, "periods": 12},
+        })
+        (result,) = tl.run_scenario(cfg)
+        assert result.error is None
+        return result
+
+    base = run(1.0)
+    weights = {"t": 1, "x1": 2, "x2": 1, "u": 1, "d": 1, "q": 0}
+    for lam in (0.5, 2.0, 4.0):
+        scaled = run(lam)
+        for channel, weight in weights.items():
+            np.testing.assert_array_equal(getattr(scaled.trajectory, channel),
+                                          lam ** weight * getattr(base.trajectory, channel),
+                                          err_msg=f"lambda={lam}: {channel}")
+        assert scaled.report.amplitude == lam ** 2 * base.report.amplitude
+    _report_line("8 forced homogeneity",
+                 f"exact for lambda in (0.5, 2, 4); amplitude {base.report.amplitude:.4g}")

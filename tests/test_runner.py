@@ -4,8 +4,10 @@ import concurrent.futures
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,9 @@ def test_config_schema_validation():
         ScenarioConfig.from_dict({"scenario": "synthetic_q", "parameters": {}})
     with pytest.raises(ValueError):
         ScenarioConfig.from_dict({**SYNTHETIC, "schema_version": 2})
+    for version in (True, 1.0, "1"):  # only the integer 1 is schema 1
+        with pytest.raises(ValueError, match="schema_version"):
+            ScenarioConfig.from_dict({**SYNTHETIC, "schema_version": version})
     with pytest.raises(ValueError):
         ScenarioConfig.from_dict({**SYNTHETIC, "bogus": 1})
     with pytest.raises(ValueError):
@@ -251,17 +256,17 @@ def test_every_gains_key_is_read():
 
 def test_synthetic_sweep_and_outputs(tmp_path):
     cfg = ScenarioConfig.from_dict(SYNTHETIC)
-    results = run_scenario(cfg)
+    out = tmp_path / "sweep"
+    results = run_scenario(cfg, out_dir=out)
     assert [r.label for r in results] == ["L12_T0.1", "L12_T0.2", "L12_T0.4", "L12_T0.8"]
     assert all(r.ok for r in results)
     amplitudes = [r.report.amplitude for r in results]
     assert amplitudes == sorted(amplitudes)  # width grows with the period
 
-    out = tmp_path / "sweep"
-    info = emit_outputs(results, out)
-    assert info["converged"] == 4
-    exponent, _, r2 = info["fit"]
-    assert 1.6 <= exponent <= 2.4 and r2 >= 0.95
+    assert sum(r.converged for r in results) == 4
+    fit_line = (out / "scaling.csv").read_text().splitlines()[-1].removeprefix("# ")
+    fit = {key: float(value) for key, value in (item.split("=") for item in fit_line.split())}
+    assert 1.6 <= fit["exponent"] <= 2.4 and fit["r_squared"] >= 0.95
 
     for r in results:
         assert (out / r.label / "trajectory.csv").exists()
@@ -336,12 +341,12 @@ def test_emit_marks_failed_runs(tmp_path):
 def test_emit_removes_stale_per_run_files(tmp_path):
     """A run that fails on re-emission keeps none of its earlier files."""
     cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": [[12.0, 0.2]]}})
-    (good,) = run_scenario(cfg)
     out = tmp_path / "sweep"
-    emit_outputs([good], out)
+    (good,) = run_scenario(cfg, out_dir=out)
     assert sorted(p.name for p in (out / good.label).iterdir()) == ["phase.csv", "trajectory.csv"]
-    failed = RunResult(label=good.label, params={}, error="DivergenceError: boom")
-    emit_outputs([failed], out)
+    infeasible = {"source": "optimize", "k1_max": 250.0, "eta": 0.2}
+    (failed,) = run_scenario(replace(cfg, gains=infeasible), out_dir=out)
+    assert failed.label == good.label and failed.error is not None
     assert list((out / good.label).iterdir()) == []
 
 
@@ -350,7 +355,7 @@ def test_emit_removes_run_dirs_absent_from_new_sweep(tmp_path):
     out = tmp_path / "sweep"
     for case in ([12.0, 0.2], [12.0, 0.4]):
         cfg = ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": [case]}})
-        emit_outputs(run_scenario(cfg), out)
+        run_scenario(cfg, out_dir=out)
         (out / "notes").mkdir(exist_ok=True)
     assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["L12_T0.4", "notes"]
     labels = [run["label"] for run in json.loads((out / "reports.json").read_text())["runs"]]
@@ -419,6 +424,45 @@ def test_write_error_in_a_worker_is_an_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "wr23" in err
     assert not (out / "reports.json").exists()
+
+
+def test_write_error_leaves_no_verdict_of_the_previous_sweep(tmp_path, capsys):
+    """A re-sweep stopped by a write error leaves none of the previous sweep's files
+    that vouch for runs it has since overwritten."""
+    out = tmp_path / "out"
+    explicit = {**MIXED_OUTCOMES, "gains": {"source": "explicit", "k1": 0.9, "k2": 11.65}}
+    assert _sweep(explicit, tmp_path, out) == 2
+    (wr12, _, _) = json.loads((out / "reports.json").read_text())["runs"]
+    assert wr12["label"] == "wr12" and wr12["converged"] and wr12["error"] is None
+    shutil.rmtree(out / "wr23")
+    (out / "wr23").write_text("not a directory")
+    assert _sweep(MIXED_OUTCOMES, tmp_path, out, "--workers", "2") == 1
+    assert list((out / "wr12").iterdir()) == []  # wr12 now fails and keeps no file
+    for name in ("reports.json", "bounds.csv", "scaling.csv", "summary.txt"):
+        assert not (out / name).exists(), name
+    capsys.readouterr()
+    assert main(["table", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    class FailingCsv:
+        def to_csv(self, path):
+            Path(path).write_text("t,x1\n0.0,")
+            raise OSError("disk full")
+
+    direct = tmp_path / "direct"
+    (direct / "bounds.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):  # the rename fails
+        runner._atomic_write(direct / "bounds.csv", "label\n")
+    with pytest.raises(OSError, match="disk full"):  # the write fails
+        runner._atomic_write(direct / "trajectory.csv", FailingCsv())
+    assert [p.name for p in direct.iterdir()] == ["bounds.csv"]
+
+    out = tmp_path / "out"
+    (out / "bounds.csv").mkdir(parents=True)
+    assert _sweep({**SYNTHETIC, "parameters": {"cases": [[12.0, 0.2]]}}, tmp_path, out) == 1
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_pool_is_capped_at_the_case_count(tmp_path, monkeypatch):
@@ -554,8 +598,8 @@ def test_round_trip_identical_outputs(tmp_path):
                                     "parameters": {"cases": [[12.0, 0.2]]},
                                     "integration": {"steps_per_period": 2000, "periods": 15}})
     first, second = tmp_path / "a", tmp_path / "b"
-    emit_outputs(run_scenario(cfg), first)
-    emit_outputs(run_scenario(cfg), second)
+    run_scenario(cfg, out_dir=first)
+    run_scenario(cfg, out_dir=second)
     for name in ("L12_T0.2/trajectory.csv", "L12_T0.2/phase.csv", "bounds.csv", "scaling.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -585,6 +629,8 @@ def test_cli_table_rejects_malformed_reports(tmp_path, capsys):
     path = tmp_path / "reports.json"
     for payload, detail in (
         ([], "must hold a JSON object, got list"),
+        ({"schema_version": True, "runs": [run]}, "unsupported reports schema True"),
+        ({"schema_version": 1.0, "runs": [run]}, "unsupported reports schema 1.0"),
         ({"schema_version": SCHEMA_VERSION, "runs": {"L12_T0.2": run}}, "runs must be a list"),
         ({"schema_version": SCHEMA_VERSION, "runs": [{**run, "amplitude": "0.01"}]},
          "run 'L12_T0.2': amplitude must be a finite number >= 0, got '0.01'"),
