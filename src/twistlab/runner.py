@@ -83,17 +83,17 @@ def _case(entry) -> tuple[float, float]:
     """A ``synthetic_q`` case ``[L, T]``, as (L, T)."""
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ValueError(f"must be [L, T], got {entry!r}")
-    return _finite(entry[0]), _positive(entry[1])
+    return _nonnegative(entry[0]), _positive(entry[1])
 
 
 _finite = _number("a finite number")
+_nonnegative = _number("a finite number >= 0", lambda v: v >= 0.0)
 _positive = _number("a finite number > 0", lambda v: v > 0.0)
 _count = _number("an integer >= 1", lambda v: v >= 1, int)
 
 # Rows that more than one section or gains source reads.
 _N = (0.5, _number("a number in (0, 0.5]", lambda v: 0.0 < v <= 0.5))
 _MARGIN = (1.1, _number("a finite number > 1", lambda v: v > 1.0))
-_OBJECTIVE = ("k2", _one_of("k1", "k2"))
 _DELTA = (DEFAULT_DELTA, _positive)
 _ZERO = (0.0, _finite)
 # the motor scenarios' rows; the models, which loading builds, check the ranges
@@ -119,7 +119,7 @@ CONFIG_TABLE = {
         "explicit": {"k1": _positive, "k2": _positive, "delta": _DELTA},
         "finite_time": {"margin": _MARGIN, "rate_bound": (None, _positive), "delta": _DELTA},
         "tune_k2": {"k1": _positive, "eta": _positive, "n": _N, "delta": (None, _positive)},
-        "optimize": {"k1_max": _positive, "eta": _positive, "n": _N, "objective": _OBJECTIVE},
+        "optimize": {"k1_max": _positive, "eta": _positive, "n": _N},
     },
     "parameters": {
         "constant_speed": {"omega_r": _each(_number("a finite nonzero number", lambda v: v != 0))},
@@ -130,8 +130,7 @@ CONFIG_TABLE = {
                 "sinusoidal_velocity": {"error": _ZERO, "integral": _ZERO},
                 "synthetic_q": {"x1": _ZERO, "x2": _ZERO}},
     "tuning": {"rate_bound": _positive, "period": _positive, "eta": _positive, "n": _N,
-               "margin": _MARGIN, "k1": (None, _positive), "k1_max": (None, _positive),
-               "objective": _OBJECTIVE},
+               "margin": _MARGIN, "k1": (None, _positive), "k1_max": (None, _positive)},
 }
 
 
@@ -287,7 +286,7 @@ def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gai
     if g["source"] == "tune_k2":
         delta = default_layer_width(g["eta"]) if g["delta"] is None else g["delta"]
         return Gains(k1=g["k1"], k2=tune_k2(g["k1"], accuracy), delta=delta)
-    return optimize_gains(accuracy, k1_max=g["k1_max"], objective=g["objective"])
+    return optimize_gains(accuracy, k1_max=g["k1_max"])
 
 
 def _fast_sinusoid_rate(pert: SinusoidPerturbation):
@@ -576,9 +575,8 @@ def _cmd_tune(args) -> int:
             status = 2
     if t["k1_max"] is not None:
         try:
-            g = optimize_gains(spec, k1_max=t["k1_max"], objective=t["objective"])
-            print(f"optimized (objective {t['objective']}): "
-                  f"k1={g.k1:.6g} k2={g.k2:.6g} delta={g.delta:g}")
+            g = optimize_gains(spec, k1_max=t["k1_max"])
+            print(f"optimized: k1={g.k1:.6g} k2={g.k2:.6g} delta={g.delta:g}")
         except InfeasibleSpecError as exc:
             print(f"optimizer: infeasible ({exc})")
             status = 2
@@ -596,7 +594,6 @@ def _cmd_table(args) -> int:
     runs = payload.get("runs")
     if not (isinstance(runs, list) and all(isinstance(run, dict) for run in runs)):
         raise ValueError(f"{path}: runs must be a list of objects")
-    width = _number("a finite number >= 0", lambda v: v >= 0.0)
     reports, labels = [], []
     for run in runs:
         if run.get("error") is not None or not run.get("converged"):
@@ -605,7 +602,8 @@ def _cmd_table(args) -> int:
         for key in ("amplitude", "coarse_bound", "tight_bound"):
             value = run.get(key)
             try:
-                measured[key] = None if key == "tight_bound" and value is None else width(value)
+                measured[key] = (None if key == "tight_bound" and value is None
+                                 else _nonnegative(value))
             except ValueError as exc:
                 raise ValueError(f"{path}: run {run.get('label')!r}: {key} {exc}") from None
         labels.append(run.get("label"))

@@ -75,13 +75,16 @@ class FrictionCoggingModel:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if self.steepness == 0.0:
             raise ValueError("steepness must be positive, got 0")
+
+        def number(v):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise ValueError
+            return float(v)
         try:
-            harmonics = tuple((float(a), float(p)) for a, p in self.harmonics)
+            harmonics = tuple((number(a), number(p)) for a, p in self.harmonics)
         except (TypeError, ValueError):
-            raise ValueError(f"harmonics must be (amplitude, phase) number pairs, "
+            raise ValueError(f"harmonics must be (amplitude, phase) pairs of finite numbers, "
                              f"got {self.harmonics!r}") from None
-        if not all(math.isfinite(v) for pair in harmonics for v in pair):
-            raise ValueError(f"harmonics must be finite, got {self.harmonics!r}")
         object.__setattr__(self, "harmonics", harmonics)
 
     @property

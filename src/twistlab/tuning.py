@@ -139,12 +139,11 @@ def tune_k2(k1: float, spec: AccuracySpec) -> float:
         k2 = L - sqrt(eta) * k1^2 / (2*sqrt(eta) + k1*n*T)
 
     Closed form of the tight-bound inversion used in the actuator-limited
-    workflow (cap k1, solve for k2).  The tight bound evaluated at the
-    returned pair comes out as eta * k1^2, so the result meets the spec with
-    margin whenever k1 <= 1; for larger k1 verify with
-    :func:`tight_width_bound` or use :func:`optimize_gains`, which re-checks
-    the bound explicitly.  Callers should also re-verify
-    :func:`tight_bound_feasible` and k2 > 0.
+    workflow (cap k1, solve for k2).  At the returned pair the k1 premise
+    holds for any k1 > 0, since k1^2 - 2*(L - k2) = k1^3*n*T / (2*sqrt(eta)
+    + k1*n*T), and the tight bound equals eta * k1^2: within the spec for
+    k1 <= 1 (with zero margin at k1 = 1), beyond it for k1 > 1.  k2 falls as
+    k1 rises or eta grows; raises :class:`InfeasibleSpecError` when k2 <= 0.
     """
     if k1 <= 0.0:
         raise ValueError(f"k1 must be positive, got {k1}")
@@ -153,74 +152,27 @@ def tune_k2(k1: float, spec: AccuracySpec) -> float:
     if k2 <= 0.0:
         raise InfeasibleSpecError(
             f"accuracy eta={spec.eta} with k1={k1} needs k2={k2:.6g} <= 0; "
-            "raise k1 or relax the spec"
+            "lower k1 or tighten eta"
         )
     return k2
 
 
-def _feasible_pair(k1: float, spec: AccuracySpec) -> tuple[float, float] | None:
-    """k2 and the tight bound for one k1 candidate, or None when infeasible."""
-    try:
-        k2 = tune_k2(k1, spec)
-    except InfeasibleSpecError:
-        return None
-    if spec.rate_bound <= k2:
-        return None
-    if not tight_bound_feasible(k1, k2, spec.rate_bound):
-        return None
-    bound = tight_width_bound(k1, k2, spec.rate_bound, spec.n, spec.period)
-    if bound > spec.eta * (1.0 + 1e-12):
-        return None
-    return k2, bound
+def optimize_gains(spec: AccuracySpec, k1_max: float) -> Gains:
+    """The least integral gain k2, with k1 <= k1_max, whose tight width bound meets eta.
 
-
-def optimize_gains(spec: AccuracySpec, k1_max: float, objective: str = "k2") -> Gains:
-    """Deterministic grid-plus-refinement gain search against an accuracy spec.
-
-    Candidates are k1 values in (0, k1_max]; each gets its k2 from
-    :func:`tune_k2` and survives only if the tight width bound holds at or
-    below eta with k2 > 0 in the under-tuned regime.
-
-    ``objective`` selects what to minimize among survivors:
-
-    * ``"k2"`` (default): smallest integral gain, i.e. least switching
-      aggressiveness.  Since k2 falls as k1 rises, this drives k1 to the
-      actuation cap, matching the cap-k1-solve-k2 workflow.
-    * ``"k1"``: smallest sqrt-term gain, i.e. least proportional actuation.
-
-    Ties break toward smaller k1, then smaller k2.  Raises
-    :class:`InfeasibleSpecError` when no candidate survives.
+    Along :func:`tune_k2` the tight bound is eta * k1^2 and k2 falls as k1
+    rises, so the least k2 sits at k1 = min(k1_max, 1).  At k1 = 1 the bound
+    equals eta with zero margin, and rounding of L - k2 can read it slightly
+    above eta (about 2e-12 relative at L = 25, more at larger L).  Raises
+    :class:`InfeasibleSpecError` when k2 <= 0 there: k2 then falls towards 0
+    as k1 rises to the root of k2(k1) = 0, and no least k2 exists.
     """
-    if k1_max <= 0.0:
+    if not k1_max > 0.0:
         raise ValueError(f"k1_max must be positive, got {k1_max}")
-    if objective not in ("k1", "k2"):
-        raise ValueError(f"unknown objective {objective!r}; expected 'k1' or 'k2'")
-    grid = 200
-
-    def search(lo: float, hi: float) -> tuple[float, float] | None:
-        best: tuple[float, float, float] | None = None  # (score, k1, k2)
-        for i in range(1, grid + 1):
-            k1 = lo + (hi - lo) * i / grid
-            if not 0.0 < k1 <= k1_max:
-                continue
-            pair = _feasible_pair(k1, spec)
-            if pair is None:
-                continue
-            k2, _ = pair
-            score = k1 if objective == "k1" else k2
-            if best is None or score < best[0] - 1e-15 or (
-                    abs(score - best[0]) <= 1e-15
-                    and (k1 < best[1] or (k1 == best[1] and k2 < best[2]))):
-                best = (score, k1, k2)
-        return None if best is None else (best[1], best[2])
-
-    coarse = search(0.0, k1_max)
-    if coarse is None:
+    k1 = min(k1_max, 1.0)
+    k2 = tune_k2(k1, spec)
+    if not (k2 < spec.rate_bound and tight_bound_feasible(k1, k2, spec.rate_bound)):
         raise InfeasibleSpecError(
-            f"no feasible (k1, k2) with k1 <= {k1_max} for eta={spec.eta}, "
-            f"L={spec.rate_bound}, T={spec.period}"
+            f"rounding breaks the k1 premise at k1={k1}, k2={k2!r}, L={spec.rate_bound}"
         )
-    cell = k1_max / grid
-    refined = search(max(0.0, coarse[0] - cell), min(k1_max, coarse[0] + cell))
-    k1, k2 = refined if refined is not None else coarse
     return Gains(k1=k1, k2=k2, delta=default_layer_width(spec.eta))

@@ -60,11 +60,13 @@ OUT_OF_RANGE = [
     ("perturbation", "coulomb", math.inf), ("perturbation", "coulomb", "0.4"),
     ("perturbation", "steepness", math.inf), ("perturbation", "steepness", 0),
     ("perturbation", "harmonics", [[math.nan, 0.0]]), ("perturbation", "harmonics", [[0.5]]),
+    ("perturbation", "harmonics", [["0.5", "0"]]), ("perturbation", "harmonics", [[True, 0]]),
     ("gains", "source", "optimise"), ("gains", "source", None), ("gains", "k1", 0),
     ("gains", "k1", "3.6"), ("gains", "k2", math.nan), ("gains", "k2", None),
     ("gains", "delta", -1e-5), ("gains", "objective", "zzz"), ("initial", "error", 0.1),
     ("initial", "x1", "abc"), ("parameters", "cases", [[math.nan, 0.3]]),
-    ("parameters", "cases", [[12, -0.3]]), ("integration", "periods", 5),
+    ("parameters", "cases", [[12, -0.3]]), ("parameters", "cases", [[-12, 0.2]]),
+    ("integration", "periods", 5),
     ("parameters", "cases", [{"rate_bound": 12.0, "period": 0.2}]),
 ]
 
@@ -84,12 +86,12 @@ BAD_SECTIONS = [
     ("gains", {"source": "tune_k2", "eta": 0.2}, "gains.k1"),
     ("gains", {"source": "optimize", "eta": 0.2}, "gains.k1_max"),
     ("gains", {"source": "finite_time", "margin": -1}, "gains.margin"),
-    ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "objective": "k3"},
+    ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "objective": "k2"},
      "gains.objective"),
     ("tuning", {**TUNING, "eta": -1}, "tuning.eta"),
     ("tuning", {"rate_bound": 12.0, "period": 0.3125}, "tuning.eta"),
     ("tuning", {**TUNING, "k1_max": 0}, "tuning.k1_max"),
-    ("tuning", {**TUNING, "objective": "k3"}, "tuning.objective"),
+    ("tuning", {**TUNING, "objective": "k2"}, "tuning.objective"),
 ]
 
 
@@ -237,7 +239,7 @@ GAINS_KEY_CHANGES = {
     "finite_time": ({}, {"margin": 1.5, "rate_bound": 20.0, "delta": 1e-5}),
     "tune_k2": ({"k1": 0.9, "eta": 0.2}, {"k1": 0.8, "eta": 0.1, "n": 0.25, "delta": 1e-5}),
     "optimize": ({"k1_max": 0.9, "eta": 0.2},
-                 {"k1_max": 0.8, "eta": 0.1, "n": 0.25, "objective": "k1"}),
+                 {"k1_max": 0.8, "eta": 0.1, "n": 0.25}),
 }
 
 
@@ -314,11 +316,15 @@ def test_gain_sources_finite_time_and_optimize():
     assert result.gains.k1 == pytest.approx(0.9)
 
 
+#: Gains that no synthetic case at L = 12 can resolve: k2 < 0 at k1 = 50.
+INFEASIBLE = {"source": "tune_k2", "k1": 50.0, "eta": 0.2}
+
+
 def test_failed_run_is_recorded_and_sweep_continues():
     cfg = ScenarioConfig.from_dict({
         **SYNTHETIC,
         "parameters": {"cases": [[12.0, 0.2], [12.0, 0.4]]},
-        "gains": {"source": "optimize", "k1_max": 250.0, "eta": 0.2},
+        "gains": INFEASIBLE,
     })
     results = run_scenario(cfg)
     assert len(results) == 2
@@ -344,8 +350,7 @@ def test_emit_removes_stale_per_run_files(tmp_path):
     out = tmp_path / "sweep"
     (good,) = run_scenario(cfg, out_dir=out)
     assert sorted(p.name for p in (out / good.label).iterdir()) == ["phase.csv", "trajectory.csv"]
-    infeasible = {"source": "optimize", "k1_max": 250.0, "eta": 0.2}
-    (failed,) = run_scenario(replace(cfg, gains=infeasible), out_dir=out)
+    (failed,) = run_scenario(replace(cfg, gains=INFEASIBLE), out_dir=out)
     assert failed.label == good.label and failed.error is not None
     assert list((out / good.label).iterdir()) == []
 
@@ -652,7 +657,7 @@ def test_cli_sweep_exit_code_on_failure(tmp_path):
     config_path.write_text(json.dumps({
         **SYNTHETIC,
         "parameters": {"cases": [[12.0, 0.2]]},
-        "gains": {"source": "optimize", "k1_max": 250.0, "eta": 0.2},
+        "gains": INFEASIBLE,
     }))
     assert main(["sweep", "--config", str(config_path),
                  "--out", str(tmp_path / "out")]) == 2
@@ -668,6 +673,7 @@ def test_cli_tune(tmp_path, capsys):
     assert main(["tune", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "k2=11.65" in out
+    assert "optimized: k1=0.9 k2=11.65 delta=" in out
     assert "finite-time gains" in out
 
 
