@@ -1,16 +1,16 @@
-"""The super-twisting control law and the closed-loop fields built on it.
+"""The super-twisting control law.
 
 The law is written once, in two forms: a scalar closure for the fixed-step
 RK4 loops and an array form for recorded channels.  Both are pure maps; the
 controller's integral state is owned by whoever integrates the loop, so they
-can be shared freely between workers.
+can be shared freely between workers.  ``integrator.integrate`` writes the
+scalar form out inline, in the same operation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "saturation",
     "twisting_law",
     "twisting_action",
-    "regularized_field",
 ]
 
 #: Fallback boundary-layer width when no accuracy target is active.
@@ -104,13 +103,3 @@ def twisting_action(x1, z, gains: Gains):
     :func:`twisting_law`.
     """
     return -gains.k1 * np.sqrt(np.abs(x1)) * saturation(x1, gains.delta) + z
-
-
-def regularized_field(gains: Gains, rate: Callable[[float], float]):
-    """Closed-loop field (t, (x1, x2)) -> (dx1, dx2) of the reduced loop.
-
-    dx1 = -k1*sqrt(|x1|)*sat(x1/delta) + x2
-    dx2 = -k2*sat(x1/delta) + q(t)
-    """
-    law = twisting_law(gains)
-    return lambda t, x: law(x[0], x[1], rate(t))

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import Gains
+
 __all__ = [
     "DivergenceError",
     "IntegrationConfig",
@@ -132,10 +134,11 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
     """Classical RK4 over ``n_steps`` fixed steps; returns (times, states) at every step.
 
     ``field(t, x)`` receives the state as a tuple and returns the derivative
-    tuple.  The step is written out on Python float locals for the two state
-    sizes the program integrates: 2 (the reduced loop ``(x1, x2)``) and 3
-    (the motor loop ``(theta, omega, z)``); any other size raises
-    ValueError.  The benchmark's traced run reports its cost per step as
+    tuple.  The step is written out on Python float locals for two state
+    sizes: 3 runs the continuous motor loop ``(theta, omega, z)``, and 2 is
+    the reference the tests hold :func:`integrate` and the sampled rotor
+    step to, bit for bit; any other size raises ValueError.  The
+    benchmark's traced run reports its cost per step as
     ``integrator.us_per_step``.  Raises :class:`DivergenceError` as soon as
     a component goes non-finite.
     """
@@ -180,9 +183,17 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, len(x))
 
 
-def integrate(field: Callable, x0, cfg: IntegrationConfig) -> Trajectory:
-    """Integrate a planar field from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
+def integrate(gains: Gains, rate: Callable[[float], float], x0,
+              cfg: IntegrationConfig) -> Trajectory:
+    """Integrate the reduced loop from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
 
+        dx1 = -k1*sqrt(|x1|)*s + x2
+        dx2 = -k2*s + rate(t),       s = sat(x1/delta)
+
+    The RK4 step is written out on Python float locals with the law inlined
+    in :func:`~twistlab.dynamics.twisting_law`'s operation order, so it is
+    bit for bit ``rk4_solve`` on that field; ``rate`` is read once per
+    stage time: at t, at t + dt/2 for both midpoint stages, and at t + dt.
     The ``u``, ``d`` and ``q`` channels are zero; a caller that knows them
     swaps them in with ``dataclasses.replace``.
     """
@@ -190,9 +201,63 @@ def integrate(field: Callable, x0, cfg: IntegrationConfig) -> Trajectory:
     if len(start) != 2:
         raise ValueError(f"integrate expects a planar state (x1, x2), got {len(start)} states")
 
-    times, states = rk4_solve(field, start, 0.0, cfg.dt, cfg.n_steps)
+    neg_k1, neg_k2, delta = -gains.k1, -gains.k2, gains.delta
+    dt, n_steps = cfg.dt, cfg.n_steps
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    sqrt = math.sqrt
+    isfinite = math.isfinite
+    times = np.arange(n_steps + 1) * dt
+    x1, x2 = start
+    records = array("d", start)
+    for k in range(n_steps):
+        t = k * dt
+
+        s = x1 / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        a1 = neg_k1 * sqrt(abs(x1)) * s + x2
+        a2 = neg_k2 * s + rate(t)
+
+        q_mid = rate(t + half)
+        y1, y2 = x1 + half * a1, x2 + half * a2
+        s = y1 / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        b1 = neg_k1 * sqrt(abs(y1)) * s + y2
+        b2 = neg_k2 * s + q_mid
+
+        y1, y2 = x1 + half * b1, x2 + half * b2
+        s = y1 / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        c1 = neg_k1 * sqrt(abs(y1)) * s + y2
+        c2 = neg_k2 * s + q_mid
+
+        y1, y2 = x1 + dt * c1, x2 + dt * c2
+        s = y1 / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        e1 = neg_k1 * sqrt(abs(y1)) * s + y2
+        e2 = neg_k2 * s + rate(t + dt)
+
+        x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
+        x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
+        if not (isfinite(x1) and isfinite(x2)):
+            raise DivergenceError(t + dt)
+        records.extend((x1, x2))
+
+    states = np.frombuffer(records, dtype=float)
     u, d, q = (np.zeros_like(times) for _ in range(3))
-    return Trajectory(t=times, x1=states[:, 0].copy(), x2=states[:, 1].copy(),
+    return Trajectory(t=times, x1=states[0::2].copy(), x2=states[1::2].copy(),
                       u=u, d=d, q=q, dt=cfg.dt)
 
 

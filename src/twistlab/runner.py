@@ -24,8 +24,7 @@ import numpy as np
 
 from .analysis import (MIN_STROBE_PERIODS, LimitCycleReport, bound_comparison_table,
                        build_report, scaling_fit)
-from .dynamics import (DEFAULT_DELTA, Gains, default_layer_width, regularized_field,
-                       twisting_action)
+from .dynamics import DEFAULT_DELTA, Gains, default_layer_width, twisting_action
 from .integrator import INTEGRATION_DEFAULTS, IntegrationConfig, Trajectory, integrate
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
@@ -209,6 +208,14 @@ class ScenarioConfig:
         else:
             self.cases = [{"label": f"L{L:g}_T{T:g}", "rate_bound": L, "period": T}
                           for L, T in params["cases"]]
+            # every source but explicit gains, or finite_time with its own rate_bound, tunes to L
+            gains = self.checked["gains"]
+            if gains["source"] != "explicit" and gains.get("rate_bound") is None:
+                for L, T in params["cases"]:
+                    if L == 0.0:
+                        raise ValueError(
+                            f"parameters.cases [{L:g}, {T:g}] has L = 0, which gains.source "
+                            f"{gains['source']!r} cannot tune to: it needs a rate bound > 0")
         labels = [case["label"] for case in self.cases]
         for i, label in enumerate(labels):
             if label in labels[:i]:
@@ -310,7 +317,7 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int, out_dir=None) -> 
             pert = SinusoidPerturbation(L, T, phase=params["phase"])
             gains = _resolve_gains(cfg, L, T)
             icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
-            traj = integrate(regularized_field(gains, _fast_sinusoid_rate(pert)),
+            traj = integrate(gains, _fast_sinusoid_rate(pert),
                              (initial["x1"], initial["x2"]), icfg)
             d = pert.d(traj.t)
             traj = replace(traj, u=twisting_action(traj.x1, traj.x2 - d, gains), d=d,

@@ -13,6 +13,7 @@ import pytest
 import twistlab as tl
 from twistlab.tuning import AccuracySpec, optimize_gains
 
+from _fields import loop_field
 from _reconstruct import reconstruct_disturbance
 
 ETA = 0.2
@@ -25,9 +26,8 @@ def _report_line(name: str, detail: str) -> None:
 
 def _synthetic_run(gains, rate_amplitude, period, periods=30, spp=2000, x0=(0.0, 0.0)):
     w = 2 * math.pi / period
-    field = tl.regularized_field(gains, lambda t: rate_amplitude * math.sin(w * t))
     cfg = tl.IntegrationConfig.for_period(period, spp, periods)
-    return tl.integrate(field, x0, cfg)
+    return tl.integrate(gains, lambda t: rate_amplitude * math.sin(w * t), x0, cfg)
 
 
 def test_criterion_1_gain_formulas():
@@ -132,7 +132,7 @@ def test_criterion_6_finite_time_regime():
         dt = period / 2000
         n_steps = int(math.ceil(5.0 / dt))
         cfg = tl.IntegrationConfig(dt=dt, t_end=n_steps * dt)
-        traj = tl.integrate(tl.regularized_field(gains, make_rate(w)), (1.0, 0.0), cfg)
+        traj = tl.integrate(gains, make_rate(w), (1.0, 0.0), cfg)
         inside = np.abs(traj.x1) <= 10 * gains.delta
         assert inside[-1], f"L={L}: not inside the neighborhood at the horizon"
         outside = np.nonzero(~inside)[0]
@@ -184,15 +184,15 @@ def test_criterion_8_numerics():
     dt = horizon / n
     base_delta = 1e-10
     zero_rate = lambda t: 0.0
-    _, base = tl.rk4_solve(tl.regularized_field(tl.Gains(k1, k2, base_delta), zero_rate),
+    _, base = tl.rk4_solve(loop_field(tl.Gains(k1, k2, base_delta), zero_rate),
                            (1.0, 0.0), 0.0, dt, n)
-    _, half_step = tl.rk4_solve(tl.regularized_field(tl.Gains(k1, k2, base_delta), zero_rate),
+    _, half_step = tl.rk4_solve(loop_field(tl.Gains(k1, k2, base_delta), zero_rate),
                                 (1.0, 0.0), 0.0, dt / 2, 2 * n)
     tol = np.max(np.abs(base - half_step[::2]))
     for lam in (0.5, 2.0):
         scaled_gains = tl.Gains(k1, k2, base_delta * lam ** 2)
         n_scaled = int(round(lam * n))
-        _, scaled = tl.rk4_solve(tl.regularized_field(scaled_gains, zero_rate),
+        _, scaled = tl.rk4_solve(loop_field(scaled_gains, zero_rate),
                                  (lam ** 2, 0.0), 0.0, dt, n_scaled)
         if lam == 2.0:
             idx_base = np.arange(0, n + 1)

@@ -10,8 +10,10 @@ from twistlab.analysis import (AperiodicSignalError, InsufficientDataError,
                                build_report, cycle_amplitude, default_tolerance,
                                estimate_period, scaling_fit,
                                stroboscopic_convergence)
-from twistlab.dynamics import Gains, regularized_field
+from twistlab.dynamics import Gains
 from twistlab.integrator import IntegrationConfig, Trajectory, integrate
+
+from _fields import solve_trajectory
 
 
 def _synthetic(period=0.25, periods=12, spp=200, amplitude=1.0, drift=0.0):
@@ -45,7 +47,7 @@ def test_stroboscopic_divergent_zero_gain_loop():
     T = 0.25
     w = 2 * math.pi / T
     cfg = IntegrationConfig.for_period(T, 200, 12)
-    traj = integrate(lambda t, x: (x[1], 1.0 + math.sin(w * t)), (0.0, 0.0), cfg)
+    traj = solve_trajectory(lambda t, x: (x[1], 1.0 + math.sin(w * t)), (0.0, 0.0), cfg)
     converged, start = stroboscopic_convergence(traj, T, tol=1e-3)
     assert not converged and start is None
 
@@ -150,8 +152,7 @@ def test_build_report_on_under_tuned_run():
     L, T = 12.0, 0.4
     w = 2 * math.pi / T
     cfg = IntegrationConfig.for_period(T, 2000, 25)
-    traj = integrate(regularized_field(gains, lambda t: L * math.sin(w * t)),
-                     (0.0, 0.0), cfg)
+    traj = integrate(gains, lambda t: L * math.sin(w * t), (0.0, 0.0), cfg)
     report = build_report(traj, T, L, gains)
     assert report.converged
     assert report.amplitude <= report.coarse_bound

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twistlab.dynamics import (Gains, default_layer_width, regularized_field,
-                               saturation, twisting_action, twisting_law)
+from twistlab.dynamics import (Gains, default_layer_width, saturation, twisting_action,
+                               twisting_law)
 from twistlab.integrator import IntegrationConfig, integrate
 
 GAINS = Gains(k1=0.9, k2=11.65, delta=1e-4)
@@ -193,8 +193,7 @@ def test_phase_state_consistency_along_trajectory():
     L, T = 12.0, 0.4
     w = 2 * math.pi / T
     cfg = IntegrationConfig.for_period(T, 4000, 20)
-    traj = integrate(regularized_field(gains, lambda t: L * math.sin(w * t)),
-                     (0.0, 0.0), cfg)
+    traj = integrate(gains, lambda t: L * math.sin(w * t), (0.0, 0.0), cfg)
     x1 = traj.x1
     w2 = twisting_action(x1, traj.x2, gains)
     dt = traj.dt

@@ -2,17 +2,24 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab import plant
-from twistlab.dynamics import Gains, regularized_field
+from twistlab.dynamics import Gains
 from twistlab.integrator import (DivergenceError, IntegrationConfig,
                                  Trajectory, detect_crossings, integrate,
                                  rk4_solve)
 from twistlab.plant import MotorModel, simulate_motor_loop
 from twistlab.signals import MotionProfile
+
+from _fields import loop_field, solve_trajectory
+
+PROPERTY = settings(derandomize=True, deadline=None)
 
 
 def _make_traj(t, x1):
@@ -94,7 +101,7 @@ def test_rk4_solve_matches_reference_on_the_reduced_loop():
     over = Gains(k1=9.04, k2=13.2, delta=1e-4)      # reaches the layer and stays in it
     under = Gains(k1=0.9, k2=6.0, delta=2e-3)       # limit cycle through a wide layer
     for gains, x0 in ((over, (1.0, 0.0)), (under, (0.0, 0.0))):
-        field = regularized_field(gains, rate)
+        field = loop_field(gains, rate)
         times, states = rk4_solve(field, x0, 0.0, T / 2000, 8000)
         assert np.count_nonzero(np.abs(states[:, 0]) < gains.delta) > 100
         _assert_matches_reference(field, x0, 0.0, T / 2000, 8000)
@@ -136,20 +143,73 @@ def test_rk4_solve_rejects_other_state_sizes():
         with pytest.raises(ValueError, match=f"got {len(x0)} states"):
             rk4_solve(lambda t, x: x, x0, 0.0, 1e-3, 10)
     with pytest.raises(ValueError, match="planar"):
-        integrate(lambda t, x: x, (1.0, 0.0, 0.0), IntegrationConfig(dt=1e-3, t_end=0.01))
+        integrate(Gains(1.0, 1.0), lambda t: 0.0, (1.0, 0.0, 0.0),
+                  IntegrationConfig(dt=1e-3, t_end=0.01))
+
+
+@PROPERTY
+@given(k1=st.floats(0.05, 10.0), k2=st.floats(0.05, 30.0), delta=st.floats(1e-6, 0.05),
+       in_layer=st.booleans(), x1_frac=st.floats(-1.0, 1.0), x2=st.floats(-5.0, 5.0),
+       amplitude=st.floats(0.0, 40.0), period=st.floats(0.05, 2.0),
+       phase=st.floats(-math.pi, math.pi), dt=st.floats(1e-5, 2e-3))
+def test_integrate_is_rk4_solve_on_the_loop_field(k1, k2, delta, in_layer, x1_frac, x2,
+                                                  amplitude, period, phase, dt):
+    """The written-out reduced loop equals rk4_solve on the law-built field, bit for bit."""
+    gains = Gains(k1, k2, delta)
+    w = 2 * math.pi / period
+    rate = lambda t: amplitude * math.sin(w * t + phase)
+    x0 = (x1_frac * (0.99 * delta if in_layer else 2.0), x2)
+    cfg = IntegrationConfig(dt=dt, t_end=400 * dt)
+    traj = integrate(gains, rate, x0, cfg)
+    times, states = rk4_solve(loop_field(gains, rate), x0, 0.0, dt, cfg.n_steps)
+    assert traj.t.tobytes() == times.tobytes()
+    assert traj.x1.tobytes() == states[:, 0].copy().tobytes()
+    assert traj.x2.tobytes() == states[:, 1].copy().tobytes()
+    assert not (traj.u.any() or traj.d.any() or traj.q.any())
+
+
+@PROPERTY
+@given(k1=st.floats(0.05, 10.0), k2=st.floats(0.05, 30.0), scale=st.floats(1e10, 1e290),
+       blowup_steps=st.integers(50, 1500), dt=st.floats(1e-5, 1e-2))
+def test_integrate_divergence_time_is_rk4_solves(k1, k2, scale, blowup_steps, dt):
+    """A rate that overflows within ``blowup_steps`` steps stops both at the same time."""
+    gains = Gains(k1, k2, 1e-4)
+    growth = math.log(sys.float_info.max / scale) / (blowup_steps * dt)
+    rate = lambda t: scale * math.exp(growth * t)
+    cfg = IntegrationConfig(dt=dt, t_end=2 * blowup_steps * dt)
+    with pytest.raises(DivergenceError) as expected:
+        rk4_solve(loop_field(gains, rate), (0.0, 0.0), 0.0, dt, cfg.n_steps)
+    with pytest.raises(DivergenceError) as actual:
+        integrate(gains, rate, (0.0, 0.0), cfg)
+    assert actual.value.time == expected.value.time
+
+
+def test_integrate_reads_the_rate_once_per_stage_time():
+    """rate is called at t, once at t + dt/2 for both midpoint stages, and at t + dt."""
+    calls = []
+
+    def rate(t):
+        calls.append(t)
+        return 12.0 * math.sin(20.0 * t)
+
+    dt, n = 0.3125 / 2000, 250
+    integrate(Gains(0.9, 11.65), rate, (0.3, 0.0), IntegrationConfig(dt=dt, t_end=n * dt))
+    expected = []
+    for k in range(n):
+        t = k * dt
+        expected += [t, t + 0.5 * dt, t + dt]
+    assert calls == expected
 
 
 def test_linear_drift():
-    cfg = IntegrationConfig(dt=1e-3, t_end=1.0)
-    traj = integrate(lambda t, x: (x[1], 0.0), (0.0, 1.0), cfg)
-    assert traj.x1[-1] == pytest.approx(1.0, abs=1e-10)
+    _, states = rk4_solve(lambda t, x: (x[1], 0.0), (0.0, 1.0), 0.0, 1e-3, 1000)
+    assert states[-1, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_exponential_decay():
-    cfg = IntegrationConfig(dt=1e-3, t_end=1.0)
-    traj = integrate(lambda t, x: (-x[0], -x[1]), (1.0, 1.0), cfg)
-    assert traj.x1[-1] == pytest.approx(math.exp(-1.0), abs=1e-8)
-    assert traj.x2[-1] == pytest.approx(math.exp(-1.0), abs=1e-8)
+    _, states = rk4_solve(lambda t, x: (-x[0], -x[1]), (1.0, 1.0), 0.0, 1e-3, 1000)
+    assert states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+    assert states[-1, 1] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
 def test_overtuned_loop_reaches_layer():
@@ -161,22 +221,20 @@ def test_overtuned_loop_reaches_layer():
     L, T = 12.0, 0.35
     w = 2 * math.pi / T
     rate = lambda t: L * math.sin(w * t)
-    field = regularized_field(gains, rate)
-    coarse = integrate(field, (1.0, 0.0), IntegrationConfig.for_period(T, 2000, 12))
-    fine = integrate(field, (1.0, 0.0), IntegrationConfig.for_period(T, 4000, 12))
+    coarse = integrate(gains, rate, (1.0, 0.0), IntegrationConfig.for_period(T, 2000, 12))
+    fine = integrate(gains, rate, (1.0, 0.0), IntegrationConfig.for_period(T, 4000, 12))
     assert abs(coarse.x1[-1]) < 10 * gains.delta
     assert abs(fine.x1[-1]) < 10 * gains.delta
     assert abs(coarse.x1[-1] - fine.x1[-1]) < gains.delta
 
 
 def test_determinism():
-    cfg = IntegrationConfig(dt=1e-3, t_end=0.5)
     field = lambda t, x: (x[1], -math.sin(x[0]) - 0.3 * x[1] + math.cos(5 * t))
-    a = integrate(field, (0.4, -0.2), cfg)
-    b = integrate(field, (0.4, -0.2), cfg)
-    assert np.array_equal(a.x1, b.x1)
-    assert np.array_equal(a.x2, b.x2)
-    assert np.array_equal(a.t, b.t)
+    a_t, a = rk4_solve(field, (0.4, -0.2), 0.0, 1e-3, 500)
+    b_t, b = rk4_solve(field, (0.4, -0.2), 0.0, 1e-3, 500)
+    assert np.array_equal(a[:, 0], b[:, 0])
+    assert np.array_equal(a[:, 1], b[:, 1])
+    assert np.array_equal(a_t, b_t)
 
 
 def test_rk4_order():
@@ -193,14 +251,13 @@ def test_rk4_order():
 
 def test_divergence_error_carries_time():
     with pytest.raises(DivergenceError) as info:
-        integrate(lambda t, x: (x[0] * x[0], 0.0), (1.0, 0.0),
-                  IntegrationConfig(dt=1e-3, t_end=2.0))
+        rk4_solve(lambda t, x: (x[0] * x[0], 0.0), (1.0, 0.0), 0.0, 1e-3, 2000)
     assert 0.0 < info.value.time <= 2.0
 
 
 def test_records_are_finite_and_uniform():
     cfg = IntegrationConfig(dt=1e-3, t_end=0.4)
-    traj = integrate(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
+    traj = solve_trajectory(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
     assert len(traj) == 401
     assert np.all(np.isfinite(traj.x1)) and np.all(np.isfinite(traj.x2))
     spacing = np.diff(traj.t)
@@ -225,7 +282,7 @@ def test_for_period_alignment():
 
 def test_csv_round_trip(tmp_path):
     cfg = IntegrationConfig(dt=1e-3, t_end=0.1)
-    traj = integrate(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
+    traj = solve_trajectory(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
     traj = dataclasses.replace(traj, u=np.sin(traj.t), d=traj.t, q=0 * traj.t)
     path = tmp_path / "trajectory.csv"
     traj.to_csv(path)

@@ -233,6 +233,39 @@ def test_empty_parameter_set_is_config_error():
         ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": []}})
 
 
+#: Gains sections that are tuned to each case's L, and two that are not.
+TUNED_TO_L = [{"source": "tune_k2", "k1": 0.9, "eta": 0.2},
+              {"source": "optimize", "k1_max": 0.9, "eta": 0.2}, {"source": "finite_time"}]
+FIXED_FOR_L = [{"source": "explicit", "k1": 3.6, "k2": 6.0},
+               {"source": "finite_time", "rate_bound": 12.0}]
+
+
+def test_unforced_case_fails_at_load_unless_the_gains_ignore_L(tmp_path, capsys, monkeypatch):
+    """An L = 0 case cannot be tuned to, so it fails at load; fixed gains run it to amplitude 0."""
+    unforced = [[12.0, 0.2], [0, 0.2]]
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    for gains in TUNED_TO_L:
+        message = rf"parameters\.cases \[0, 0\.2\].*gains\.source '{gains['source']}'"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig.from_dict({**SYNTHETIC, "gains": gains,
+                                      "parameters": {"cases": unforced}})
+        path.write_text(json.dumps({**SYNTHETIC, "gains": gains}))
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_execute_case", lambda *args: pytest.fail("a case ran"))
+            assert main(["sweep", "--config", str(path), "--out", str(out),
+                         "--override", f"parameters.cases={json.dumps(unforced)}"]) == 1
+        err = capsys.readouterr().err
+        assert "parameters.cases" in err and gains["source"] in err
+        assert not out.exists()
+    for gains in FIXED_FOR_L:
+        cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": gains,
+                                        "parameters": {"cases": [[0, 0.2]]}})
+        (result,) = run_scenario(cfg)
+        assert result.error is None
+        assert result.report.converged and result.report.amplitude == 0.0
+
+
 #: Per gains source: a valid section, and a non-default valid value for each key it reads.
 GAINS_KEY_CHANGES = {
     "explicit": ({"k1": 3.6, "k2": 6.0}, {"k1": 3.7, "k2": 6.5, "delta": 1e-5}),
