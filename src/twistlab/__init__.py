@@ -13,10 +13,9 @@ from .analysis import (AperiodicSignalError, BoundRow, BoundTable,
                        bound_comparison_table, build_report, cycle_amplitude,
                        default_tolerance, estimate_period, scaling_fit,
                        stroboscopic_convergence)
-from .dynamics import (Gains, default_layer_width, saturation, twisting_action,
-                       twisting_law)
+from .dynamics import Gains, default_layer_width, saturation, twisting_action
 from .integrator import (DivergenceError, IntegrationConfig, Trajectory,
-                         detect_crossings, integrate, rk4_solve)
+                         detect_crossings, integrate)
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
                       bound_L, constant_speed_characterization, eval_q)

@@ -1,10 +1,11 @@
 """The super-twisting control law.
 
-The law is written once, in two forms: a scalar closure for the fixed-step
-RK4 loops and an array form for recorded channels.  Both are pure maps; the
-controller's integral state is owned by whoever integrates the loop, so they
-can be shared freely between workers.  ``integrator.integrate`` writes the
-scalar form out inline, in the same operation order.
+The law has one array form here, :func:`twisting_action`, for recorded
+channels.  The RK4 loops (``integrator.integrate`` and the two motor loops
+in ``plant``) write the law out inline on Python floats, in the same
+operation order, so each loop's control equals :func:`twisting_action` on
+its recorded states bit for bit.  The controller's integral state is owned
+by whoever integrates the loop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "Gains",
     "default_layer_width",
     "saturation",
-    "twisting_law",
     "twisting_action",
 ]
 
@@ -69,37 +69,10 @@ def saturation(q, delta):
     return np.clip(q / delta, -1.0, 1.0)
 
 
-def twisting_law(gains: Gains):
-    """Scalar super-twisting law for the fixed-step hot loops.
-
-    Returns ``law(x1, z, q) -> (u, dz)`` with
-
-        u  = -k1*sqrt(|x1|)*s + z
-        dz = -k2*s + q,          s = sat(x1/delta)
-
-    ``z`` is the integral state (or integral-plus-disturbance state of the
-    reduced loop) and ``q`` the rate added to its derivative.  The
-    saturation is inlined because ``np.clip`` on a Python float costs
-    microseconds; the result is bit-identical to :func:`twisting_action`.
-    """
-    k1, k2, delta = gains.k1, gains.k2, gains.delta
-    sqrt = math.sqrt
-
-    def law(x1: float, z: float, q: float) -> tuple[float, float]:
-        s = x1 / delta
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        return -k1 * sqrt(abs(x1)) * s + z, -k2 * s + q
-
-    return law
-
-
 def twisting_action(x1, z, gains: Gains):
     """Array form of the control u = -k1*sqrt(|x1|)*sat(x1/delta) + z.
 
-    Used on recorded channels; elementwise bit-identical to the ``u`` of
-    :func:`twisting_law`.
+    Used on recorded channels; elementwise bit-identical to the ``u`` that
+    the RK4 loops compute inline on floats.
     """
     return -gains.k1 * np.sqrt(np.abs(x1)) * saturation(x1, gains.delta) + z

@@ -12,7 +12,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "DivergenceError",
     "IntegrationConfig",
     "Trajectory",
-    "rk4_solve",
     "integrate",
     "detect_crossings",
 ]
@@ -129,60 +128,6 @@ class Trajectory:
                                  for t, x1, x2, u, d, q in rows))
 
 
-def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
-              n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 over ``n_steps`` fixed steps; returns (times, states) at every step.
-
-    ``field(t, x)`` receives the state as a tuple and returns the derivative
-    tuple.  The step is written out on Python float locals for two state
-    sizes: 3 runs the continuous motor loop ``(theta, omega, z)``, and 2 is
-    the reference the tests hold :func:`integrate` and the sampled rotor
-    step to, bit for bit; any other size raises ValueError.  The
-    benchmark's traced run reports its cost per step as
-    ``integrator.us_per_step``.  Raises :class:`DivergenceError` as soon as
-    a component goes non-finite.
-    """
-    x = tuple(float(v) for v in x0)
-    if len(x) not in (2, 3):
-        raise ValueError(f"rk4_solve integrates 2- or 3-state systems, got {len(x)} states")
-    times = t0 + np.arange(n_steps + 1) * dt
-    records = array("d", x)
-
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    isfinite = math.isfinite
-    if len(x) == 2:
-        x1, x2 = x
-        for k in range(n_steps):
-            t = t0 + k * dt
-            th = t + half
-            a1, a2 = field(t, (x1, x2))
-            b1, b2 = field(th, (x1 + half * a1, x2 + half * a2))
-            c1, c2 = field(th, (x1 + half * b1, x2 + half * b2))
-            e1, e2 = field(t + dt, (x1 + dt * c1, x2 + dt * c2))
-            x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
-            x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
-            if not (isfinite(x1) and isfinite(x2)):
-                raise DivergenceError(t + dt)
-            records.extend((x1, x2))
-    else:
-        x1, x2, x3 = x
-        for k in range(n_steps):
-            t = t0 + k * dt
-            th = t + half
-            a1, a2, a3 = field(t, (x1, x2, x3))
-            b1, b2, b3 = field(th, (x1 + half * a1, x2 + half * a2, x3 + half * a3))
-            c1, c2, c3 = field(th, (x1 + half * b1, x2 + half * b2, x3 + half * b3))
-            e1, e2, e3 = field(t + dt, (x1 + dt * c1, x2 + dt * c2, x3 + dt * c3))
-            x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
-            x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
-            x3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + e3)
-            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                raise DivergenceError(t + dt)
-            records.extend((x1, x2, x3))
-    return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, len(x))
-
-
 def integrate(gains: Gains, rate: Callable[[float], float], x0,
               cfg: IntegrationConfig) -> Trajectory:
     """Integrate the reduced loop from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
@@ -190,10 +135,11 @@ def integrate(gains: Gains, rate: Callable[[float], float], x0,
         dx1 = -k1*sqrt(|x1|)*s + x2
         dx2 = -k2*s + rate(t),       s = sat(x1/delta)
 
-    The RK4 step is written out on Python float locals with the law inlined
-    in :func:`~twistlab.dynamics.twisting_law`'s operation order, so it is
-    bit for bit ``rk4_solve`` on that field; ``rate`` is read once per
-    stage time: at t, at t + dt/2 for both midpoint stages, and at t + dt.
+    The classical RK4 step is written out on Python float locals with the
+    law inlined in :func:`~twistlab.dynamics.twisting_action`'s operation
+    order; ``rate`` is read once per stage time: at t, at t + dt/2 for both
+    midpoint stages, and at t + dt.  Raises :class:`DivergenceError` as
+    soon as a state goes non-finite.
     The ``u``, ``d`` and ``q`` channels are zero; a caller that knows them
     swaps them in with ``dataclasses.replace``.
     """

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Gains, twisting_action, twisting_law
-from .integrator import DivergenceError, IntegrationConfig, Trajectory, rk4_solve
+from .dynamics import Gains, twisting_action
+from .integrator import DivergenceError, IntegrationConfig, Trajectory
 from .signals import FrictionCoggingModel, MotionProfile
 
 __all__ = ["MotorModel", "simulate_motor_loop"]
@@ -66,27 +66,13 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     model = motor.friction_cogging
     J = motor.inertia
     inv_inertia = 1.0 / J
-    law = twisting_law(gains)
-    ref_omega, ref_theta, ref_accel = reference.omega, reference.theta, reference.omega_dot
+    ref_omega, ref_accel = reference.omega, reference.omega_dot
+    x0 = (float(reference.theta(0.0)), float(ref_omega(0.0)) + initial_error, initial_integral)
 
-    theta0 = float(ref_theta(0.0))
-    omega0 = float(ref_omega(0.0)) + initial_error
-    x0 = (theta0, omega0, initial_integral)
-
-    sampled = motor.encoder_quantum > 0.0 or motor.noise_std > 0.0
-    if not sampled:
-        torque = model.scalar_torque()
-
-        def field(t: float, x) -> tuple[float, float, float]:
-            theta, omega, z = x
-            # q = -0.0 adds nothing to any float, so dz is exactly -k2*s
-            u, dz = law(omega - float(ref_omega(t)), z, -0.0)
-            u0 = (u + float(ref_accel(t))) / inv_inertia
-            return (omega, (u0 + torque(omega, theta)) / J, dz)
-
-        times, states = rk4_solve(field, x0, 0.0, cfg.dt, cfg.n_steps)
-    else:
+    if motor.encoder_quantum > 0.0 or motor.noise_std > 0.0:
         times, states = _sampled_motor_loop(motor, reference, gains, cfg, x0, rng)
+    else:
+        times, states = _continuous_motor_loop(motor, reference, gains, cfg, x0)
 
     theta = states[:, 0]
     omega = states[:, 1]
@@ -100,17 +86,76 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     return Trajectory(t=times, x1=e, x2=z + d / J, u=u0, d=d, q=q, dt=cfg.dt)
 
 
+def _continuous_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
+                           cfg: IntegrationConfig, x0) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous loop: one classical RK4 step of (theta, omega, z) per ``dt``.
+
+    The step is written out on Python float locals.  The reference is read
+    once per stage time: at t, at t + dt/2 for both midpoint stages, and at
+    t + dt.  Raises :class:`DivergenceError` as soon as a component goes
+    non-finite.
+    """
+    torque = motor.friction_cogging.scalar_torque()
+    J = motor.inertia
+    inv_inertia = 1.0 / J
+    neg_k1, neg_k2, delta = -gains.k1, -gains.k2, gains.delta
+    ref_omega, ref_accel = reference.omega, reference.omega_dot
+    dt, n_steps = cfg.dt, cfg.n_steps
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    sqrt = math.sqrt
+    isfinite = math.isfinite
+
+    def stage(theta: float, omega: float, z: float, omega_r: float,
+              accel_r: float) -> tuple[float, float]:
+        """(domega, dz), with the law in the operation order of ``twisting_action``."""
+        e = omega - omega_r
+        s = e / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        u0 = (neg_k1 * sqrt(abs(e)) * s + z + accel_r) / inv_inertia
+        return (u0 + torque(omega, theta)) / J, neg_k2 * s
+
+    times = np.arange(n_steps + 1) * dt
+    theta, omega, z = (float(v) for v in x0)
+    records = array("d", (theta, omega, z))
+    for k in range(n_steps):
+        t = k * dt
+        t_mid = t + half
+        t_end = t + dt
+
+        dw_a, dz_a = stage(theta, omega, z, float(ref_omega(t)), float(ref_accel(t)))
+        w_mid, a_mid = float(ref_omega(t_mid)), float(ref_accel(t_mid))
+        w_b = omega + half * dw_a
+        dw_b, dz_b = stage(theta + half * omega, w_b, z + half * dz_a, w_mid, a_mid)
+        w_c = omega + half * dw_b
+        dw_c, dz_c = stage(theta + half * w_b, w_c, z + half * dz_b, w_mid, a_mid)
+        w_e = omega + dt * dw_c
+        dw_e, dz_e = stage(theta + dt * w_c, w_e, z + dt * dz_c,
+                           float(ref_omega(t_end)), float(ref_accel(t_end)))
+
+        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
+        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
+        z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e)
+        if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
+            raise DivergenceError(t_end)
+        records.extend((theta, omega, z))
+    return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
+
+
 def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                         cfg: IntegrationConfig, x0,
                         rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
     """Stepped loop: u0 from the quantized/noisy measurement, held per step.
 
     The loop runs on Python floats.  The reference and the measurement
-    noise are drawn up front on the step grid ``k * dt``, and each step
-    advances the rotor (theta, omega) by one classical RK4 step with u0
-    held, written out in place: bit for bit what ``rk4_solve`` gives on the
-    same two-state field, without its per-call set-up.  The controller's
-    integral state takes an Euler step.
+    noise are drawn up front on the step grid ``k * dt``.  Each step applies
+    the law, inlined in the same operation order as ``twisting_action``, to
+    the measured error, then advances the rotor (theta, omega) by one
+    classical RK4 step with u0 held, written out in place.  The
+    controller's integral state takes an Euler step.
     """
     noise_std = motor.noise_std
     if noise_std > 0.0 and rng is None:
@@ -118,13 +163,14 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     torque = motor.friction_cogging.scalar_torque()
     J = motor.inertia
     inv_inertia = 1.0 / J
-    law = twisting_law(gains)
+    neg_k1, neg_k2, delta = -gains.k1, -gains.k2, gains.delta
     quantum = motor.encoder_quantum
     window = motor.velocity_window
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
     n_steps = cfg.n_steps
+    sqrt = math.sqrt
     isfinite = math.isfinite
 
     # memoryviews index to Python floats without holding a float object per step
@@ -154,8 +200,13 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
         if noise_std > 0.0:
             omega_meas += noise[k]
 
-        u, dz = law(omega_meas - ref_omega[k], z, -0.0)
-        u0 = (u + ref_accel[k]) / inv_inertia
+        e = omega_meas - ref_omega[k]
+        s = e / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        u0 = (neg_k1 * sqrt(abs(e)) * s + z + ref_accel[k]) / inv_inertia
 
         # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
         dw_a = (u0 + torque(omega, theta)) / J
@@ -167,7 +218,7 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
         dw_e = (u0 + torque(w_e, theta + dt * w_c)) / J
         theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
         omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
-        z += dt * dz
+        z += dt * (neg_k2 * s)
         if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
             raise DivergenceError(k * dt + dt)
         records.extend((theta, omega, z))

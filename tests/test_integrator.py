@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab import plant
 from twistlab.dynamics import Gains
 from twistlab.integrator import (DivergenceError, IntegrationConfig,
-                                 Trajectory, detect_crossings, integrate,
-                                 rk4_solve)
-from twistlab.plant import MotorModel, simulate_motor_loop
-from twistlab.signals import MotionProfile
+                                 Trajectory, detect_crossings, integrate)
+from twistlab.plant import MotorModel, _continuous_motor_loop
+from twistlab.signals import FrictionCoggingModel, MotionProfile
 
-from _fields import loop_field, solve_trajectory
+from _fields import loop_field, motor_field, rk4_solve, solve_trajectory
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -112,18 +110,9 @@ def test_rk4_solve_matches_reference_on_the_reduced_loop():
 
 @pytest.mark.parametrize("reference", [MotionProfile.constant_speed(18.0),
                                        MotionProfile.sinusoidal_velocity(4.0)])
-def test_rk4_solve_matches_reference_on_the_motor_loop(reference, monkeypatch):
+def test_rk4_solve_matches_reference_on_the_motor_loop(reference):
     """The continuous motor loop's 3-state field, bit for bit."""
-    calls = []
-
-    def capture(field, *args):
-        calls.append(field)
-        return rk4_solve(field, *args)
-
-    monkeypatch.setattr(plant, "rk4_solve", capture)
-    simulate_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
-                        IntegrationConfig(dt=1e-4, t_end=0.3), initial_error=0.5)
-    (field,) = calls
+    field = motor_field(MotorModel(), reference, Gains(0.9, 11.65))
     _assert_matches_reference(field, (0.0, 18.5, 0.1), 0.0, 1e-4, 3000)
 
 
@@ -199,6 +188,88 @@ def test_integrate_reads_the_rate_once_per_stage_time():
         t = k * dt
         expected += [t, t + 0.5 * dt, t + dt]
     assert calls == expected
+
+
+_HARMONICS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi)),
+                      max_size=2)
+
+
+@st.composite
+def _motor_loops(draw):
+    """A motor, a constant or sinusoidal reference, gains and a start for the continuous loop."""
+    model = FrictionCoggingModel(coulomb=draw(st.floats(0.0, 0.5)),
+                                 steepness=draw(st.floats(1.0, 400.0)),
+                                 viscous=draw(st.floats(0.0, 0.05)),
+                                 harmonics=tuple(draw(_HARMONICS)))
+    motor = MotorModel(inertia=draw(st.floats(0.05, 5.0)), friction_cogging=model)
+    if draw(st.booleans()):
+        reference = MotionProfile.constant_speed(draw(st.floats(-25.0, 25.0)))
+    else:
+        reference = MotionProfile.sinusoidal_velocity(draw(st.floats(0.5, 10.0)),
+                                                      accel_peak=draw(st.floats(0.0, 200.0)))
+    gains = Gains(draw(st.floats(0.05, 10.0)), draw(st.floats(0.05, 40.0)),
+                  draw(st.floats(1e-6, 0.05)))
+    # the initial error inside the boundary layer, just outside its edge, or well outside
+    frac, where = draw(st.floats(-1.0, 1.0)), draw(st.sampled_from(["in", "edge", "out"]))
+    error = {"in": 0.99 * frac * gains.delta, "edge": math.copysign(1.00005 * gains.delta, frac),
+             "out": 2.0 * frac}[where]
+    integral = draw(st.floats(-5.0, 5.0))
+    x0 = (float(reference.theta(0.0)), float(reference.omega(0.0)) + error, integral)
+    return motor, reference, gains, x0
+
+
+@PROPERTY
+@given(loop=_motor_loops(), dt=st.floats(1e-5, 2e-3))
+def test_continuous_motor_loop_is_rk4_solve_on_the_motor_field(loop, dt):
+    """The written-out continuous motor loop equals rk4_solve on the law-built field, bit for bit."""
+    motor, reference, gains, x0 = loop
+    cfg = IntegrationConfig(dt=dt, t_end=300 * dt)
+    times, states = _continuous_motor_loop(motor, reference, gains, cfg, x0)
+    ref_times, ref_states = rk4_solve(motor_field(motor, reference, gains), x0, 0.0, dt,
+                                      cfg.n_steps)
+    assert times.tobytes() == ref_times.tobytes()
+    assert states.tobytes() == ref_states.tobytes()
+
+
+@PROPERTY
+@given(loop=_motor_loops(), dt=st.floats(1e-4, 1e-2), stiffness=st.floats(4.0, 50.0))
+def test_continuous_motor_loop_divergence_time_is_rk4_solves(loop, dt, stiffness):
+    """Viscous friction too stiff for the step (dt*viscous/J of 4-50) blows both up together.
+
+    The cogging is dropped: ``math.sin`` of an angle that overflowed inside
+    a step raises ValueError in both before the step's finiteness check.
+    """
+    motor, reference, gains, (theta, omega, z) = loop
+    model = dataclasses.replace(motor.friction_cogging, viscous=stiffness * motor.inertia / dt,
+                                harmonics=())
+    motor = dataclasses.replace(motor, friction_cogging=model)
+    x0 = (theta, omega + 1.0, z)  # off the equilibrium, which a zero reference would keep
+    cfg = IntegrationConfig(dt=dt, t_end=2000 * dt)
+    with pytest.raises(DivergenceError) as expected:
+        rk4_solve(motor_field(motor, reference, gains), x0, 0.0, dt, cfg.n_steps)
+    with pytest.raises(DivergenceError) as actual:
+        _continuous_motor_loop(motor, reference, gains, cfg, x0)
+    assert actual.value.time == expected.value.time
+
+
+def test_continuous_motor_loop_reads_the_reference_once_per_stage_time():
+    """omega_r and domega_r/dt are read at t, once at t + dt/2 for both midpoints, and at t + dt."""
+    calls = []
+
+    def reading(name, value):
+        def read(t):
+            calls.append((name, t))
+            return value
+        return read
+
+    reference = MotionProfile(omega=reading("omega", 18.0), theta=lambda t: 18.0 * t,
+                              omega_dot=reading("accel", 0.0))
+    dt, n = 2 * math.pi / 18.0 / 1000, 200
+    _continuous_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
+                           IntegrationConfig(dt=dt, t_end=n * dt), (0.0, 18.3, 0.0))
+    assert calls == [(name, t) for k in range(n)
+                     for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)
+                     for name in ("omega", "accel")]
 
 
 def test_linear_drift():

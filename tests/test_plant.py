@@ -7,13 +7,14 @@ import pytest
 
 from twistlab import plant
 from twistlab.analysis import estimate_period
-from twistlab.dynamics import Gains, default_layer_width, twisting_law
-from twistlab.integrator import IntegrationConfig, rk4_solve
+from twistlab.dynamics import Gains, default_layer_width
+from twistlab.integrator import IntegrationConfig
 from twistlab.plant import MotorModel, _sampled_motor_loop, simulate_motor_loop
 from twistlab.signals import (FrictionCoggingModel, MotionProfile,
                               constant_speed_characterization)
 from twistlab.tuning import finite_time_gains
 
+from _fields import rk4_solve, twisting_law
 from _reconstruct import reconstruct_disturbance, robust_differentiate
 
 CALIBRATED = FrictionCoggingModel()
@@ -22,15 +23,16 @@ GENTLE = FrictionCoggingModel(coulomb=0.003, steepness=100.0, viscous=0.01)
 
 
 def _run_with_states(monkeypatch, *args, **kwargs):
-    """simulate_motor_loop plus the (theta, omega, z) records its rk4_solve call returned."""
+    """simulate_motor_loop plus the (theta, omega, z) records its continuous loop returned."""
     calls = []
+    loop = plant._continuous_motor_loop
 
-    def capture(*solve_args):
-        times, states = rk4_solve(*solve_args)
+    def capture(*loop_args):
+        times, states = loop(*loop_args)
         calls.append(states)
         return times, states
 
-    monkeypatch.setattr(plant, "rk4_solve", capture)
+    monkeypatch.setattr(plant, "_continuous_motor_loop", capture)
     traj = simulate_motor_loop(*args, **kwargs)
     (states,) = calls
     return traj, states
@@ -156,7 +158,7 @@ def test_encoder_and_noise_path_stays_bounded():
 
 
 def test_sampled_rotor_step_matches_rk4_solve():
-    """The sampled loop's written-out rotor step is a one-step rk4_solve, bit for bit."""
+    """The sampled loop's first step is twisting_law then a one-step rk4_solve, bit for bit."""
     rng = np.random.default_rng(23)
     models = (CALIBRATED, FrictionCoggingModel(coulomb=0.003, steepness=350.0, viscous=0.02,
                                                harmonics=((0.5, 0.0), (0.13, -0.8))))
@@ -166,12 +168,19 @@ def test_sampled_rotor_step_matches_rk4_solve():
         dt = float(rng.uniform(1e-5, 1e-2))
         J = float(rng.choice([1.0, 0.37, 2.5]))
         model = models[int(rng.integers(2))]
-        # the reference tracks omega exactly, so the law returns z and u0 = z / (1/J)
-        _, states = _sampled_motor_loop(MotorModel(inertia=J, friction_cogging=model),
-                                        MotionProfile.constant_speed(omega), Gains(0.9, 11.65),
-                                        IntegrationConfig(dt=dt, t_end=dt), (theta, omega, z),
-                                        None)
-        u0 = z / (1.0 / J)
+        gains = Gains(float(rng.uniform(0.1, 5.0)), float(rng.uniform(1.0, 30.0)),
+                      float(rng.choice([1e-4, 0.05])))
+        # the first step measures omega exactly; the error is 0, inside the layer or outside
+        omega_r = omega - float(rng.choice([0.0, 0.5 * gains.delta, 0.3]))
+        accel = float(rng.normal(0.0, 50.0))
+        reference = MotionProfile(omega=lambda t: omega_r + 0.0 * t, theta=lambda t: 0.0 * t,
+                                  omega_dot=lambda t: accel + 0.0 * t)
+        _, states = _sampled_motor_loop(MotorModel(inertia=J, friction_cogging=model,
+                                                   encoder_quantum=1e-9),
+                                        reference, gains, IntegrationConfig(dt=dt, t_end=dt),
+                                        (theta, omega, z), None)
+        u, dz = twisting_law(gains)(omega - omega_r, z, -0.0)
+        u0 = (u + accel) / (1.0 / J)
 
         def rotor(t, x):
             th, w = x
@@ -179,6 +188,7 @@ def test_sampled_rotor_step_matches_rk4_solve():
 
         _, expected = rk4_solve(rotor, (theta, omega), 0.0, dt, 1)
         assert states[1, :2].tobytes() == expected[1].tobytes()
+        assert states[1, 2] == z + dt * dz
 
 
 @pytest.mark.parametrize("window", [1, 2, 5, 16])

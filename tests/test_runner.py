@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -264,6 +265,39 @@ def test_unforced_case_fails_at_load_unless_the_gains_ignore_L(tmp_path, capsys,
         (result,) = run_scenario(cfg)
         assert result.error is None
         assert result.report.converged and result.report.amplitude == 0.0
+
+
+#: Motor configs whose load-torque rate is identically zero, so L = 0, and the key each names.
+ZERO_RATE_MOTOR = [
+    ({"perturbation": {"harmonics": []}}, "perturbation.harmonics"),
+    ({"perturbation": {"harmonics": [[0.5, 0.0], [-0.5, 0.0]]}}, "perturbation.harmonics"),
+    ({"scenario": "sinusoidal_velocity",
+      "parameters": {"frequency_hz": [2.0, 4.0], "accel_peak": 0}}, "parameters.accel_peak"),
+    ({"scenario": "sinusoidal_velocity", "parameters": {"frequency_hz": [2.0, 4.0]},
+      "perturbation": {"coulomb": 0, "viscous": 0.0, "harmonics": []}}, "perturbation.coulomb"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", ZERO_RATE_MOTOR)
+def test_zero_rate_motor_config_fails_at_load_unless_the_gains_ignore_L(
+        overrides, key, tmp_path, capsys, monkeypatch):
+    """A motor config with no load-torque rate gives L = 0: tuned gains fail at load."""
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps(_constant_speed_config(**overrides)))
+    for gains in TUNED_TO_L:
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}.*L = 0.*'{gains['source']}'"):
+            ScenarioConfig.from_dict(_constant_speed_config(**overrides, gains=gains))
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_execute_case", lambda *args: pytest.fail("a case ran"))
+            assert main(["sweep", "--config", str(path), "--out", str(out),
+                         "--override", f"gains={json.dumps(gains)}"]) == 1
+        err = capsys.readouterr().err
+        assert key in err and gains["source"] in err
+        assert not out.exists()
+    for gains in FIXED_FOR_L:
+        cfg = ScenarioConfig.from_dict(_constant_speed_config(**overrides, gains=gains))
+        assert len(cfg.cases) >= 1
 
 
 #: Per gains source: a valid section, and a non-default valid value for each key it reads.

@@ -198,6 +198,25 @@ def test_constant_speed_characterization():
         pytest.approx(12.0), pytest.approx(0.5235987755982988))
     L, T = constant_speed_characterization(CALIBRATED, 18.0)
     assert (L, T) == (pytest.approx(9.0), pytest.approx(0.3490658503988659))
+
+
+@pytest.mark.parametrize("harmonics", [
+    ((0.5, 0.0),),
+    ((0.5, 0.0), (-0.5, math.pi)),      # opposite signs and phases add: 1.0, not 0
+    ((0.5, 0.0), (0.3, math.pi)),       # opposite phases cancel: 0.2, not 0.8
+    ((0.5, 0.0), (0.13, -0.8)),
+    ((0.2, 1.1), (0.2, -2.3), (0.05, 0.4)),
+    ((0.5, 0.0), (-0.5, 0.0)),
+    (),
+])
+def test_constant_speed_rate_bound_is_the_sup_of_the_rate(harmonics):
+    """L is the sup of |q| at constant speed: the cogging harmonics add as phasors."""
+    model = FrictionCoggingModel(harmonics=harmonics)
+    for omega_r in (18.0, -12.5):
+        L, T = constant_speed_characterization(model, omega_r)
+        profile = MotionProfile.constant_speed(omega_r)
+        assert L == pytest.approx(bound_L(lambda t: eval_q(model, profile, t), T),
+                                  rel=1e-9, abs=1e-12)
     L, T = constant_speed_characterization(CALIBRATED, 23.0)
     assert (L, T) == (pytest.approx(11.5), pytest.approx(0.2731819698773733))
     with pytest.raises(ValueError):
