@@ -8,11 +8,10 @@ with friction and cogging), measures the cycles, and selects gains from
 accuracy specifications.
 """
 
-from .analysis import (AperiodicSignalError, BoundRow, BoundTable,
-                       InsufficientDataError, LimitCycleReport,
-                       bound_comparison_table, build_report, cycle_amplitude,
-                       default_tolerance, estimate_period, scaling_fit,
-                       stroboscopic_convergence)
+from .analysis import (AperiodicSignalError, BoundTable, InsufficientDataError,
+                       LimitCycleReport, bound_comparison_table, build_report,
+                       cycle_amplitude, default_tolerance, estimate_period,
+                       scaling_fit, stroboscopic_convergence)
 from .dynamics import Gains, default_layer_width, saturation, twisting_action
 from .integrator import (DivergenceError, IntegrationConfig, Trajectory,
                          detect_crossings, integrate)

@@ -21,7 +21,6 @@ __all__ = [
     "InsufficientDataError",
     "AperiodicSignalError",
     "LimitCycleReport",
-    "BoundRow",
     "BoundTable",
     "default_tolerance",
     "stroboscopic_convergence",
@@ -75,6 +74,11 @@ class LimitCycleReport:
                 raise ValueError("amplitude must be non-negative")
             if self.measured_period is not None and self.measured_period <= 0.0:
                 raise ValueError("measured_period must be positive")
+
+    @property
+    def satisfied(self) -> bool:
+        """The run's verdict: converged onto a cycle no wider than the coarse bound."""
+        return self.converged and self.amplitude <= self.coarse_bound
 
 
 def default_tolerance(delta: float) -> float:
@@ -157,13 +161,10 @@ def estimate_period(samples: np.ndarray, dt: float) -> float:
         raise AperiodicSignalError(
             f"strongest autocorrelation peak {corr[k]:.3f} is below 0.2"
         )
-    if 0 < k < len(corr) - 1:
-        denom = corr[k - 1] - 2.0 * corr[k] + corr[k + 1]
-        shift = 0.5 * (corr[k - 1] - corr[k + 1]) / denom if denom != 0.0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
-    return (k + shift) * dt
+    # corr[0] = 1 > 0, so 0 < start <= k <= len(x) // 2 < len(corr) - 1
+    denom = corr[k - 1] - 2.0 * corr[k] + corr[k + 1]
+    shift = 0.5 * (corr[k - 1] - corr[k + 1]) / denom if denom != 0.0 else 0.0
+    return (k + float(np.clip(shift, -0.5, 0.5))) * dt
 
 
 def scaling_fit(points) -> tuple[float, float, float]:
@@ -188,27 +189,18 @@ def scaling_fit(points) -> tuple[float, float, float]:
 
 
 @dataclass
-class BoundRow:
-    label: str
-    amplitude: float
-    coarse_bound: float
-    tight_bound: float | None
-    satisfied: bool
-
-
-@dataclass
 class BoundTable:
-    """Measured-versus-predicted cycle widths, one row per converged run."""
+    """Measured-versus-predicted cycle widths, one ``(label, report)`` row per converged run."""
 
-    rows: list[BoundRow]
+    rows: list[tuple[str, LimitCycleReport]]
 
     def render(self) -> str:
         header = f"{'label':<16}{'amplitude':>12}{'coarse_bound':>14}{'tight_bound':>13}  ok"
         lines = [header]
-        for r in self.rows:
+        for label, r in self.rows:
             tight = f"{r.tight_bound:.6g}" if r.tight_bound is not None else "-"
             lines.append(
-                f"{r.label:<16}{r.amplitude:>12.6g}{r.coarse_bound:>14.6g}"
+                f"{label:<16}{r.amplitude:>12.6g}{r.coarse_bound:>14.6g}"
                 f"{tight:>13}  {'yes' if r.satisfied else 'NO'}"
             )
         return "\n".join(lines)
@@ -216,10 +208,10 @@ class BoundTable:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("label,amplitude,coarse_bound,tight_bound,satisfied\n")
-            for r in self.rows:
+            for label, r in self.rows:
                 tight = repr(float(r.tight_bound)) if r.tight_bound is not None else ""
                 fh.write(
-                    f"{r.label},{float(r.amplitude)!r},{float(r.coarse_bound)!r},"
+                    f"{label},{float(r.amplitude)!r},{float(r.coarse_bound)!r},"
                     f"{tight},{int(r.satisfied)}\n"
                 )
 
@@ -227,20 +219,13 @@ class BoundTable:
 def bound_comparison_table(reports, labels) -> BoundTable:
     """Tabulate measured amplitudes against their predicted bounds.
 
-    All reports must be converged; ``satisfied`` flags amplitude <= coarse
-    bound.  Empty input yields an empty table.
+    All reports must be converged.  Empty input yields an empty table.
     """
     rows = []
     for label, report in zip(labels, reports):
         if not report.converged:
             raise ValueError(f"report {label!r} did not converge")
-        rows.append(BoundRow(
-            label=str(label),
-            amplitude=report.amplitude,
-            coarse_bound=report.coarse_bound,
-            tight_bound=report.tight_bound,
-            satisfied=report.amplitude <= report.coarse_bound,
-        ))
+        rows.append((str(label), report))
     return BoundTable(rows=rows)
 
 
@@ -257,12 +242,10 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
     converged, start = stroboscopic_convergence(traj, period, tol)
 
     coarse = cycle_width_bound(gains.k2, rate_bound, n, period)
-    tight = None
-    if rate_bound > gains.k2:
-        try:
-            tight = tight_width_bound(gains.k1, gains.k2, rate_bound, n, period)
-        except RegimeError:
-            tight = None
+    try:
+        tight = tight_width_bound(gains.k1, gains.k2, rate_bound, n, period)
+    except RegimeError:  # not under-tuned (L <= k2), or the k1 premise fails
+        tight = None
 
     if not converged:
         return LimitCycleReport(

@@ -27,15 +27,12 @@ __all__ = [
 DEFAULT_DELTA = 1e-4
 
 
-def default_layer_width(accuracy: float | None = None) -> float:
+def default_layer_width(accuracy: float) -> float:
     """Boundary-layer width kept far below the amplitudes a run must resolve.
 
-    With an accuracy target ``eta`` the width is ``min(1e-4, 1e-3 * eta)`` so
-    the layer never dominates the measured cycle; without one it falls back
-    to :data:`DEFAULT_DELTA`.
+    For an accuracy target ``eta`` the width is ``min(1e-4, 1e-3 * eta)``, so
+    the layer never dominates the measured cycle.
     """
-    if accuracy is None:
-        return DEFAULT_DELTA
     if accuracy <= 0.0:
         raise ValueError(f"accuracy target must be positive, got {accuracy}")
     return min(DEFAULT_DELTA, 1e-3 * accuracy)

@@ -43,23 +43,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size and horizon for one integration run; every step is recorded."""
+    """Step size and step count (horizon ``n_steps * dt``) for one run; every step is recorded."""
 
     dt: float
-    t_end: float
+    n_steps: int
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.n_steps < 1:
-            raise ValueError("horizon shorter than one step")
-
-    @property
-    def n_steps(self) -> int:
-        """Realised step count; the horizon is n_steps * dt."""
-        return round(self.t_end / self.dt)
+        if type(self.n_steps) is not int or self.n_steps < 1:  # so True and 10.0 fail too
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
     @classmethod
     def for_period(cls, period: float,
@@ -78,9 +71,7 @@ class IntegrationConfig:
                 "the boundary layer may be under-resolved",
                 stacklevel=2,
             )
-        dt = period / steps_per_period
-        n_steps = steps_per_period * periods
-        return cls(dt=dt, t_end=n_steps * dt)
+        return cls(dt=period / steps_per_period, n_steps=steps_per_period * periods)
 
 
 @dataclass

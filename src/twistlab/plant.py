@@ -92,8 +92,8 @@ def _continuous_motor_loop(motor: MotorModel, reference: MotionProfile, gains: G
 
     The step is written out on Python float locals.  The reference is read
     once per stage time: at t, at t + dt/2 for both midpoint stages, and at
-    t + dt.  Raises :class:`DivergenceError` as soon as a component goes
-    non-finite.
+    t + dt.  Raises :class:`DivergenceError` as soon as a component or a
+    stage angle goes non-finite.
     """
     torque = motor.friction_cogging.scalar_torque()
     J = motor.inertia
@@ -121,27 +121,34 @@ def _continuous_motor_loop(motor: MotorModel, reference: MotionProfile, gains: G
     times = np.arange(n_steps + 1) * dt
     theta, omega, z = (float(v) for v in x0)
     records = array("d", (theta, omega, z))
-    for k in range(n_steps):
-        t = k * dt
-        t_mid = t + half
-        t_end = t + dt
+    w_b = w_c = omega  # read by the except clause; the last step left them finite
+    try:
+        for k in range(n_steps):
+            t = k * dt
+            t_mid = t + half
+            t_end = t + dt
 
-        dw_a, dz_a = stage(theta, omega, z, float(ref_omega(t)), float(ref_accel(t)))
-        w_mid, a_mid = float(ref_omega(t_mid)), float(ref_accel(t_mid))
-        w_b = omega + half * dw_a
-        dw_b, dz_b = stage(theta + half * omega, w_b, z + half * dz_a, w_mid, a_mid)
-        w_c = omega + half * dw_b
-        dw_c, dz_c = stage(theta + half * w_b, w_c, z + half * dz_b, w_mid, a_mid)
-        w_e = omega + dt * dw_c
-        dw_e, dz_e = stage(theta + dt * w_c, w_e, z + dt * dz_c,
-                           float(ref_omega(t_end)), float(ref_accel(t_end)))
+            dw_a, dz_a = stage(theta, omega, z, float(ref_omega(t)), float(ref_accel(t)))
+            w_mid, a_mid = float(ref_omega(t_mid)), float(ref_accel(t_mid))
+            w_b = omega + half * dw_a
+            dw_b, dz_b = stage(theta + half * omega, w_b, z + half * dz_a, w_mid, a_mid)
+            w_c = omega + half * dw_b
+            dw_c, dz_c = stage(theta + half * w_b, w_c, z + half * dz_b, w_mid, a_mid)
+            w_e = omega + dt * dw_c
+            dw_e, dz_e = stage(theta + dt * w_c, w_e, z + dt * dz_c,
+                               float(ref_omega(t_end)), float(ref_accel(t_end)))
 
-        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
-        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
-        z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e)
-        if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
-            raise DivergenceError(t_end)
-        records.extend((theta, omega, z))
+            theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
+            omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
+            z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e)
+            if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
+                raise DivergenceError(t_end)
+            records.extend((theta, omega, z))
+    except ValueError as exc:  # math.sin raises on a stage angle that overflowed to inf
+        if all(isfinite(a) for a in (theta + half * omega, theta + half * w_b,
+                                     theta + dt * w_c)):
+            raise
+        raise DivergenceError(t_end) from exc
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
 
 
@@ -187,39 +194,47 @@ def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     ring = window + 1
     measured = [0.0] * ring
     window_dt = window * dt
-    for k in range(n_steps):
-        theta_meas = math.floor(theta / quantum) * quantum if quantum > 0.0 else theta
-        slot = k % ring
-        measured[slot] = theta_meas
-        if k >= window:
-            omega_meas = (theta_meas - measured[slot - window]) / window_dt
-        elif k:
-            omega_meas = (theta_meas - measured[0]) / (k * dt)
-        else:
-            omega_meas = omega
-        if noise_std > 0.0:
-            omega_meas += noise[k]
+    w_b = w_c = omega  # read by the except clause; the last step left them finite
+    try:
+        for k in range(n_steps):
+            theta_meas = math.floor(theta / quantum) * quantum if quantum > 0.0 else theta
+            slot = k % ring
+            measured[slot] = theta_meas
+            if k >= window:
+                omega_meas = (theta_meas - measured[slot - window]) / window_dt
+            elif k:
+                omega_meas = (theta_meas - measured[0]) / (k * dt)
+            else:
+                omega_meas = omega
+            if noise_std > 0.0:
+                omega_meas += noise[k]
 
-        e = omega_meas - ref_omega[k]
-        s = e / delta
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        u0 = (neg_k1 * sqrt(abs(e)) * s + z + ref_accel[k]) / inv_inertia
+            e = omega_meas - ref_omega[k]
+            s = e / delta
+            if s > 1.0:
+                s = 1.0
+            elif s < -1.0:
+                s = -1.0
+            u0 = (neg_k1 * sqrt(abs(e)) * s + z + ref_accel[k]) / inv_inertia
 
-        # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
-        dw_a = (u0 + torque(omega, theta)) / J
-        w_b = omega + half * dw_a
-        dw_b = (u0 + torque(w_b, theta + half * omega)) / J
-        w_c = omega + half * dw_b
-        dw_c = (u0 + torque(w_c, theta + half * w_b)) / J
-        w_e = omega + dt * dw_c
-        dw_e = (u0 + torque(w_e, theta + dt * w_c)) / J
-        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
-        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
-        z += dt * (neg_k2 * s)
-        if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
-            raise DivergenceError(k * dt + dt)
-        records.extend((theta, omega, z))
+            # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
+            dw_a = (u0 + torque(omega, theta)) / J
+            w_b = omega + half * dw_a
+            dw_b = (u0 + torque(w_b, theta + half * omega)) / J
+            w_c = omega + half * dw_b
+            dw_c = (u0 + torque(w_c, theta + half * w_b)) / J
+            w_e = omega + dt * dw_c
+            dw_e = (u0 + torque(w_e, theta + dt * w_c)) / J
+            theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
+            omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
+            z += dt * (neg_k2 * s)
+            if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
+                raise DivergenceError(k * dt + dt)
+            records.extend((theta, omega, z))
+    except ValueError as exc:  # math.sin raises on a stage angle that overflowed to inf
+        if all(isfinite(a) for a in (theta + half * omega, theta + half * w_b,
+                                     theta + dt * w_c)):
+            raise
+        raise DivergenceError(k * dt + dt) from exc
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
+

@@ -297,8 +297,8 @@ class RunResult:
 
     @property
     def ok(self) -> bool:
-        """Converged and the bound satisfied."""
-        return self.converged and self.report.amplitude <= self.report.coarse_bound
+        """Ran without an execution error and its report is satisfied."""
+        return self.error is None and self.report is not None and self.report.satisfied
 
 
 def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gains:
@@ -489,10 +489,9 @@ def _reports_payload(results: list[RunResult]) -> dict:
     for r in results:
         entry: dict = {"label": r.label, "params": r.params, "error": r.error,
                        "rate_bound": r.rate_bound, "period": r.period}
-        if r.gains is not None:
-            entry["gains"] = {"k1": r.gains.k1, "k2": r.gains.k2, "delta": r.gains.delta}
-        if r.report is not None:
+        if r.report is not None:  # set in the statement that sets the gains
             entry.update({
+                "gains": {"k1": r.gains.k1, "k2": r.gains.k2, "delta": r.gains.delta},
                 "converged": r.report.converged,
                 "cycle_start_time": r.report.cycle_start_time,
                 "measured_period": r.report.measured_period,
@@ -515,17 +514,13 @@ def _summary_text(results: list[RunResult], fit) -> str:
         if not rep.converged:
             lines.append(f"{r.label}: NOT CONVERGED (tol={rep.tolerance:g})")
             continue
-        checks = []
-        if r.gains is not None:
-            # q is the derivative of a T-periodic d, so its period mean is 0
-            averaged_ok = check_averaged_conditions(r.gains, 0.0)
-            checks.append(f"averaged_conditions={'pass' if averaged_ok else 'informative-fail'}")
-            if r.rate_bound > r.gains.k2:
-                feasible = tight_bound_feasible(r.gains.k1, r.gains.k2, r.rate_bound)
-                checks.append(f"k1_premise={'pass' if feasible else 'fail'}")
-            else:
-                checks.append("regime=finite-time (k2 >= L)")
-        satisfied = rep.amplitude <= rep.coarse_bound
+        averaged_ok = check_averaged_conditions(r.gains)
+        checks = [f"averaged_conditions={'pass' if averaged_ok else 'informative-fail'}"]
+        if r.rate_bound > r.gains.k2:
+            feasible = tight_bound_feasible(r.gains.k1, r.gains.k2, r.rate_bound)
+            checks.append(f"k1_premise={'pass' if feasible else 'fail'}")
+        else:
+            checks.append("regime=finite-time (k2 >= L)")
         period_str = ("-" if rep.measured_period is None
                       else f"{rep.measured_period:.6g}")
         tight = "-" if rep.tight_bound is None else f"{rep.tight_bound:.6g}"
@@ -533,7 +528,7 @@ def _summary_text(results: list[RunResult], fit) -> str:
             f"{r.label}: converged start={rep.cycle_start_time:.6g}s "
             f"period={period_str} (forcing {r.period:.6g}) "
             f"amplitude={rep.amplitude:.6g} coarse_bound={rep.coarse_bound:.6g} "
-            f"tight_bound={tight} satisfied={'yes' if satisfied else 'NO'} "
+            f"tight_bound={tight} satisfied={'yes' if rep.satisfied else 'NO'} "
             f"crossings/cycle={rep.crossings_per_period} [{'; '.join(checks)}]"
         )
         lines.append("  amplitude window: one steady-state period at the end of the run")
@@ -563,7 +558,7 @@ def _cmd_run(args, single: bool) -> int:
         print(f"simulate expects exactly one parameter case, found {len(cfg.cases)}; "
               "use `sweep` for parameter sets", file=sys.stderr)
         return 1
-    results = run_scenario(cfg, workers=args.workers, out_dir=args.out or None)
+    results = run_scenario(cfg, workers=1 if single else args.workers, out_dir=args.out or None)
     if args.out:
         converged = sum(r.converged for r in results)
         print(f"{converged}/{len(results)} runs converged; outputs in {args.out}")
@@ -594,9 +589,8 @@ def _cmd_tune(args) -> int:
                   f"(k1 premise {'holds' if feasible else 'FAILS'}, "
                   f"tight bound {bound:.6g} vs eta {eta:g})")
             print(f"coarse bound: {cycle_width_bound(k2, L, n, T):.6g}")
-            # q is the derivative of a T-periodic d, so its period mean is 0
             print(f"averaged-loop conditions at mean rate 0: "
-                  f"{check_averaged_conditions(Gains(k1, k2), 0.0)} (informative)")
+                  f"{check_averaged_conditions(Gains(k1, k2))} (informative)")
         except (InfeasibleSpecError, RegimeError) as exc:
             print(f"fixed k1={k1:g}: infeasible ({exc})")
             status = 2
@@ -662,8 +656,8 @@ def main(argv=None) -> int:
                              help="dotted-path config override, e.g. integration.periods=60")
     for command in runs:
         command.add_argument("--out", default=None, help="output directory")
-        command.add_argument("--workers", type=_worker_count, default=1,
-                             help="parallel runs for sweeps (an integer >= 1)")
+    runs[1].add_argument("--workers", type=_worker_count, default=1,
+                         help="parallel runs (an integer >= 1)")
     table.add_argument("--out", required=True, help="results directory of an earlier sweep")
 
     args = parser.parse_args(argv)

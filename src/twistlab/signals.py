@@ -144,11 +144,11 @@ class MotionProfile:
     omega_dot: Callable[[float], float]
 
     @classmethod
-    def constant_speed(cls, omega_r: float, theta0: float = 0.0) -> "MotionProfile":
-        """Constant set-point: theta advances as omega_r * t + theta0."""
+    def constant_speed(cls, omega_r: float) -> "MotionProfile":
+        """Constant set-point: theta advances as omega_r * t."""
         return cls(
             omega=lambda t: omega_r + 0.0 * t,
-            theta=lambda t: omega_r * t + theta0,
+            theta=lambda t: omega_r * t,
             omega_dot=lambda t: 0.0 * t,
         )
 

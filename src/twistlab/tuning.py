@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import Gains, default_layer_width
+from .dynamics import DEFAULT_DELTA, Gains, default_layer_width
 
 __all__ = [
     "AccuracySpec",
@@ -59,7 +59,7 @@ class AccuracySpec:
 
 
 def finite_time_gains(rate_bound: float, margin: float = 1.1,
-                      delta: float | None = None) -> Gains:
+                      delta: float = DEFAULT_DELTA) -> Gains:
     """Gains that make the origin finite-time stable: k2 = margin*L, k1 = 1.8*sqrt(k2+L).
 
     ``margin`` must exceed 1 strictly; the default 1.1 reproduces the usual
@@ -71,18 +71,18 @@ def finite_time_gains(rate_bound: float, margin: float = 1.1,
         raise ValueError(f"margin must exceed 1 for finite-time convergence, got {margin}")
     k2 = margin * rate_bound
     k1 = 1.8 * math.sqrt(k2 + rate_bound)
-    return Gains(k1=k1, k2=k2, delta=default_layer_width() if delta is None else delta)
+    return Gains(k1=k1, k2=k2, delta=delta)
 
 
-def check_averaged_conditions(gains: Gains, mean_rate: float) -> bool:
+def check_averaged_conditions(gains: Gains) -> bool:
     """Sufficient conditions on the period-averaged loop for cycle convergence.
 
-    True iff k2 > |mean_rate| and k1 >= 1.8*sqrt(k2 + |mean_rate|).  These are
-    sufficient only; loops violating the k1 part are routinely observed to
+    They are taken at the rate's period mean, 0: q is the derivative of a
+    T-periodic d.  Every :class:`Gains` has k2 > 0, so k1 >= 1.8*sqrt(k2)
+    remains.  Sufficient only; loops violating it are routinely observed to
     converge, so callers should report rather than enforce this flag.
     """
-    m = abs(mean_rate)
-    return gains.k2 > m and gains.k1 >= 1.8 * math.sqrt(gains.k2 + m)
+    return gains.k1 >= 1.8 * math.sqrt(gains.k2)
 
 
 def cycle_width_bound(k2: float, rate_bound: float, n: float, period: float) -> float:

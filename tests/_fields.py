@@ -53,7 +53,9 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
     ``(theta, omega, z)`` (through :func:`motor_field`), and 2 for
     ``integrate`` (through :func:`loop_field`) and the sampled rotor step;
     any other size raises ValueError.  Raises :class:`DivergenceError` as
-    soon as a component goes non-finite.
+    soon as a component goes non-finite.  Like the motor loops, the 3-state
+    step also takes a ValueError raised while a stage's first component (the
+    motor angle) is non-finite, e.g. by ``math.sin(inf)``, as a divergence.
     """
     x = tuple(float(v) for v in x0)
     if len(x) not in (2, 3):
@@ -80,19 +82,25 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
             records.extend((x1, x2))
     else:
         x1, x2, x3 = x
-        for k in range(n_steps):
-            t = t0 + k * dt
-            th = t + half
-            a1, a2, a3 = field(t, (x1, x2, x3))
-            b1, b2, b3 = field(th, (x1 + half * a1, x2 + half * a2, x3 + half * a3))
-            c1, c2, c3 = field(th, (x1 + half * b1, x2 + half * b2, x3 + half * b3))
-            e1, e2, e3 = field(t + dt, (x1 + dt * c1, x2 + dt * c2, x3 + dt * c3))
-            x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
-            x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
-            x3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + e3)
-            if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-                raise DivergenceError(t + dt)
-            records.extend((x1, x2, x3))
+        a1 = b1 = c1 = x2  # read by the except clause; the last step left them finite
+        try:
+            for k in range(n_steps):
+                t = t0 + k * dt
+                th = t + half
+                a1, a2, a3 = field(t, (x1, x2, x3))
+                b1, b2, b3 = field(th, (x1 + half * a1, x2 + half * a2, x3 + half * a3))
+                c1, c2, c3 = field(th, (x1 + half * b1, x2 + half * b2, x3 + half * b3))
+                e1, e2, e3 = field(t + dt, (x1 + dt * c1, x2 + dt * c2, x3 + dt * c3))
+                x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
+                x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
+                x3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + e3)
+                if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+                    raise DivergenceError(t + dt)
+                records.extend((x1, x2, x3))
+        except ValueError as exc:
+            if all(isfinite(a) for a in (x1 + half * a1, x1 + half * b1, x1 + dt * c1)):
+                raise
+            raise DivergenceError(t + dt) from exc
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, len(x))
 
 

@@ -131,7 +131,7 @@ def test_criterion_6_finite_time_regime():
         w = 2 * math.pi / period
         dt = period / 2000
         n_steps = int(math.ceil(5.0 / dt))
-        cfg = tl.IntegrationConfig(dt=dt, t_end=n_steps * dt)
+        cfg = tl.IntegrationConfig(dt=dt, n_steps=n_steps)
         traj = tl.integrate(gains, make_rate(w), (1.0, 0.0), cfg)
         inside = np.abs(traj.x1) <= 10 * gains.delta
         assert inside[-1], f"L={L}: not inside the neighborhood at the horizon"

@@ -116,7 +116,8 @@ def test_bound_table():
         LimitCycleReport(converged=True, amplitude=0.7, coarse_bound=0.5, tight_bound=None),
     ]
     table = bound_comparison_table(reports, ["a", "b"])
-    assert [r.satisfied for r in table.rows] == [True, False]
+    assert table.rows == list(zip(["a", "b"], reports))
+    assert [report.satisfied for _, report in table.rows] == [True, False]
     assert "NO" in table.render()
     assert bound_comparison_table([], []).rows == []
     with pytest.raises(ValueError):
@@ -139,6 +140,13 @@ def test_report_validation():
         LimitCycleReport(converged=True, amplitude=-0.1)
     with pytest.raises(ValueError):
         LimitCycleReport(converged=True, measured_period=0.0)
+
+
+def test_report_satisfied():
+    """The run's verdict: converged, and no wider than the coarse bound."""
+    assert LimitCycleReport(converged=True, amplitude=0.5, coarse_bound=0.5).satisfied
+    assert not LimitCycleReport(converged=True, amplitude=0.6, coarse_bound=0.5).satisfied
+    assert not LimitCycleReport(converged=False, coarse_bound=0.5).satisfied
 
 
 def test_default_tolerance():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twistlab.dynamics import Gains, default_layer_width, saturation, twisting_action
+from twistlab.dynamics import (DEFAULT_DELTA, Gains, default_layer_width, saturation,
+                               twisting_action)
 from twistlab.integrator import IntegrationConfig, integrate
 
 from _fields import twisting_law
@@ -230,7 +231,7 @@ def test_state_validation():
 
 
 def test_default_layer_width():
-    assert default_layer_width() == 1e-4
+    assert default_layer_width(1.0) == DEFAULT_DELTA == 1e-4  # capped at the untargeted width
     assert default_layer_width(0.2) == 1e-4          # min(1e-4, 2e-4)
     assert default_layer_width(0.05) == pytest.approx(5e-5)
     with pytest.raises(ValueError):

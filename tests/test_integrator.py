@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twistlab.dynamics import Gains
 from twistlab.integrator import (DivergenceError, IntegrationConfig,
                                  Trajectory, detect_crossings, integrate)
-from twistlab.plant import MotorModel, _continuous_motor_loop
+from twistlab.plant import MotorModel, _continuous_motor_loop, _sampled_motor_loop
 from twistlab.signals import FrictionCoggingModel, MotionProfile
 
 from _fields import loop_field, motor_field, rk4_solve, solve_trajectory
@@ -133,7 +133,7 @@ def test_rk4_solve_rejects_other_state_sizes():
             rk4_solve(lambda t, x: x, x0, 0.0, 1e-3, 10)
     with pytest.raises(ValueError, match="planar"):
         integrate(Gains(1.0, 1.0), lambda t: 0.0, (1.0, 0.0, 0.0),
-                  IntegrationConfig(dt=1e-3, t_end=0.01))
+                  IntegrationConfig(dt=1e-3, n_steps=10))
 
 
 @PROPERTY
@@ -148,7 +148,7 @@ def test_integrate_is_rk4_solve_on_the_loop_field(k1, k2, delta, in_layer, x1_fr
     w = 2 * math.pi / period
     rate = lambda t: amplitude * math.sin(w * t + phase)
     x0 = (x1_frac * (0.99 * delta if in_layer else 2.0), x2)
-    cfg = IntegrationConfig(dt=dt, t_end=400 * dt)
+    cfg = IntegrationConfig(dt=dt, n_steps=400)
     traj = integrate(gains, rate, x0, cfg)
     times, states = rk4_solve(loop_field(gains, rate), x0, 0.0, dt, cfg.n_steps)
     assert traj.t.tobytes() == times.tobytes()
@@ -165,7 +165,7 @@ def test_integrate_divergence_time_is_rk4_solves(k1, k2, scale, blowup_steps, dt
     gains = Gains(k1, k2, 1e-4)
     growth = math.log(sys.float_info.max / scale) / (blowup_steps * dt)
     rate = lambda t: scale * math.exp(growth * t)
-    cfg = IntegrationConfig(dt=dt, t_end=2 * blowup_steps * dt)
+    cfg = IntegrationConfig(dt=dt, n_steps=2 * blowup_steps)
     with pytest.raises(DivergenceError) as expected:
         rk4_solve(loop_field(gains, rate), (0.0, 0.0), 0.0, dt, cfg.n_steps)
     with pytest.raises(DivergenceError) as actual:
@@ -182,7 +182,7 @@ def test_integrate_reads_the_rate_once_per_stage_time():
         return 12.0 * math.sin(20.0 * t)
 
     dt, n = 0.3125 / 2000, 250
-    integrate(Gains(0.9, 11.65), rate, (0.3, 0.0), IntegrationConfig(dt=dt, t_end=n * dt))
+    integrate(Gains(0.9, 11.65), rate, (0.3, 0.0), IntegrationConfig(dt=dt, n_steps=n))
     expected = []
     for k in range(n):
         t = k * dt
@@ -223,7 +223,7 @@ def _motor_loops(draw):
 def test_continuous_motor_loop_is_rk4_solve_on_the_motor_field(loop, dt):
     """The written-out continuous motor loop equals rk4_solve on the law-built field, bit for bit."""
     motor, reference, gains, x0 = loop
-    cfg = IntegrationConfig(dt=dt, t_end=300 * dt)
+    cfg = IntegrationConfig(dt=dt, n_steps=300)
     times, states = _continuous_motor_loop(motor, reference, gains, cfg, x0)
     ref_times, ref_states = rk4_solve(motor_field(motor, reference, gains), x0, 0.0, dt,
                                       cfg.n_steps)
@@ -236,20 +236,54 @@ def test_continuous_motor_loop_is_rk4_solve_on_the_motor_field(loop, dt):
 def test_continuous_motor_loop_divergence_time_is_rk4_solves(loop, dt, stiffness):
     """Viscous friction too stiff for the step (dt*viscous/J of 4-50) blows both up together.
 
-    The cogging is dropped: ``math.sin`` of an angle that overflowed inside
-    a step raises ValueError in both before the step's finiteness check.
+    With cogging, ``math.sin`` of an angle that overflowed inside a step
+    raises ValueError before the step's finiteness check; both take that as
+    the divergence, at the same time.
     """
     motor, reference, gains, (theta, omega, z) = loop
-    model = dataclasses.replace(motor.friction_cogging, viscous=stiffness * motor.inertia / dt,
-                                harmonics=())
+    model = motor.friction_cogging
+    model = dataclasses.replace(model, viscous=stiffness * motor.inertia / dt,
+                                harmonics=model.harmonics + ((0.5, 0.3),))
     motor = dataclasses.replace(motor, friction_cogging=model)
     x0 = (theta, omega + 1.0, z)  # off the equilibrium, which a zero reference would keep
-    cfg = IntegrationConfig(dt=dt, t_end=2000 * dt)
+    cfg = IntegrationConfig(dt=dt, n_steps=2000)
     with pytest.raises(DivergenceError) as expected:
         rk4_solve(motor_field(motor, reference, gains), x0, 0.0, dt, cfg.n_steps)
     with pytest.raises(DivergenceError) as actual:
         _continuous_motor_loop(motor, reference, gains, cfg, x0)
     assert actual.value.time == expected.value.time
+
+
+def test_sampled_motor_loop_divergence_is_a_divergence_error():
+    """A stiff sampled loop stops with DivergenceError at a step's end, also when math.sin raised."""
+    rng = np.random.default_rng(31)
+    dt, n = 1e-3, 2000
+    causes = set()
+    for _ in range(20):
+        J = float(rng.uniform(0.05, 1.0))
+        model = FrictionCoggingModel(viscous=float(rng.uniform(3.0, 50.0)) * J / dt,
+                                     harmonics=((0.5, 0.3),))
+        motor = MotorModel(inertia=J, friction_cogging=model, encoder_quantum=1e-5)
+        with pytest.raises(DivergenceError) as info:
+            _sampled_motor_loop(motor, MotionProfile.constant_speed(10.0), Gains(0.9, 5.0),
+                                IntegrationConfig(dt=dt, n_steps=n), (0.0, 10.3, 0.0), None)
+        k = round(info.value.time / dt) - 1
+        assert 0 <= k < n and info.value.time == k * dt + dt
+        causes.add(type(info.value.__cause__))
+    assert causes == {type(None), ValueError}  # both ways of diverging were taken
+
+
+def test_motor_loop_passes_a_reference_value_error_through():
+    """A ValueError from the reference is the caller's error, not a divergence."""
+    def omega(t):
+        if t > 0.0105:
+            raise ValueError("reference out of range")
+        return 18.0
+
+    reference = MotionProfile(omega=omega, theta=lambda t: 18.0 * t, omega_dot=lambda t: 0.0)
+    with pytest.raises(ValueError, match="reference out of range"):
+        _continuous_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
+                               IntegrationConfig(dt=1e-3, n_steps=100), (0.0, 18.3, 0.0))
 
 
 def test_continuous_motor_loop_reads_the_reference_once_per_stage_time():
@@ -266,7 +300,7 @@ def test_continuous_motor_loop_reads_the_reference_once_per_stage_time():
                               omega_dot=reading("accel", 0.0))
     dt, n = 2 * math.pi / 18.0 / 1000, 200
     _continuous_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
-                           IntegrationConfig(dt=dt, t_end=n * dt), (0.0, 18.3, 0.0))
+                           IntegrationConfig(dt=dt, n_steps=n), (0.0, 18.3, 0.0))
     assert calls == [(name, t) for k in range(n)
                      for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)
                      for name in ("omega", "accel")]
@@ -327,7 +361,7 @@ def test_divergence_error_carries_time():
 
 
 def test_records_are_finite_and_uniform():
-    cfg = IntegrationConfig(dt=1e-3, t_end=0.4)
+    cfg = IntegrationConfig(dt=1e-3, n_steps=400)
     traj = solve_trajectory(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
     assert len(traj) == 401
     assert np.all(np.isfinite(traj.x1)) and np.all(np.isfinite(traj.x2))
@@ -338,9 +372,10 @@ def test_records_are_finite_and_uniform():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegrationConfig(dt=0.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(dt=1e-3, t_end=-1.0)
+        IntegrationConfig(dt=0.0, n_steps=1000)
+    for n_steps in (0, -1, 2.5, True, 10.0):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+            IntegrationConfig(dt=1e-3, n_steps=n_steps)
     with pytest.warns(UserWarning):
         IntegrationConfig.for_period(1.0, steps_per_period=100, periods=2)
 
@@ -352,7 +387,7 @@ def test_for_period_alignment():
 
 
 def test_csv_round_trip(tmp_path):
-    cfg = IntegrationConfig(dt=1e-3, t_end=0.1)
+    cfg = IntegrationConfig(dt=1e-3, n_steps=100)
     traj = solve_trajectory(lambda t, x: (x[1], -x[0]), (1.0, 0.0), cfg)
     traj = dataclasses.replace(traj, u=np.sin(traj.t), d=traj.t, q=0 * traj.t)
     path = tmp_path / "trajectory.csv"

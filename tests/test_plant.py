@@ -177,7 +177,7 @@ def test_sampled_rotor_step_matches_rk4_solve():
                                   omega_dot=lambda t: accel + 0.0 * t)
         _, states = _sampled_motor_loop(MotorModel(inertia=J, friction_cogging=model,
                                                    encoder_quantum=1e-9),
-                                        reference, gains, IntegrationConfig(dt=dt, t_end=dt),
+                                        reference, gains, IntegrationConfig(dt=dt, n_steps=1),
                                         (theta, omega, z), None)
         u, dz = twisting_law(gains)(omega - omega_r, z, -0.0)
         u0 = (u + accel) / (1.0 / J)
@@ -203,7 +203,7 @@ def test_sampled_velocity_estimate_matches_sliding_list(window):
                        velocity_window=window, noise_std=noise_std)
     reference = MotionProfile.sinusoidal_velocity(4.0)
     gains = Gains(0.9, 19.65)
-    cfg = IntegrationConfig(dt=dt, t_end=300 * dt)
+    cfg = IntegrationConfig(dt=dt, n_steps=300)
     x0 = (0.01, 4.5, 0.1)  # theta moves about 40 quanta a step
     _, states = _sampled_motor_loop(motor, reference, gains, cfg, x0, np.random.default_rng(5))
 

@@ -467,6 +467,25 @@ def test_worker_count_cannot_change_the_outputs(tmp_path):
     assert "wr18: NOT CONVERGED" in trees[0]["summary.txt"].decode()
 
 
+def test_every_output_gives_the_same_verdict(tmp_path, capsys):
+    """RunResult.ok, summary.txt, bounds.csv and `twistlab table` agree on each run."""
+    out = tmp_path / "out"
+    results = run_scenario(ScenarioConfig.from_dict(MIXED_OUTCOMES), out_dir=out)
+    ok = {r.label: r.ok for r in results}
+    assert ok == {"wr12": False, "wr18": False, "wr23": True}
+    summary = {line.split(":")[0]: line.split(" satisfied=")[1].split()[0] == "yes"
+               for line in (out / "summary.txt").read_text().splitlines()
+               if " satisfied=" in line}
+    bounds = {row.split(",")[0]: row.split(",")[-1] == "1"
+              for row in (out / "bounds.csv").read_text().splitlines()[1:]}
+    capsys.readouterr()
+    assert main(["table", "--out", str(out)]) == 0
+    table = {row.split()[0]: row.split()[-1] == "yes"
+             for row in capsys.readouterr().out.splitlines()[1:]}
+    # a run that failed or did not converge has no row, and is not ok
+    assert summary == bounds == table == {r.label: r.ok for r in results if r.converged}
+
+
 def test_worker_writes_its_run_and_returns_no_trajectory(tmp_path):
     cfg = ScenarioConfig.from_dict(MIXED_OUTCOMES)
     results = run_scenario(cfg, workers=2, out_dir=tmp_path)
@@ -765,6 +784,7 @@ def test_cli_config_that_is_not_an_object_exits_1(tmp_path, capsys, monkeypatch)
     ["table", "--out", "OUT", "--config", "CFG"], ["table", "--out", "OUT", "--override", "seed=1"],
     ["table", "--out", "OUT", "--workers", "2"], ["table"],
     ["tune", "--config", "CFG", "--out", "NEW"], ["tune", "--config", "CFG", "--workers", "2"],
+    ["simulate", "--config", "CFG", "--workers", "2"],
 ])
 def test_cli_rejects_flags_a_command_does_not_read(flags, tmp_path, capsys):
     """A flag the command does not read, or table without --out, is a usage error (exit 2)."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab.dynamics import Gains
+from twistlab.dynamics import DEFAULT_DELTA, Gains
 from twistlab.tuning import (AccuracySpec, InfeasibleSpecError, RegimeError,
                              check_averaged_conditions, cycle_width_bound,
                              finite_time_gains, optimize_gains,
@@ -27,6 +27,7 @@ def test_finite_time_gains_values():
     gains = finite_time_gains(12.0, 1.1)
     assert gains.k2 == pytest.approx(13.2)
     assert gains.k1 == pytest.approx(9.04, abs=0.01)
+    assert gains.delta == DEFAULT_DELTA
     wide = finite_time_gains(20.0, 1.1)
     assert wide.k2 == pytest.approx(22.0)
     assert wide.k1 == pytest.approx(11.67, abs=0.01)
@@ -42,10 +43,9 @@ def test_finite_time_gains_margin_error():
 
 
 def test_check_averaged_conditions():
-    assert check_averaged_conditions(Gains(k1=1.8, k2=1.0), 0.0)
+    assert check_averaged_conditions(Gains(k1=1.8, k2=1.0))
     # the experimentally applied pair violates the k1 part (sufficient only)
-    assert not check_averaged_conditions(Gains(k1=0.9, k2=11.65), 0.0)
-    assert not check_averaged_conditions(Gains(k1=10.0, k2=1.0), 2.0)
+    assert not check_averaged_conditions(Gains(k1=0.9, k2=11.65))
 
 
 def test_cycle_width_bound_values():
@@ -137,13 +137,12 @@ def test_optimize_gains_bad_args():
 
 
 def test_finite_time_gains_satisfy_averaged_conditions():
-    """The finite-time pair passes the averaged-loop check for any |mean| <= L."""
+    """The finite-time pair passes the averaged-loop check."""
     rng = np.random.default_rng(29)
     for _ in range(200):
         L = rng.uniform(0.5, 30.0)
         gains = finite_time_gains(L, margin=rng.uniform(1.01, 3.0))
-        mean = rng.uniform(-L, L)
-        assert check_averaged_conditions(gains, mean)
+        assert check_averaged_conditions(gains)
 
 
 @PROPERTY
