@@ -171,11 +171,14 @@ def scaling_fit(points) -> tuple[float, float, float]:
     """Power-law fit amplitude = coefficient * period^exponent on >= 4 points.
 
     Least squares in log-log space; returns (exponent, coefficient,
-    r_squared).  Non-positive periods or amplitudes are a domain error.
+    r_squared).  Non-positive periods or amplitudes, and points that do not
+    span 2 distinct periods, are a domain error.
     """
     pts = [(float(T), float(amp)) for T, amp in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points for a scaling fit, got {len(pts)}")
+    if len({T for T, _ in pts}) < 2:
+        raise ValueError("a scaling fit needs at least 2 distinct periods")
     if any(T <= 0.0 or amp <= 0.0 for T, amp in pts):
         raise ValueError("scaling fit requires positive periods and amplitudes")
     log_T = np.log([T for T, _ in pts])

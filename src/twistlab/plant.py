@@ -46,8 +46,8 @@ class MotorModel:
         for name in ("encoder_quantum", "noise_std"):
             if not 0.0 <= (value := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if self.velocity_window < 1:
-            raise ValueError(f"velocity_window must be at least 1, got {self.velocity_window}")
+        if type(self.velocity_window) is not int or self.velocity_window < 1:  # so True fails too
+            raise ValueError(f"velocity_window must be an integer >= 1, got {self.velocity_window!r}")
 
 
 def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
@@ -56,12 +56,11 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
                         rng: np.random.Generator | None = None) -> Trajectory:
     """Closed-loop run of the virtual motor; records the error as x1.
 
-    The trajectory's ``u`` channel holds the torque command u0.  With the
-    encoder and noise disabled (the baseline) the loop is a continuous ODE;
-    otherwise the controller runs in sampled mode on the measured velocity
-    with u0 held over each step.  In sampled mode the recorded ``u`` and
-    ``q`` are rebuilt after the run from the true error, not from the
-    measured error the controller acted on.
+    ``_motor_loop`` integrates it: as a continuous ODE with the encoder and
+    noise off (the baseline), else with the controller sampled on the
+    measured velocity.  The ``u`` channel holds the torque command u0.  In
+    sampled mode the recorded ``u`` and ``q`` are rebuilt after the run from
+    the true error, not from the measured error the controller acted on.
     """
     model = motor.friction_cogging
     J = motor.inertia
@@ -69,10 +68,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     ref_omega, ref_accel = reference.omega, reference.omega_dot
     x0 = (float(reference.theta(0.0)), float(ref_omega(0.0)) + initial_error, initial_integral)
 
-    if motor.encoder_quantum > 0.0 or motor.noise_std > 0.0:
-        times, states = _sampled_motor_loop(motor, reference, gains, cfg, x0, rng)
-    else:
-        times, states = _continuous_motor_loop(motor, reference, gains, cfg, x0)
+    times, states = _motor_loop(motor, reference, gains, cfg, x0, rng)
 
     theta = states[:, 0]
     omega = states[:, 1]
@@ -86,15 +82,23 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     return Trajectory(t=times, x1=e, x2=z + d / J, u=u0, d=d, q=q, dt=cfg.dt)
 
 
-def _continuous_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
-                           cfg: IntegrationConfig, x0) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous loop: one classical RK4 step of (theta, omega, z) per ``dt``.
+def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
+                cfg: IntegrationConfig, x0,
+                rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(times, states) of the speed loop, one RK4 step of the rotor per ``dt`` on floats.
 
-    The step is written out on Python float locals.  The reference is read
-    once per stage time: at t, at t + dt/2 for both midpoint stages, and at
-    t + dt.  Raises :class:`DivergenceError` as soon as a component or a
-    stage angle goes non-finite.
+    Continuous (encoder and noise off): an RK4 step of (theta, omega, z) on
+    the true speed, with the reference read once per stage time (t, t + dt/2
+    for both midpoints, t + dt).  Sampled: the reference and noise are drawn
+    up front on the grid ``k * dt``; the law acts on the quantized, backward-
+    differenced, noisy speed, u0 is held over the rotor's RK4 step, and z
+    takes an Euler step.  The law keeps ``twisting_action``'s operation
+    order.  A non-finite component or stage angle raises
+    :class:`DivergenceError` at the end of its step.
     """
+    quantum, window, noise_std = motor.encoder_quantum, motor.velocity_window, motor.noise_std
+    if noise_std > 0.0 and rng is None:
+        raise ValueError("noise injection requires an rng")
     torque = motor.friction_cogging.scalar_torque()
     J = motor.inertia
     inv_inertia = 1.0 / J
@@ -106,135 +110,98 @@ def _continuous_motor_loop(motor: MotorModel, reference: MotionProfile, gains: G
     sqrt = math.sqrt
     isfinite = math.isfinite
 
-    def stage(theta: float, omega: float, z: float, omega_r: float,
-              accel_r: float) -> tuple[float, float]:
-        """(domega, dz), with the law in the operation order of ``twisting_action``."""
-        e = omega - omega_r
-        s = e / delta
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        u0 = (neg_k1 * sqrt(abs(e)) * s + z + accel_r) / inv_inertia
-        return (u0 + torque(omega, theta)) / J, neg_k2 * s
-
     times = np.arange(n_steps + 1) * dt
     theta, omega, z = (float(v) for v in x0)
     records = array("d", (theta, omega, z))
     w_b = w_c = omega  # read by the except clause; the last step left them finite
-    try:
-        for k in range(n_steps):
-            t = k * dt
-            t_mid = t + half
-            t_end = t + dt
-
-            dw_a, dz_a = stage(theta, omega, z, float(ref_omega(t)), float(ref_accel(t)))
-            w_mid, a_mid = float(ref_omega(t_mid)), float(ref_accel(t_mid))
-            w_b = omega + half * dw_a
-            dw_b, dz_b = stage(theta + half * omega, w_b, z + half * dz_a, w_mid, a_mid)
-            w_c = omega + half * dw_b
-            dw_c, dz_c = stage(theta + half * w_b, w_c, z + half * dz_b, w_mid, a_mid)
-            w_e = omega + dt * dw_c
-            dw_e, dz_e = stage(theta + dt * w_c, w_e, z + dt * dz_c,
-                               float(ref_omega(t_end)), float(ref_accel(t_end)))
-
-            theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
-            omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
-            z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e)
-            if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
-                raise DivergenceError(t_end)
-            records.extend((theta, omega, z))
-    except ValueError as exc:  # math.sin raises on a stage angle that overflowed to inf
-        if all(isfinite(a) for a in (theta + half * omega, theta + half * w_b,
-                                     theta + dt * w_c)):
-            raise
-        raise DivergenceError(t_end) from exc
-    return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
-
-
-def _sampled_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
-                        cfg: IntegrationConfig, x0,
-                        rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """Stepped loop: u0 from the quantized/noisy measurement, held per step.
-
-    The loop runs on Python floats.  The reference and the measurement
-    noise are drawn up front on the step grid ``k * dt``.  Each step applies
-    the law, inlined in the same operation order as ``twisting_action``, to
-    the measured error, then advances the rotor (theta, omega) by one
-    classical RK4 step with u0 held, written out in place.  The
-    controller's integral state takes an Euler step.
-    """
-    noise_std = motor.noise_std
-    if noise_std > 0.0 and rng is None:
-        raise ValueError("noise injection requires an rng")
-    torque = motor.friction_cogging.scalar_torque()
-    J = motor.inertia
-    inv_inertia = 1.0 / J
-    neg_k1, neg_k2, delta = -gains.k1, -gains.k2, gains.delta
-    quantum = motor.encoder_quantum
-    window = motor.velocity_window
-    dt = cfg.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    n_steps = cfg.n_steps
-    sqrt = math.sqrt
-    isfinite = math.isfinite
-
-    # memoryviews index to Python floats without holding a float object per step
-    grid = np.arange(n_steps) * dt
-    ref_omega = memoryview(np.broadcast_to(reference.omega(grid), grid.shape).astype(float))
-    ref_accel = memoryview(np.broadcast_to(reference.omega_dot(grid), grid.shape).astype(float))
-    noise = memoryview(noise_std * rng.standard_normal(n_steps)) if noise_std > 0.0 else None
-
-    times = np.arange(n_steps + 1) * dt
-    theta, omega, z = x0
-    records = array("d", (theta, omega, z))
-
-    # the last window + 1 positions; step k's at k % ring, step k - window's at slot - window
-    ring = window + 1
-    measured = [0.0] * ring
-    window_dt = window * dt
-    w_b = w_c = omega  # read by the except clause; the last step left them finite
-    try:
-        for k in range(n_steps):
-            theta_meas = math.floor(theta / quantum) * quantum if quantum > 0.0 else theta
-            slot = k % ring
-            measured[slot] = theta_meas
-            if k >= window:
-                omega_meas = (theta_meas - measured[slot - window]) / window_dt
-            elif k:
-                omega_meas = (theta_meas - measured[0]) / (k * dt)
-            else:
-                omega_meas = omega
-            if noise_std > 0.0:
-                omega_meas += noise[k]
-
-            e = omega_meas - ref_omega[k]
+    sampled = quantum > 0.0 or noise_std > 0.0
+    if sampled:
+        # memoryviews index to Python floats without holding a float object per step
+        grid = times[:-1]
+        ref_omega = memoryview(np.broadcast_to(ref_omega(grid), grid.shape).astype(float))
+        ref_accel = memoryview(np.broadcast_to(ref_accel(grid), grid.shape).astype(float))
+        noise = memoryview(noise_std * rng.standard_normal(n_steps)) if noise_std > 0.0 else None
+        # the last window + 1 positions; step k's at k % ring, step k - window's at slot - window
+        ring = window + 1
+        measured = [0.0] * ring
+        window_dt = window * dt
+    else:
+        # constants as defaults: read by a closure they would be cells for the sampled step too
+        def stage(theta: float, omega: float, z: float, omega_r: float, accel_r: float,
+                  torque=torque, J=J, inv_inertia=inv_inertia, neg_k1=neg_k1, neg_k2=neg_k2,
+                  delta=delta, sqrt=sqrt) -> tuple[float, float]:
+            """(domega, dz), with the law in the operation order of ``twisting_action``."""
+            e = omega - omega_r
             s = e / delta
             if s > 1.0:
                 s = 1.0
             elif s < -1.0:
                 s = -1.0
-            u0 = (neg_k1 * sqrt(abs(e)) * s + z + ref_accel[k]) / inv_inertia
+            u0 = (neg_k1 * sqrt(abs(e)) * s + z + accel_r) / inv_inertia
+            return (u0 + torque(omega, theta)) / J, neg_k2 * s
 
-            # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
-            dw_a = (u0 + torque(omega, theta)) / J
-            w_b = omega + half * dw_a
-            dw_b = (u0 + torque(w_b, theta + half * omega)) / J
-            w_c = omega + half * dw_b
-            dw_c = (u0 + torque(w_c, theta + half * w_b)) / J
-            w_e = omega + dt * dw_c
-            dw_e = (u0 + torque(w_e, theta + dt * w_c)) / J
-            theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
-            omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
-            z += dt * (neg_k2 * s)
-            if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
-                raise DivergenceError(k * dt + dt)
-            records.extend((theta, omega, z))
+    try:
+        if sampled:
+            for k in range(n_steps):
+                theta_meas = math.floor(theta / quantum) * quantum if quantum > 0.0 else theta
+                slot = k % ring
+                measured[slot] = theta_meas
+                if k >= window:
+                    omega_meas = (theta_meas - measured[slot - window]) / window_dt
+                elif k:
+                    omega_meas = (theta_meas - measured[0]) / (k * dt)
+                else:
+                    omega_meas = omega
+                if noise_std > 0.0:
+                    omega_meas += noise[k]
+
+                e = omega_meas - ref_omega[k]
+                s = e / delta
+                if s > 1.0:
+                    s = 1.0
+                elif s < -1.0:
+                    s = -1.0
+                u0 = (neg_k1 * sqrt(abs(e)) * s + z + ref_accel[k]) / inv_inertia
+
+                # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
+                dw_a = (u0 + torque(omega, theta)) / J
+                w_b = omega + half * dw_a
+                dw_b = (u0 + torque(w_b, theta + half * omega)) / J
+                w_c = omega + half * dw_b
+                dw_c = (u0 + torque(w_c, theta + half * w_b)) / J
+                w_e = omega + dt * dw_c
+                dw_e = (u0 + torque(w_e, theta + dt * w_c)) / J
+                theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
+                omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
+                z += dt * (neg_k2 * s)
+                if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
+                    raise DivergenceError(k * dt + dt)
+                records.extend((theta, omega, z))
+        else:
+            for k in range(n_steps):
+                t = k * dt
+                t_mid = t + half
+                t_end = t + dt
+
+                dw_a, dz_a = stage(theta, omega, z, float(ref_omega(t)), float(ref_accel(t)))
+                w_mid, a_mid = float(ref_omega(t_mid)), float(ref_accel(t_mid))
+                w_b = omega + half * dw_a
+                dw_b, dz_b = stage(theta + half * omega, w_b, z + half * dz_a, w_mid, a_mid)
+                w_c = omega + half * dw_b
+                dw_c, dz_c = stage(theta + half * w_b, w_c, z + half * dz_b, w_mid, a_mid)
+                w_e = omega + dt * dw_c
+                dw_e, dz_e = stage(theta + dt * w_c, w_e, z + dt * dz_c,
+                                   float(ref_omega(t_end)), float(ref_accel(t_end)))
+
+                theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
+                omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
+                z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e)
+                if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
+                    raise DivergenceError(t_end)
+                records.extend((theta, omega, z))
     except ValueError as exc:  # math.sin raises on a stage angle that overflowed to inf
         if all(isfinite(a) for a in (theta + half * omega, theta + half * w_b,
                                      theta + dt * w_c)):
             raise
         raise DivergenceError(k * dt + dt) from exc
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
-

@@ -457,7 +457,7 @@ def emit_outputs(results: list[RunResult], out_dir) -> None:
     points = [(r.period, r.report.amplitude) for r in converged if r.report.amplitude > 0.0]
     lines = ["period,amplitude"]
     lines.extend(f"{T!r},{amp!r}" for T, amp in points)
-    if len(points) >= 4:
+    if len(points) >= 4 and len({T for T, _ in points}) >= 2:
         fit = scaling_fit(points)
         lines.append(f"# exponent={fit[0]!r} coefficient={fit[1]!r} r_squared={fit[2]!r}")
     _atomic_write(out / "scaling.csv", "\n".join(lines) + "\n")

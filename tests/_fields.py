@@ -1,8 +1,9 @@
 """The generic RK4 solver and the scalar law: the reference the written-out loops are held to.
 
-``integrate`` and both motor loops in ``twistlab.plant`` write their RK4
-step and the super-twisting law out on float locals.  The tests hold them,
-bit for bit, to :func:`rk4_solve` on fields built from :func:`twisting_law`.
+``integrate`` and both step rules of ``twistlab.plant._motor_loop`` write
+their RK4 step and the super-twisting law out on float locals.  The tests
+hold them, bit for bit, to :func:`rk4_solve` on fields built from
+:func:`twisting_law`.
 """
 
 import math
@@ -49,11 +50,11 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
 
     ``field(t, x)`` receives the state as a tuple and returns the derivative
     tuple.  The step is written out on Python float locals for two state
-    sizes: 3 is the reference for the continuous motor loop
+    sizes: 3 is the reference for the continuous motor step
     ``(theta, omega, z)`` (through :func:`motor_field`), and 2 for
     ``integrate`` (through :func:`loop_field`) and the sampled rotor step;
     any other size raises ValueError.  Raises :class:`DivergenceError` as
-    soon as a component goes non-finite.  Like the motor loops, the 3-state
+    soon as a component goes non-finite.  Like the motor loop, the 3-state
     step also takes a ValueError raised while a stage's first component (the
     motor angle) is non-finite, e.g. by ``math.sin(inf)``, as a divergence.
     """

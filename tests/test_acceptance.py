@@ -95,7 +95,11 @@ def test_criterion_4_quadratic_scaling():
 
 
 def test_criterion_5_accuracy_spec_closure():
-    """20 randomized specs: optimizer gains keep the simulated width below eta."""
+    """20 randomized specs: optimizer gains keep the simulated width below eta.
+
+    Every run starts at the origin x = (0, 0).  From other starts the same
+    gains can settle on a larger cycle (criterion 5b).
+    """
     t_start = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -115,6 +119,39 @@ def test_criterion_5_accuracy_spec_closure():
     assert converged_count == 20
     _report_line("5 accuracy closure",
                  f"worst amplitude/eta={worst:.4f} in {time.perf_counter() - t_start:.1f}s")
+
+
+def test_criterion_5b_tuned_loop_has_two_cycles():
+    """L = 6, T = 2*pi/12, tune_k2 at eta = 0.05: a near-zero cycle and one above eta.
+
+    From the origin the loop settles near 2.0e-4.  From x2(0) in
+    {0.52, -0.52, 1.0} it settles on a cycle of period T with 2 crossings
+    per period, whose amplitude 0.0821 exceeds eta and the tight bound but
+    stays inside the coarse bound.
+    """
+    t_start = time.perf_counter()
+    L, T, eta = 6.0, 2 * math.pi / 12, 0.05
+    k2 = tl.tune_k2(0.9, AccuracySpec(eta=eta, rate_bound=L, period=T, n=0.5))
+    assert k2 == pytest.approx(5.7347, abs=1e-4)
+    gains = tl.Gains(0.9, k2, tl.default_layer_width(eta))
+
+    small = tl.build_report(_synthetic_run(gains, L, T, periods=40), T, L, gains)
+    assert small.converged
+    assert small.amplitude == pytest.approx(2.02e-4, rel=0.01)
+
+    for x2 in (0.52, -0.52, 1.0):
+        report = tl.build_report(_synthetic_run(gains, L, T, periods=40, x0=(0.0, x2)),
+                                 T, L, gains)
+        assert report.converged, f"x2(0)={x2}"
+        assert report.amplitude == pytest.approx(0.0821, rel=1e-3)
+        assert report.crossings_per_period == 2
+        assert report.measured_period == pytest.approx(0.521, abs=1e-3)
+        assert report.tight_bound == pytest.approx(0.0405, rel=1e-9)
+        assert max(eta, report.tight_bound) < report.amplitude < report.coarse_bound
+        assert report.coarse_bound == pytest.approx(0.402, abs=1e-3)
+    _report_line("5b two cycles",
+                 f"amplitudes {small.amplitude:.3g} and {report.amplitude:.4g} "
+                 f"in {time.perf_counter() - t_start:.1f}s")
 
 
 def test_criterion_6_finite_time_regime():

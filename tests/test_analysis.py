@@ -108,6 +108,8 @@ def test_scaling_fit_domain_errors():
         scaling_fit([(0.1, 1.0), (0.2, 2.0), (0.4, 3.0)])  # too few
     with pytest.raises(ValueError):
         scaling_fit([(0.1, 1.0), (0.2, -2.0), (0.4, 3.0), (0.8, 4.0)])
+    with pytest.raises(ValueError, match="distinct periods"):
+        scaling_fit([(0.2, 0.1), (0.2, 0.2), (0.2, 0.3), (0.2, 0.4)])  # one period
 
 
 def test_bound_table():

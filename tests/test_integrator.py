@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twistlab.dynamics import Gains
 from twistlab.integrator import (DivergenceError, IntegrationConfig,
                                  Trajectory, detect_crossings, integrate)
-from twistlab.plant import MotorModel, _continuous_motor_loop, _sampled_motor_loop
+from twistlab.plant import MotorModel, _motor_loop
 from twistlab.signals import FrictionCoggingModel, MotionProfile
 
 from _fields import loop_field, motor_field, rk4_solve, solve_trajectory
@@ -224,7 +224,7 @@ def test_continuous_motor_loop_is_rk4_solve_on_the_motor_field(loop, dt):
     """The written-out continuous motor loop equals rk4_solve on the law-built field, bit for bit."""
     motor, reference, gains, x0 = loop
     cfg = IntegrationConfig(dt=dt, n_steps=300)
-    times, states = _continuous_motor_loop(motor, reference, gains, cfg, x0)
+    times, states = _motor_loop(motor, reference, gains, cfg, x0)
     ref_times, ref_states = rk4_solve(motor_field(motor, reference, gains), x0, 0.0, dt,
                                       cfg.n_steps)
     assert times.tobytes() == ref_times.tobytes()
@@ -250,7 +250,7 @@ def test_continuous_motor_loop_divergence_time_is_rk4_solves(loop, dt, stiffness
     with pytest.raises(DivergenceError) as expected:
         rk4_solve(motor_field(motor, reference, gains), x0, 0.0, dt, cfg.n_steps)
     with pytest.raises(DivergenceError) as actual:
-        _continuous_motor_loop(motor, reference, gains, cfg, x0)
+        _motor_loop(motor, reference, gains, cfg, x0)
     assert actual.value.time == expected.value.time
 
 
@@ -265,8 +265,8 @@ def test_sampled_motor_loop_divergence_is_a_divergence_error():
                                      harmonics=((0.5, 0.3),))
         motor = MotorModel(inertia=J, friction_cogging=model, encoder_quantum=1e-5)
         with pytest.raises(DivergenceError) as info:
-            _sampled_motor_loop(motor, MotionProfile.constant_speed(10.0), Gains(0.9, 5.0),
-                                IntegrationConfig(dt=dt, n_steps=n), (0.0, 10.3, 0.0), None)
+            _motor_loop(motor, MotionProfile.constant_speed(10.0), Gains(0.9, 5.0),
+                        IntegrationConfig(dt=dt, n_steps=n), (0.0, 10.3, 0.0), None)
         k = round(info.value.time / dt) - 1
         assert 0 <= k < n and info.value.time == k * dt + dt
         causes.add(type(info.value.__cause__))
@@ -282,8 +282,8 @@ def test_motor_loop_passes_a_reference_value_error_through():
 
     reference = MotionProfile(omega=omega, theta=lambda t: 18.0 * t, omega_dot=lambda t: 0.0)
     with pytest.raises(ValueError, match="reference out of range"):
-        _continuous_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
-                               IntegrationConfig(dt=1e-3, n_steps=100), (0.0, 18.3, 0.0))
+        _motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
+                    IntegrationConfig(dt=1e-3, n_steps=100), (0.0, 18.3, 0.0))
 
 
 def test_continuous_motor_loop_reads_the_reference_once_per_stage_time():
@@ -299,8 +299,8 @@ def test_continuous_motor_loop_reads_the_reference_once_per_stage_time():
     reference = MotionProfile(omega=reading("omega", 18.0), theta=lambda t: 18.0 * t,
                               omega_dot=reading("accel", 0.0))
     dt, n = 2 * math.pi / 18.0 / 1000, 200
-    _continuous_motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
-                           IntegrationConfig(dt=dt, n_steps=n), (0.0, 18.3, 0.0))
+    _motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
+                IntegrationConfig(dt=dt, n_steps=n), (0.0, 18.3, 0.0))
     assert calls == [(name, t) for k in range(n)
                      for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)
                      for name in ("omega", "accel")]

@@ -9,7 +9,7 @@ from twistlab import plant
 from twistlab.analysis import estimate_period
 from twistlab.dynamics import Gains, default_layer_width
 from twistlab.integrator import IntegrationConfig
-from twistlab.plant import MotorModel, _sampled_motor_loop, simulate_motor_loop
+from twistlab.plant import MotorModel, _motor_loop, simulate_motor_loop
 from twistlab.signals import (FrictionCoggingModel, MotionProfile,
                               constant_speed_characterization)
 from twistlab.tuning import finite_time_gains
@@ -23,16 +23,16 @@ GENTLE = FrictionCoggingModel(coulomb=0.003, steepness=100.0, viscous=0.01)
 
 
 def _run_with_states(monkeypatch, *args, **kwargs):
-    """simulate_motor_loop plus the (theta, omega, z) records its continuous loop returned."""
+    """simulate_motor_loop plus the (theta, omega, z) records its motor loop returned."""
     calls = []
-    loop = plant._continuous_motor_loop
+    loop = plant._motor_loop
 
     def capture(*loop_args):
         times, states = loop(*loop_args)
         calls.append(states)
         return times, states
 
-    monkeypatch.setattr(plant, "_continuous_motor_loop", capture)
+    monkeypatch.setattr(plant, "_motor_loop", capture)
     traj = simulate_motor_loop(*args, **kwargs)
     (states,) = calls
     return traj, states
@@ -175,10 +175,10 @@ def test_sampled_rotor_step_matches_rk4_solve():
         accel = float(rng.normal(0.0, 50.0))
         reference = MotionProfile(omega=lambda t: omega_r + 0.0 * t, theta=lambda t: 0.0 * t,
                                   omega_dot=lambda t: accel + 0.0 * t)
-        _, states = _sampled_motor_loop(MotorModel(inertia=J, friction_cogging=model,
-                                                   encoder_quantum=1e-9),
-                                        reference, gains, IntegrationConfig(dt=dt, n_steps=1),
-                                        (theta, omega, z), None)
+        _, states = _motor_loop(MotorModel(inertia=J, friction_cogging=model,
+                                           encoder_quantum=1e-9),
+                                reference, gains, IntegrationConfig(dt=dt, n_steps=1),
+                                (theta, omega, z), None)
         u, dz = twisting_law(gains)(omega - omega_r, z, -0.0)
         u0 = (u + accel) / (1.0 / J)
 
@@ -205,7 +205,7 @@ def test_sampled_velocity_estimate_matches_sliding_list(window):
     gains = Gains(0.9, 19.65)
     cfg = IntegrationConfig(dt=dt, n_steps=300)
     x0 = (0.01, 4.5, 0.1)  # theta moves about 40 quanta a step
-    _, states = _sampled_motor_loop(motor, reference, gains, cfg, x0, np.random.default_rng(5))
+    _, states = _motor_loop(motor, reference, gains, cfg, x0, np.random.default_rng(5))
 
     law, torque = twisting_law(gains), CALIBRATED.scalar_torque()
     noise = (noise_std * np.random.default_rng(5).standard_normal(cfg.n_steps)).tolist()
@@ -265,8 +265,9 @@ def test_motor_model_validation():
         MotorModel(inertia=1e13)  # input gain 1/J below 1e-12
     with pytest.raises(ValueError):
         MotorModel(encoder_quantum=-1.0)
-    with pytest.raises(ValueError):
-        MotorModel(velocity_window=0)
+    for window in (0, -1, 2.5, 4.0, True):
+        with pytest.raises(ValueError, match="^velocity_window"):
+            MotorModel(encoder_quantum=1e-5, velocity_window=window)
     for noise_std in (-1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="^noise_std"):
             MotorModel(noise_std=noise_std)

@@ -351,6 +351,24 @@ def test_synthetic_sweep_and_outputs(tmp_path):
     assert "scaling fit" in (out / "summary.txt").read_text()
 
 
+def test_equal_periods_write_their_points_but_no_scaling_fit(tmp_path):
+    """Four converged runs at one period give no power law: the points are written, no fit."""
+    cfg = ScenarioConfig.from_dict({
+        **SYNTHETIC,
+        "parameters": {"cases": [[5.0, 0.2], [6.0, 0.2], [7.0, 0.2], [8.0, 0.2]]},
+        "gains": {"source": "explicit", "k1": 0.9, "k2": 4.0},
+        "integration": {"steps_per_period": 500, "periods": 20},
+    })
+    out = tmp_path / "sweep"
+    results = run_scenario(cfg, out_dir=out)
+    assert all(r.converged for r in results)
+    scaling = (out / "scaling.csv").read_text().splitlines()
+    assert scaling[0] == "period,amplitude" and len(scaling) == 5
+    assert all(line.startswith("0.2,") for line in scaling[1:])
+    assert "# exponent=" not in (out / "scaling.csv").read_text()
+    assert "scaling fit" not in (out / "summary.txt").read_text()
+
+
 def test_constant_speed_run_with_tuned_gains():
     """tune_k2 gain source resolves the applied integral gain from (L, T)."""
     cfg = ScenarioConfig.from_dict(_constant_speed_config(
@@ -443,6 +461,18 @@ MIXED_OUTCOMES = _constant_speed_config(
 )
 
 
+#: A sampled sweep on a moving reference: 2 of its 3 cases converge.
+SAMPLED_MOVING = {
+    "schema_version": 1, "scenario": "sinusoidal_velocity",
+    "parameters": {"frequency_hz": [2.0, 4.0, 8.0]},
+    "gains": {"source": "explicit", "k1": 0.9, "k2": 19.65},
+    "perturbation": {"coulomb": 0.003, "viscous": 0.01},
+    "motor": {"encoder_quantum": 1e-5, "noise_std": 1e-4, "velocity_window": 4},
+    "analysis": {"tolerance": 3e-2},
+    "integration": {"steps_per_period": 500, "periods": 20},
+}
+
+
 def _sweep(config: dict, tmp_path, out, *flags) -> int:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -455,16 +485,25 @@ def _tree(root: Path) -> dict:
 
 
 def test_worker_count_cannot_change_the_outputs(tmp_path):
-    trees = []
-    for workers in (1, 2, 3):
-        out = tmp_path / f"w{workers}"
-        assert _sweep(MIXED_OUTCOMES, tmp_path, out, "--workers", str(workers)) == 2
-        trees.append(_tree(out))
-    assert trees[0] == trees[1] == trees[2]
-    assert {"wr18/trajectory.csv", "wr23/trajectory.csv", "wr23/phase.csv"} < set(trees[0])
-    assert not any(name.startswith("wr12/") for name in trees[0])
-    assert "wr12: FAILED (InfeasibleSpecError" in trees[0]["summary.txt"].decode()
-    assert "wr18: NOT CONVERGED" in trees[0]["summary.txt"].decode()
+    def tree(config, name):
+        trees = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"{name}{workers}"
+            assert _sweep(config, tmp_path, out, "--workers", str(workers)) == 2
+            trees.append(_tree(out))
+        assert trees[0] == trees[1] == trees[2]
+        return trees[0]
+
+    mixed = tree(MIXED_OUTCOMES, "w")
+    assert {"wr18/trajectory.csv", "wr23/trajectory.csv", "wr23/phase.csv"} < set(mixed)
+    assert not any(name.startswith("wr12/") for name in mixed)
+    assert "wr12: FAILED (InfeasibleSpecError" in mixed["summary.txt"].decode()
+    assert "wr18: NOT CONVERGED" in mixed["summary.txt"].decode()
+
+    # the sampled loop, with seeded noise and a velocity window, through the pool
+    sampled = tree(SAMPLED_MOVING, "sampled")
+    assert {"f4/phase.csv", "f8/phase.csv"} < set(sampled)
+    assert "f2: NOT CONVERGED" in sampled["summary.txt"].decode()
 
 
 def test_every_output_gives_the_same_verdict(tmp_path, capsys):
