@@ -119,7 +119,16 @@ class Trajectory:
                                  for t, x1, x2, u, d, q in rows))
 
 
-def integrate(gains: Gains, rate: Callable[[float], float], x0,
+def on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> memoryview:
+    """``f`` called once on the whole ``grid``, as float values that index to Python floats.
+
+    A scalar result is broadcast to the grid.  Indexing the memoryview holds
+    no float object per grid point.
+    """
+    return memoryview(np.broadcast_to(f(grid), grid.shape).astype(float))
+
+
+def integrate(gains: Gains, rate: Callable[[np.ndarray], np.ndarray], x0,
               cfg: IntegrationConfig) -> Trajectory:
     """Integrate the reduced loop from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
 
@@ -128,9 +137,10 @@ def integrate(gains: Gains, rate: Callable[[float], float], x0,
 
     The classical RK4 step is written out on Python float locals with the
     law inlined in :func:`~twistlab.dynamics.twisting_action`'s operation
-    order; ``rate`` is read once per stage time: at t, at t + dt/2 for both
-    midpoint stages, and at t + dt.  Raises :class:`DivergenceError` as
-    soon as a state goes non-finite.
+    order.  ``rate`` takes an array of times and is called once on each of
+    the three stage grids, ``k*dt``, ``k*dt + dt/2`` (both midpoint stages)
+    and ``k*dt + dt``; the step reads stage ``k``'s values by index.
+    Raises :class:`DivergenceError` as soon as a state goes non-finite.
     The ``u``, ``d`` and ``q`` channels are zero; a caller that knows them
     swaps them in with ``dataclasses.replace``.
     """
@@ -145,20 +155,21 @@ def integrate(gains: Gains, rate: Callable[[float], float], x0,
     sqrt = math.sqrt
     isfinite = math.isfinite
     times = np.arange(n_steps + 1) * dt
+    grid = times[:-1]
+    rate_a, rate_mid, rate_end = (on_grid(rate, g) for g in (grid, grid + half, grid + dt))
     x1, x2 = start
-    records = array("d", start)
+    x1s, x2s = array("d", (x1,)), array("d", (x2,))
+    append1, append2 = x1s.append, x2s.append
     for k in range(n_steps):
-        t = k * dt
-
         s = x1 / delta
         if s > 1.0:
             s = 1.0
         elif s < -1.0:
             s = -1.0
         a1 = neg_k1 * sqrt(abs(x1)) * s + x2
-        a2 = neg_k2 * s + rate(t)
+        a2 = neg_k2 * s + rate_a[k]
 
-        q_mid = rate(t + half)
+        q_mid = rate_mid[k]
         y1, y2 = x1 + half * a1, x2 + half * a2
         s = y1 / delta
         if s > 1.0:
@@ -184,17 +195,17 @@ def integrate(gains: Gains, rate: Callable[[float], float], x0,
         elif s < -1.0:
             s = -1.0
         e1 = neg_k1 * sqrt(abs(y1)) * s + y2
-        e2 = neg_k2 * s + rate(t + dt)
+        e2 = neg_k2 * s + rate_end[k]
 
         x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1)
         x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2)
         if not (isfinite(x1) and isfinite(x2)):
-            raise DivergenceError(t + dt)
-        records.extend((x1, x2))
+            raise DivergenceError(k * dt + dt)
+        append1(x1)
+        append2(x2)
 
-    states = np.frombuffer(records, dtype=float)
     u, d, q = (np.zeros_like(times) for _ in range(3))
-    return Trajectory(t=times, x1=states[0::2].copy(), x2=states[1::2].copy(),
+    return Trajectory(t=times, x1=np.frombuffer(x1s), x2=np.frombuffer(x2s),
                       u=u, d=d, q=q, dt=cfg.dt)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Gains, twisting_action
-from .integrator import DivergenceError, IntegrationConfig, Trajectory
+from .integrator import DivergenceError, IntegrationConfig, Trajectory, on_grid
 from .signals import FrictionCoggingModel, MotionProfile
 
 __all__ = ["MotorModel", "simulate_motor_loop"]
@@ -87,10 +87,12 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(times, states) of the speed loop, one RK4 step of the rotor per ``dt`` on floats.
 
+    The reference's ``omega`` and ``omega_dot`` are called once on each
+    stage grid a rule reads, and the step reads stage ``k``'s values by index.
     Continuous (encoder and noise off): an RK4 step of (theta, omega, z) on
-    the true speed, with the reference read once per stage time (t, t + dt/2
-    for both midpoints, t + dt).  Sampled: the reference and noise are drawn
-    up front on the grid ``k * dt``; the law acts on the quantized, backward-
+    the true speed, with the reference on the grids ``k*dt``, ``k*dt + dt/2``
+    (both midpoints) and ``k*dt + dt``.  Sampled: the reference on ``k*dt``
+    and the noise are drawn up front; the law acts on the quantized, backward-
     differenced, noisy speed, u0 is held over the rotor's RK4 step, and z
     takes an Euler step.  The law keeps ``twisting_action``'s operation
     order.  A non-finite component or stage angle raises
@@ -103,7 +105,6 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
     J = motor.inertia
     inv_inertia = 1.0 / J
     neg_k1, neg_k2, delta = -gains.k1, -gains.k2, gains.delta
-    ref_omega, ref_accel = reference.omega, reference.omega_dot
     dt, n_steps = cfg.dt, cfg.n_steps
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -115,17 +116,22 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
     records = array("d", (theta, omega, z))
     w_b = w_c = omega  # read by the except clause; the last step left them finite
     sampled = quantum > 0.0 or noise_std > 0.0
+    # the stage grids: the sampled rule reads the reference at k*dt only
+    grid = times[:-1]
+    grids = (grid,) if sampled else (grid, grid + half, grid + dt)
+    omega_grids = [on_grid(reference.omega, g) for g in grids]
+    accel_grids = [on_grid(reference.omega_dot, g) for g in grids]
+    omega_a, accel_a = omega_grids[0], accel_grids[0]
     if sampled:
-        # memoryviews index to Python floats without holding a float object per step
-        grid = times[:-1]
-        ref_omega = memoryview(np.broadcast_to(ref_omega(grid), grid.shape).astype(float))
-        ref_accel = memoryview(np.broadcast_to(ref_accel(grid), grid.shape).astype(float))
         noise = memoryview(noise_std * rng.standard_normal(n_steps)) if noise_std > 0.0 else None
         # the last window + 1 positions; step k's at k % ring, step k - window's at slot - window
         ring = window + 1
         measured = [0.0] * ring
         window_dt = window * dt
     else:
+        _, omega_mid, omega_end = omega_grids
+        _, accel_mid, accel_end = accel_grids
+
         # constants as defaults: read by a closure they would be cells for the sampled step too
         def stage(theta: float, omega: float, z: float, omega_r: float, accel_r: float,
                   torque=torque, J=J, inv_inertia=inv_inertia, neg_k1=neg_k1, neg_k2=neg_k2,
@@ -155,13 +161,13 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                 if noise_std > 0.0:
                     omega_meas += noise[k]
 
-                e = omega_meas - ref_omega[k]
+                e = omega_meas - omega_a[k]
                 s = e / delta
                 if s > 1.0:
                     s = 1.0
                 elif s < -1.0:
                     s = -1.0
-                u0 = (neg_k1 * sqrt(abs(e)) * s + z + ref_accel[k]) / inv_inertia
+                u0 = (neg_k1 * sqrt(abs(e)) * s + z + accel_a[k]) / inv_inertia
 
                 # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
                 dw_a = (u0 + torque(omega, theta)) / J
@@ -179,25 +185,21 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                 records.extend((theta, omega, z))
         else:
             for k in range(n_steps):
-                t = k * dt
-                t_mid = t + half
-                t_end = t + dt
-
-                dw_a, dz_a = stage(theta, omega, z, float(ref_omega(t)), float(ref_accel(t)))
-                w_mid, a_mid = float(ref_omega(t_mid)), float(ref_accel(t_mid))
+                dw_a, dz_a = stage(theta, omega, z, omega_a[k], accel_a[k])
+                w_mid, a_mid = omega_mid[k], accel_mid[k]
                 w_b = omega + half * dw_a
                 dw_b, dz_b = stage(theta + half * omega, w_b, z + half * dz_a, w_mid, a_mid)
                 w_c = omega + half * dw_b
                 dw_c, dz_c = stage(theta + half * w_b, w_c, z + half * dz_b, w_mid, a_mid)
                 w_e = omega + dt * dw_c
                 dw_e, dz_e = stage(theta + dt * w_c, w_e, z + dt * dz_c,
-                                   float(ref_omega(t_end)), float(ref_accel(t_end)))
+                                   omega_end[k], accel_end[k])
 
                 theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
                 omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
                 z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e)
                 if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
-                    raise DivergenceError(t_end)
+                    raise DivergenceError(k * dt + dt)
                 records.extend((theta, omega, z))
     except ValueError as exc:  # math.sin raises on a stage angle that overflowed to inf
         if all(isfinite(a) for a in (theta + half * omega, theta + half * w_b,

@@ -316,10 +316,16 @@ def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gai
     return optimize_gains(accuracy, k1_max=g["k1_max"])
 
 
-def _fast_sinusoid_rate(pert: SinusoidPerturbation):
+def _sinusoid_rate(pert: SinusoidPerturbation):
+    """The rate ``integrate`` reads on its stage grids: ``amp * np.sin(w * t + phase)``.
+
+    It computes ``w = TWO_PI / period`` once, not :meth:`SinusoidPerturbation.q`'s
+    ``TWO_PI * t / period``: the two round differently at about a third of the
+    grid points, so switching would move every ``synthetic_q`` trajectory.
+    """
     w = TWO_PI / pert.period
     amp, phase = pert.rate_amplitude, pert.phase
-    return lambda t: amp * math.sin(w * t + phase)
+    return lambda t: amp * np.sin(w * t + phase)
 
 
 def _execute_case(cfg: ScenarioConfig, case: dict, index: int, out_dir=None) -> RunResult:
@@ -337,7 +343,7 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int, out_dir=None) -> 
             pert = SinusoidPerturbation(L, T, phase=params["phase"])
             gains = _resolve_gains(cfg, L, T)
             icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
-            traj = integrate(gains, _fast_sinusoid_rate(pert),
+            traj = integrate(gains, _sinusoid_rate(pert),
                              (initial["x1"], initial["x2"]), icfg)
             d = pert.d(traj.t)
             traj = replace(traj, u=twisting_action(traj.x1, traj.x2 - d, gains), d=d,

@@ -137,11 +137,15 @@ class FrictionCoggingModel:
 
 @dataclass(frozen=True)
 class MotionProfile:
-    """Reference motion given as callables omega(t), theta(t), omega_dot(t)."""
+    """Reference motion given as callables omega(t), theta(t), omega_dot(t).
 
-    omega: Callable[[float], float]
-    theta: Callable[[float], float]
-    omega_dot: Callable[[float], float]
+    Each callable takes an array of times and returns the values at each; the
+    motor loop calls ``omega`` and ``omega_dot`` once per stage grid.
+    """
+
+    omega: Callable[[np.ndarray], np.ndarray]
+    theta: Callable[[np.ndarray], np.ndarray]
+    omega_dot: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def constant_speed(cls, omega_r: float) -> "MotionProfile":

@@ -106,9 +106,12 @@ def rk4_solve(field: Callable, x0: Sequence[float], t0: float, dt: float,
 
 
 def loop_field(gains, rate):
-    """The reduced loop (t, (x1, x2)) -> (dx1, dx2), built from ``twisting_law``."""
+    """The reduced loop (t, (x1, x2)) -> (dx1, dx2), built from ``twisting_law``.
+
+    ``rate`` is an array rate as ``integrate`` takes it; the law gets ``float(rate(t))``.
+    """
     law = twisting_law(gains)
-    return lambda t, x: law(x[0], x[1], rate(t))
+    return lambda t, x: law(x[0], x[1], float(rate(t)))
 
 
 def motor_field(motor, reference, gains):

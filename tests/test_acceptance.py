@@ -27,7 +27,7 @@ def _report_line(name: str, detail: str) -> None:
 def _synthetic_run(gains, rate_amplitude, period, periods=30, spp=2000, x0=(0.0, 0.0)):
     w = 2 * math.pi / period
     cfg = tl.IntegrationConfig.for_period(period, spp, periods)
-    return tl.integrate(gains, lambda t: rate_amplitude * math.sin(w * t), x0, cfg)
+    return tl.integrate(gains, lambda t: rate_amplitude * np.sin(w * t), x0, cfg)
 
 
 def test_criterion_1_gain_formulas():
@@ -159,9 +159,9 @@ def test_criterion_6_finite_time_regime():
     t_start = time.perf_counter()
     checked = 0
     for L, make_rate in (
-        (12.0, lambda w: (lambda t: 12.0 * math.sin(w * t))),
-        (12.0, lambda w: (lambda t: 7.0 * math.sin(w * t) + 5.0 * math.cos(3 * w * t))),
-        (20.0, lambda w: (lambda t: 20.0 * math.sin(w * t + 0.7))),
+        (12.0, lambda w: (lambda t: 12.0 * np.sin(w * t))),
+        (12.0, lambda w: (lambda t: 7.0 * np.sin(w * t) + 5.0 * np.cos(3 * w * t))),
+        (20.0, lambda w: (lambda t: 20.0 * np.sin(w * t + 0.7))),
     ):
         gains = tl.finite_time_gains(L, 1.1)
         period = 0.35
@@ -245,33 +245,52 @@ def test_criterion_8_numerics():
     _report_line("8 numerics", f"order ratios {ratios[0]:.2f}/{ratios[1]:.2f}")
 
 
-def test_criterion_8_forced_loop_homogeneity():
-    """The forced loop run with (L, lambda*T, lambda^2*delta, (lambda^2*x1, lambda*x2)) is the
-    base run stretched in time by lambda: channels t, x1, x2, u, d, q carry weights
-    1, 2, 1, 1, 1, 0, and for powers of two the match is exact."""
+#: homogeneity weights of the channels t, x1, x2, u, d, q
+WEIGHTS = {"t": 1, "x1": 2, "x2": 1, "u": 1, "d": 1, "q": 0}
+
+
+def _forced_run(lam):
+    """The forced loop with (L, lambda*T, lambda^2*delta, (lambda^2*x1, lambda*x2)) through
+    ``run_scenario``: the base run stretched in time by lambda, with weights ``WEIGHTS``."""
     L, T, delta, (x1, x2) = 12.0, 0.3, 1e-4, (0.01, -0.2)
+    cfg = tl.ScenarioConfig.from_dict({
+        "schema_version": 1,
+        "scenario": "synthetic_q",
+        "parameters": {"cases": [[L, lam * T]], "phase": 0.3},
+        "gains": {"source": "explicit", "k1": 3.6, "k2": 6.0, "delta": lam ** 2 * delta},
+        "initial": {"x1": lam ** 2 * x1, "x2": lam * x2},
+        "integration": {"steps_per_period": 1000, "periods": 12},
+    })
+    (result,) = tl.run_scenario(cfg)
+    assert result.error is None
+    return result
 
-    def run(lam):
-        cfg = tl.ScenarioConfig.from_dict({
-            "schema_version": 1,
-            "scenario": "synthetic_q",
-            "parameters": {"cases": [[L, lam * T]], "phase": 0.3},
-            "gains": {"source": "explicit", "k1": 3.6, "k2": 6.0, "delta": lam ** 2 * delta},
-            "initial": {"x1": lam ** 2 * x1, "x2": lam * x2},
-            "integration": {"steps_per_period": 1000, "periods": 12},
-        })
-        (result,) = tl.run_scenario(cfg)
-        assert result.error is None
-        return result
 
-    base = run(1.0)
-    weights = {"t": 1, "x1": 2, "x2": 1, "u": 1, "d": 1, "q": 0}
+def test_criterion_8_forced_loop_homogeneity():
+    """The forced loop scaled by lambda is the base run stretched in time by lambda, and for
+    powers of two the match is exact."""
+    base = _forced_run(1.0)
     for lam in (0.5, 2.0, 4.0):
-        scaled = run(lam)
-        for channel, weight in weights.items():
+        scaled = _forced_run(lam)
+        for channel, weight in WEIGHTS.items():
             np.testing.assert_array_equal(getattr(scaled.trajectory, channel),
                                           lam ** weight * getattr(base.trajectory, channel),
                                           err_msg=f"lambda={lam}: {channel}")
         assert scaled.report.amplitude == lam ** 2 * base.report.amplitude
     _report_line("8 forced homogeneity",
                  f"exact for lambda in (0.5, 2, 4); amplitude {base.report.amplitude:.4g}")
+
+
+@pytest.mark.parametrize("lam", [0.75, 1.7, 3.0])
+def test_criterion_8_forced_loop_homogeneity_off_powers_of_two(lam):
+    """Off powers of two, rounding enters: each channel matches to 1e-12 of its peak."""
+    base, scaled = _forced_run(1.0), _forced_run(lam)
+    worst = 0.0
+    for channel, weight in WEIGHTS.items():
+        expected = lam ** weight * getattr(base.trajectory, channel)
+        error = np.max(np.abs(getattr(scaled.trajectory, channel) - expected))
+        relative = error / np.max(np.abs(expected))
+        assert relative <= 1e-12, f"lambda={lam}: {channel} off by {relative:.3g} of its peak"
+        worst = max(worst, relative)
+    assert scaled.report.amplitude == pytest.approx(lam ** 2 * base.report.amplitude, rel=1e-12)
+    _report_line("8 forced homogeneity", f"lambda={lam}: worst channel error {worst:.2g} of peak")

@@ -162,7 +162,7 @@ def test_build_report_on_under_tuned_run():
     L, T = 12.0, 0.4
     w = 2 * math.pi / T
     cfg = IntegrationConfig.for_period(T, 2000, 25)
-    traj = integrate(gains, lambda t: L * math.sin(w * t), (0.0, 0.0), cfg)
+    traj = integrate(gains, lambda t: L * np.sin(w * t), (0.0, 0.0), cfg)
     report = build_report(traj, T, L, gains)
     assert report.converged
     assert report.amplitude <= report.coarse_bound

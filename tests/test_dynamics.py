@@ -195,7 +195,7 @@ def test_phase_state_consistency_along_trajectory():
     L, T = 12.0, 0.4
     w = 2 * math.pi / T
     cfg = IntegrationConfig.for_period(T, 4000, 20)
-    traj = integrate(gains, lambda t: L * math.sin(w * t), (0.0, 0.0), cfg)
+    traj = integrate(gains, lambda t: L * np.sin(w * t), (0.0, 0.0), cfg)
     x1 = traj.x1
     w2 = twisting_action(x1, traj.x2, gains)
     dt = traj.dt

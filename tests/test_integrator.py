@@ -146,7 +146,7 @@ def test_integrate_is_rk4_solve_on_the_loop_field(k1, k2, delta, in_layer, x1_fr
     """The written-out reduced loop equals rk4_solve on the law-built field, bit for bit."""
     gains = Gains(k1, k2, delta)
     w = 2 * math.pi / period
-    rate = lambda t: amplitude * math.sin(w * t + phase)
+    rate = lambda t: amplitude * np.sin(w * t + phase)
     x0 = (x1_frac * (0.99 * delta if in_layer else 2.0), x2)
     cfg = IntegrationConfig(dt=dt, n_steps=400)
     traj = integrate(gains, rate, x0, cfg)
@@ -164,7 +164,11 @@ def test_integrate_divergence_time_is_rk4_solves(k1, k2, scale, blowup_steps, dt
     """A rate that overflows within ``blowup_steps`` steps stops both at the same time."""
     gains = Gains(k1, k2, 1e-4)
     growth = math.log(sys.float_info.max / scale) / (blowup_steps * dt)
-    rate = lambda t: scale * math.exp(growth * t)
+
+    def rate(t):
+        with np.errstate(over="ignore"):
+            return scale * np.exp(growth * t)
+
     cfg = IntegrationConfig(dt=dt, n_steps=2 * blowup_steps)
     with pytest.raises(DivergenceError) as expected:
         rk4_solve(loop_field(gains, rate), (0.0, 0.0), 0.0, dt, cfg.n_steps)
@@ -173,21 +177,37 @@ def test_integrate_divergence_time_is_rk4_solves(k1, k2, scale, blowup_steps, dt
     assert actual.value.time == expected.value.time
 
 
+def _stage_grids(dt, n):
+    """The stage times k*dt, k*dt + dt/2 and k*dt + dt of n steps, each computed on floats."""
+    return [np.array([k * dt for k in range(n)]),
+            np.array([k * dt + 0.5 * dt for k in range(n)]),
+            np.array([k * dt + dt for k in range(n)])]
+
+
+def _assert_called_on(calls, grids):
+    assert [t.tobytes() for t in calls] == [g.tobytes() for g in grids]
+
+
 def test_integrate_reads_the_rate_once_per_stage_time():
-    """rate is called at t, once at t + dt/2 for both midpoint stages, and at t + dt."""
+    """rate is called 3 times: on k*dt, on k*dt + dt/2 for both midpoint stages, on k*dt + dt."""
     calls = []
 
     def rate(t):
-        calls.append(t)
-        return 12.0 * math.sin(20.0 * t)
+        calls.append(t.copy())
+        return 12.0 * np.sin(20.0 * t)
 
     dt, n = 0.3125 / 2000, 250
     integrate(Gains(0.9, 11.65), rate, (0.3, 0.0), IntegrationConfig(dt=dt, n_steps=n))
-    expected = []
-    for k in range(n):
-        t = k * dt
-        expected += [t, t + 0.5 * dt, t + dt]
-    assert calls == expected
+    _assert_called_on(calls, _stage_grids(dt, n))
+
+
+def test_integrate_broadcasts_a_scalar_rate():
+    """A rate that ignores its times gives the trajectory of the same constant on the grid."""
+    cfg = IntegrationConfig(dt=1e-3, n_steps=500)
+    scalar = integrate(Gains(0.9, 1.2), lambda t: 1.5, (0.3, -0.1), cfg)
+    full = integrate(Gains(0.9, 1.2), lambda t: np.full_like(t, 1.5), (0.3, -0.1), cfg)
+    for channel in ("t", "x1", "x2"):
+        assert getattr(scalar, channel).tobytes() == getattr(full, channel).tobytes()
 
 
 _HARMONICS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi)),
@@ -274,36 +294,39 @@ def test_sampled_motor_loop_divergence_is_a_divergence_error():
 
 
 def test_motor_loop_passes_a_reference_value_error_through():
-    """A ValueError from the reference is the caller's error, not a divergence."""
+    """A ValueError from the reference on its grid is the caller's error, not a divergence."""
     def omega(t):
-        if t > 0.0105:
+        if np.any(t > 0.0105):
             raise ValueError("reference out of range")
-        return 18.0
+        return 18.0 + 0.0 * t
 
-    reference = MotionProfile(omega=omega, theta=lambda t: 18.0 * t, omega_dot=lambda t: 0.0)
-    with pytest.raises(ValueError, match="reference out of range"):
-        _motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
-                    IntegrationConfig(dt=1e-3, n_steps=100), (0.0, 18.3, 0.0))
+    reference = MotionProfile(omega=omega, theta=lambda t: 18.0 * t, omega_dot=lambda t: 0.0 * t)
+    for motor in (MotorModel(), MotorModel(encoder_quantum=1e-5)):  # continuous, sampled
+        with pytest.raises(ValueError, match="reference out of range"):
+            _motor_loop(motor, reference, Gains(0.9, 11.65),
+                        IntegrationConfig(dt=1e-3, n_steps=100), (0.0, 18.3, 0.0))
 
 
 def test_continuous_motor_loop_reads_the_reference_once_per_stage_time():
-    """omega_r and domega_r/dt are read at t, once at t + dt/2 for both midpoints, and at t + dt."""
-    calls = []
-
-    def reading(name, value):
-        def read(t):
-            calls.append((name, t))
-            return value
-        return read
-
-    reference = MotionProfile(omega=reading("omega", 18.0), theta=lambda t: 18.0 * t,
-                              omega_dot=reading("accel", 0.0))
+    """The continuous rule calls omega_r and domega_r/dt once on each of the three stage grids;
+    the sampled rule calls each once, on k*dt."""
     dt, n = 2 * math.pi / 18.0 / 1000, 200
-    _motor_loop(MotorModel(), reference, Gains(0.9, 11.65),
-                IntegrationConfig(dt=dt, n_steps=n), (0.0, 18.3, 0.0))
-    assert calls == [(name, t) for k in range(n)
-                     for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)
-                     for name in ("omega", "accel")]
+    grids = _stage_grids(dt, n)
+    for motor, expected in ((MotorModel(), grids), (MotorModel(encoder_quantum=1e-5), grids[:1])):
+        calls = {"omega": [], "accel": []}
+
+        def reading(name, value):
+            def read(t):
+                calls[name].append(t.copy())
+                return value + 0.0 * t
+            return read
+
+        reference = MotionProfile(omega=reading("omega", 18.0), theta=lambda t: 18.0 * t,
+                                  omega_dot=reading("accel", 0.0))
+        _motor_loop(motor, reference, Gains(0.9, 11.65),
+                    IntegrationConfig(dt=dt, n_steps=n), (0.0, 18.3, 0.0))
+        for name in ("omega", "accel"):
+            _assert_called_on(calls[name], expected)
 
 
 def test_linear_drift():
@@ -325,7 +348,7 @@ def test_overtuned_loop_reaches_layer():
     gains = Gains(k1=9.04, k2=13.2, delta=1e-4)
     L, T = 12.0, 0.35
     w = 2 * math.pi / T
-    rate = lambda t: L * math.sin(w * t)
+    rate = lambda t: L * np.sin(w * t)
     coarse = integrate(gains, rate, (1.0, 0.0), IntegrationConfig.for_period(T, 2000, 12))
     fine = integrate(gains, rate, (1.0, 0.0), IntegrationConfig.for_period(T, 4000, 12))
     assert abs(coarse.x1[-1]) < 10 * gains.delta
