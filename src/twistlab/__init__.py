@@ -10,7 +10,7 @@ accuracy specifications.
 
 from .analysis import (AperiodicSignalError, BoundTable, InsufficientDataError,
                        LimitCycleReport, bound_comparison_table, build_report,
-                       cycle_amplitude, default_tolerance, estimate_period,
+                       default_tolerance, estimate_period, final_periods,
                        scaling_fit, stroboscopic_convergence)
 from .dynamics import Gains, default_layer_width, saturation, twisting_action
 from .integrator import (DivergenceError, IntegrationConfig, Trajectory,
@@ -18,10 +18,9 @@ from .integrator import (DivergenceError, IntegrationConfig, Trajectory,
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
                       bound_L, constant_speed_characterization, eval_q)
-from .tuning import (AccuracySpec, InfeasibleSpecError, RegimeError,
-                     check_averaged_conditions, cycle_width_bound,
-                     finite_time_gains, optimize_gains, tight_bound_feasible,
-                     tight_width_bound, tune_k2)
+from .tuning import (AccuracySpec, InfeasibleSpecError, check_averaged_conditions,
+                     cycle_width_bound, finite_time_gains, optimize_gains,
+                     tight_bound_feasible, tight_width_bound, tune_k2)
 from .runner import RunResult, ScenarioConfig, emit_outputs, run_scenario
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import Gains
 from .integrator import Trajectory, detect_crossings
-from .tuning import RegimeError, cycle_width_bound, tight_width_bound
+from .tuning import cycle_width_bound, tight_width_bound
 
 __all__ = [
     "InsufficientDataError",
@@ -24,7 +24,7 @@ __all__ = [
     "BoundTable",
     "default_tolerance",
     "stroboscopic_convergence",
-    "cycle_amplitude",
+    "final_periods",
     "estimate_period",
     "scaling_fit",
     "bound_comparison_table",
@@ -54,9 +54,11 @@ class LimitCycleReport:
     """Verdict and measurements for one run.
 
     ``coarse_bound`` is the averaging-based width bound (k2+L)n^2T^2/2;
-    ``tight_bound`` its under-tuned refinement, None when the run is not in
-    the under-tuned regime or the k1 premise fails.  ``tolerance`` is the
-    strobe-gap tolerance the verdict was taken against.
+    ``tight_bound`` its under-tuned refinement, None exactly where
+    :func:`~twistlab.tuning.tight_bound_feasible` is false (not under-tuned,
+    or the k1 premise fails).  ``tolerance`` is the strobe-gap tolerance the
+    verdict was taken against.  ``reports.json`` writes every field but
+    ``tolerance``, in this order.
     """
 
     converged: bool
@@ -124,13 +126,19 @@ def stroboscopic_convergence(traj: Trajectory, period: float,
     return False, None
 
 
-def cycle_amplitude(traj: Trajectory, cycle_start_time: float, period: float) -> float:
-    """Max |x1| over one period of recorded samples starting at ``cycle_start_time``."""
-    lo = np.searchsorted(traj.t, cycle_start_time - 1e-12)
-    hi = np.searchsorted(traj.t, cycle_start_time + period + 1e-12)
-    if hi - lo < 2:
-        raise InsufficientDataError("cycle window contains fewer than two samples")
-    return float(np.max(np.abs(traj.x1[lo:hi])))
+def final_periods(traj: Trajectory, period: float, count: int = 1) -> slice:
+    """The records of the last ``count`` forcing periods: the last ``count * stride + 1``.
+
+    ``stride`` is the records per period, so the slice spans exactly ``count``
+    periods, the records at both ends included.  Raises
+    :class:`InsufficientDataError` when the record holds fewer periods.
+    """
+    stride = _strobe_stride(traj, period)
+    if count * stride > len(traj) - 1:  # a negative start would wrap round
+        raise InsufficientDataError(
+            f"trajectory covers {(len(traj) - 1) // stride} periods; need {count}"
+        )
+    return slice(len(traj) - count * stride - 1, len(traj))
 
 
 def estimate_period(samples: np.ndarray, dt: float) -> float:
@@ -236,37 +244,35 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
                  n: float = 0.5, tol: float | None = None) -> LimitCycleReport:
     """Full per-run measurement: convergence, amplitude, period, bounds, crossings.
 
-    The amplitude is measured over the final recorded period (steady state).
-    The period is estimated from the last five periods of the error channel,
-    and crossings inside the boundary layer ``gains.delta`` are merged.
+    The amplitude is read over the records of the final period (steady
+    state, :func:`final_periods`), the period estimated over those of the
+    last five.  Crossings are interpolated times, so they are counted over
+    the final period's time span; those inside the boundary layer
+    ``gains.delta`` are merged.
     """
     if tol is None:
         tol = default_tolerance(gains.delta)
     converged, start = stroboscopic_convergence(traj, period, tol)
 
     coarse = cycle_width_bound(gains.k2, rate_bound, n, period)
-    try:
-        tight = tight_width_bound(gains.k1, gains.k2, rate_bound, n, period)
-    except RegimeError:  # not under-tuned (L <= k2), or the k1 premise fails
-        tight = None
+    tight = tight_width_bound(gains.k1, gains.k2, rate_bound, n, period)
 
     if not converged:
         return LimitCycleReport(
             converged=False, coarse_bound=coarse, tight_bound=tight, tolerance=tol,
         )
 
-    t_end = float(traj.t[-1])
-    window_start = t_end - period
-    amplitude = cycle_amplitude(traj, window_start, period)
+    amplitude = float(np.max(np.abs(traj.x1[final_periods(traj, period)])))
 
-    tail = traj.t >= t_end - PERIOD_WINDOW_CYCLES * period - 1e-12
+    tail = final_periods(traj, period, PERIOD_WINDOW_CYCLES)
     try:
         measured_period = estimate_period(traj.x1[tail], traj.dt)
     except AperiodicSignalError:
         measured_period = None
 
     crossings = detect_crossings(traj, gains.delta)
-    per_cycle = sum(1 for tc, _ in crossings if window_start <= tc <= t_end)
+    t_end = float(traj.t[-1])
+    per_cycle = sum(1 for tc, _ in crossings if t_end - period <= tc <= t_end)
 
     return LimitCycleReport(
         converged=True,

@@ -29,9 +29,6 @@ __all__ = [
 CSV_HEADER = "t,x1,x2,u,d,q"
 CSV_CHUNK_ROWS = 1024
 
-#: Period-aligned stepping used when a caller or config leaves a key out.
-INTEGRATION_DEFAULTS = {"steps_per_period": 2000, "periods": 40}
-
 
 class DivergenceError(RuntimeError):
     """A state component became non-finite; carries the blow-up time."""
@@ -55,9 +52,7 @@ class IntegrationConfig:
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
     @classmethod
-    def for_period(cls, period: float,
-                   steps_per_period: int = INTEGRATION_DEFAULTS["steps_per_period"],
-                   periods: int = INTEGRATION_DEFAULTS["periods"]) -> "IntegrationConfig":
+    def for_period(cls, period: float, steps_per_period: int, periods: int) -> "IntegrationConfig":
         """Config aligned to a forcing period: dt = period / steps_per_period.
 
         Samples then land exactly on period multiples, which the stroboscopic

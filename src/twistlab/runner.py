@@ -23,15 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (MIN_STROBE_PERIODS, LimitCycleReport, bound_comparison_table,
-                       build_report, scaling_fit)
+                       build_report, final_periods, scaling_fit)
 from .dynamics import DEFAULT_DELTA, Gains, default_layer_width, twisting_action
-from .integrator import INTEGRATION_DEFAULTS, IntegrationConfig, Trajectory, integrate
+from .integrator import IntegrationConfig, Trajectory, integrate
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
                       TWO_PI, bound_L, constant_speed_characterization, eval_q)
-from .tuning import (AccuracySpec, InfeasibleSpecError, RegimeError,
-                     check_averaged_conditions, cycle_width_bound,
-                     finite_time_gains, optimize_gains, tight_bound_feasible,
+from .tuning import (AccuracySpec, InfeasibleSpecError, check_averaged_conditions,
+                     cycle_width_bound, finite_time_gains, optimize_gains,
                      tight_width_bound, tune_k2)
 
 __all__ = ["SCHEMA_VERSION", "ScenarioConfig", "RunResult", "run_scenario",
@@ -106,10 +105,9 @@ _PERTURBATION = {f.name: (f.default, lambda v: v) for f in fields(FrictionCoggin
 #: ``perturbation``, ``parameters`` and ``initial`` rows on the scenario, and
 #: ``tuning`` is checked only when it is non-empty.  A key with no row is rejected.
 CONFIG_TABLE = {
-    "integration": {"steps_per_period": (INTEGRATION_DEFAULTS["steps_per_period"], _count),
-                    "periods": (INTEGRATION_DEFAULTS["periods"],
-                                _number(f"an integer >= {MIN_STROBE_PERIODS}",
-                                        lambda v: v >= MIN_STROBE_PERIODS, int))},
+    "integration": {"steps_per_period": (2000, _count),
+                    "periods": (40, _number(f"an integer >= {MIN_STROBE_PERIODS}",
+                                            lambda v: v >= MIN_STROBE_PERIODS, int))},
     "analysis": {"n": _N, "tolerance": (None, lambda v: None if v is None else _positive(v))},
     "motor": {"constant_speed": _MOTOR, "sinusoidal_velocity": _MOTOR, "synthetic_q": {}},
     "perturbation": {"constant_speed": _PERTURBATION, "sinusoidal_velocity": _PERTURBATION,
@@ -424,11 +422,10 @@ def _atomic_write(path: Path, content) -> None:
 
 
 def _phase_csv(traj: Trajectory, period: float, gains: Gains) -> str:
-    """w1/w2 over the final recorded cycle; w2 from the recorded channels."""
-    start = traj.t[-1] - period
-    mask = traj.t >= start - 1e-12
-    x1 = traj.x1[mask]
-    w2 = twisting_action(x1, traj.x2[mask], gains)
+    """w1/w2 over the final period's records, the amplitude's; w2 from the recorded channels."""
+    final = final_periods(traj, period)
+    x1 = traj.x1[final]
+    w2 = twisting_action(x1, traj.x2[final], gains)
     lines = ["w1,w2"]
     lines.extend(f"{float(a)!r},{float(b)!r}" for a, b in zip(x1, w2))
     return "\n".join(lines) + "\n"
@@ -491,21 +488,20 @@ def _retire_previous_sweep(out: Path, labels: set[str]) -> None:
 
 
 def _reports_payload(results: list[RunResult]) -> dict:
+    """The ``reports.json`` object: one entry per run, in run order.
+
+    An entry is the run's label, params, error, rate bound and period, and,
+    for a run with a report, its gains and then the report's fields in
+    declaration order.  Schema 1 is those fields minus ``tolerance``.
+    """
     runs = []
     for r in results:
         entry: dict = {"label": r.label, "params": r.params, "error": r.error,
                        "rate_bound": r.rate_bound, "period": r.period}
         if r.report is not None:  # set in the statement that sets the gains
-            entry.update({
-                "gains": {"k1": r.gains.k1, "k2": r.gains.k2, "delta": r.gains.delta},
-                "converged": r.report.converged,
-                "cycle_start_time": r.report.cycle_start_time,
-                "measured_period": r.report.measured_period,
-                "amplitude": r.report.amplitude,
-                "coarse_bound": r.report.coarse_bound,
-                "tight_bound": r.report.tight_bound,
-                "crossings_per_period": r.report.crossings_per_period,
-            })
+            entry["gains"] = {f.name: getattr(r.gains, f.name) for f in fields(r.gains)}
+            entry.update((f.name, getattr(r.report, f.name)) for f in fields(r.report)
+                         if f.name != "tolerance")
         runs.append(entry)
     return {"schema_version": SCHEMA_VERSION, "runs": runs}
 
@@ -522,11 +518,10 @@ def _summary_text(results: list[RunResult], fit) -> str:
             continue
         averaged_ok = check_averaged_conditions(r.gains)
         checks = [f"averaged_conditions={'pass' if averaged_ok else 'informative-fail'}"]
-        if r.rate_bound > r.gains.k2:
-            feasible = tight_bound_feasible(r.gains.k1, r.gains.k2, r.rate_bound)
-            checks.append(f"k1_premise={'pass' if feasible else 'fail'}")
-        else:
+        if r.rate_bound <= r.gains.k2:
             checks.append("regime=finite-time (k2 >= L)")
+        else:
+            checks.append(f"k1_premise={'fail' if rep.tight_bound is None else 'pass'}")
         period_str = ("-" if rep.measured_period is None
                       else f"{rep.measured_period:.6g}")
         tight = "-" if rep.tight_bound is None else f"{rep.tight_bound:.6g}"
@@ -589,15 +584,14 @@ def _cmd_tune(args) -> int:
     if (k1 := t["k1"]) is not None:
         try:
             k2 = tune_k2(k1, spec)
-            feasible = tight_bound_feasible(k1, k2, L)
-            bound = tight_width_bound(k1, k2, L, n, T) if feasible else float("nan")
+            bound = tight_width_bound(k1, k2, L, n, T)
+            premise, tight = ("FAILS", "nan") if bound is None else ("holds", f"{bound:.6g}")
             print(f"fixed k1={k1:g}: k2={k2:.6g} "
-                  f"(k1 premise {'holds' if feasible else 'FAILS'}, "
-                  f"tight bound {bound:.6g} vs eta {eta:g})")
+                  f"(k1 premise {premise}, tight bound {tight} vs eta {eta:g})")
             print(f"coarse bound: {cycle_width_bound(k2, L, n, T):.6g}")
             print(f"averaged-loop conditions at mean rate 0: "
                   f"{check_averaged_conditions(Gains(k1, k2))} (informative)")
-        except (InfeasibleSpecError, RegimeError) as exc:
+        except InfeasibleSpecError as exc:
             print(f"fixed k1={k1:g}: infeasible ({exc})")
             status = 2
     if t["k1_max"] is not None:

@@ -15,7 +15,6 @@ from .dynamics import DEFAULT_DELTA, Gains, default_layer_width
 __all__ = [
     "AccuracySpec",
     "InfeasibleSpecError",
-    "RegimeError",
     "finite_time_gains",
     "check_averaged_conditions",
     "cycle_width_bound",
@@ -28,10 +27,6 @@ __all__ = [
 
 class InfeasibleSpecError(ValueError):
     """No gain pair can satisfy the requested accuracy specification."""
-
-
-class RegimeError(ValueError):
-    """Operation called outside the regime where its formula is valid."""
 
 
 @dataclass(frozen=True)
@@ -99,35 +94,31 @@ def cycle_width_bound(k2: float, rate_bound: float, n: float, period: float) -> 
 
 
 def tight_bound_feasible(k1: float, k2: float, rate_bound: float) -> bool:
-    """Whether k1 > sqrt(2*(L - k2)), the premise of the tight width bound.
+    """Whether the tight width bound applies: L > k2 and k1 > sqrt(2*(L - k2)).
 
-    Only meaningful in the under-tuned regime L > k2; otherwise raises
-    :class:`RegimeError` (use the finite-time analysis instead).
+    The first is the under-tuned regime (for L <= k2 the loop converges in
+    finite time and has no cycle to bound), the second the bound's k1
+    premise.  Every caller asks here whether the tight bound exists.
     """
-    if rate_bound <= k2:
-        raise RegimeError(
-            f"rate bound {rate_bound} does not exceed k2 = {k2}; not under-tuned"
-        )
-    return k1 > math.sqrt(2.0 * (rate_bound - k2))
+    return rate_bound > k2 and k1 > math.sqrt(2.0 * (rate_bound - k2))
 
 
-def tight_width_bound(k1: float, k2: float, rate_bound: float, n: float, period: float) -> float:
-    """Non-conservative cycle width bound for an under-tuned loop.
+def tight_width_bound(k1: float, k2: float, rate_bound: float, n: float,
+                      period: float) -> float | None:
+    """Non-conservative cycle width bound for an under-tuned loop, or None.
 
         k1^4 * (L - k2)^2 * n^2 * T^2 / (k1^2 - 2*(L - k2))^2
 
-    Requires the under-tuned regime and the k1 premise checked by
-    :func:`tight_bound_feasible`.
+    None where :func:`tight_bound_feasible` is false: outside the
+    under-tuned regime, or where the k1 premise fails.  A bad ``n`` or
+    ``period`` raises ValueError.
     """
     if not (0.0 < n <= 0.5):
         raise ValueError(f"n must lie in (0, 0.5], got {n}")
     if period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
     if not tight_bound_feasible(k1, k2, rate_bound):
-        raise RegimeError(
-            f"k1 = {k1} does not exceed sqrt(2*(L - k2)) = "
-            f"{math.sqrt(2.0 * (rate_bound - k2)):.6g}; tight bound invalid"
-        )
+        return None
     excess = rate_bound - k2
     denom = k1 * k1 - 2.0 * excess
     return (k1 ** 4) * excess * excess * n * n * period * period / (denom * denom)
@@ -171,7 +162,7 @@ def optimize_gains(spec: AccuracySpec, k1_max: float) -> Gains:
         raise ValueError(f"k1_max must be positive, got {k1_max}")
     k1 = min(k1_max, 1.0)
     k2 = tune_k2(k1, spec)
-    if not (k2 < spec.rate_bound and tight_bound_feasible(k1, k2, spec.rate_bound)):
+    if not tight_bound_feasible(k1, k2, spec.rate_bound):
         raise InfeasibleSpecError(
             f"rounding breaks the k1 premise at k1={k1}, k2={k2!r}, L={spec.rate_bound}"
         )

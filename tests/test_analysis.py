@@ -7,8 +7,8 @@ import pytest
 
 from twistlab.analysis import (AperiodicSignalError, InsufficientDataError,
                                LimitCycleReport, bound_comparison_table,
-                               build_report, cycle_amplitude, default_tolerance,
-                               estimate_period, scaling_fit,
+                               build_report, default_tolerance, estimate_period,
+                               final_periods, scaling_fit,
                                stroboscopic_convergence)
 from twistlab.dynamics import Gains
 from twistlab.integrator import IntegrationConfig, Trajectory, integrate
@@ -66,7 +66,16 @@ def test_stroboscopic_needs_alignment():
 
 def test_cycle_amplitude_sine():
     traj = _synthetic(amplitude=2.7)
-    assert cycle_amplitude(traj, 0.0, 0.25) == pytest.approx(2.7, rel=1e-3)
+    assert np.max(np.abs(traj.x1[final_periods(traj, 0.25)])) == pytest.approx(2.7, rel=1e-3)
+
+
+def test_final_periods_is_the_last_count_periods_of_records():
+    traj = _synthetic(periods=12, spp=200)
+    for count in (1, 5, 12):
+        window = final_periods(traj, 0.25, count)
+        assert window.stop == len(traj) and window.stop - window.start == count * 200 + 1
+    with pytest.raises(InsufficientDataError):
+        final_periods(traj, 0.25, 13)
 
 
 def test_estimate_period_sine():
@@ -171,7 +180,8 @@ def test_build_report_on_under_tuned_run():
 
     # amplitude is stable across successive steady-state periods
     tol = default_tolerance(gains.delta)
-    amplitudes = [cycle_amplitude(traj, traj.t[-1] - k * T, T) for k in (1, 2, 3)]
+    # the first period of the last k, so period k from the end
+    amplitudes = [np.max(np.abs(traj.x1[final_periods(traj, T, k)][:2001])) for k in (1, 2, 3)]
     assert max(amplitudes) - min(amplitudes) < tol
 
     # crossing count is even and stable across successive periods

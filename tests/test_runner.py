@@ -525,6 +525,43 @@ def test_every_output_gives_the_same_verdict(tmp_path, capsys):
     assert summary == bounds == table == {r.label: r.ok for r in results if r.converged}
 
 
+#: Schema 1's keys of a ``reports.json`` run entry, in order: every run's, then a reported run's.
+RUN_KEYS = ["label", "params", "error", "rate_bound", "period"]
+REPORT_KEYS = ["gains", "converged", "cycle_start_time", "measured_period", "amplitude",
+               "coarse_bound", "tight_bound", "crossings_per_period"]
+
+
+def test_reports_json_entries_hold_the_schema_1_keys_in_order(tmp_path):
+    """A failed, a non-converged and a converged run each write exactly schema 1's keys."""
+    out = tmp_path / "out"
+    run_scenario(ScenarioConfig.from_dict(MIXED_OUTCOMES), out_dir=out)
+    runs = json.loads((out / "reports.json").read_text())["runs"]
+    assert [(run["label"], run["error"] is None, run.get("converged")) for run in runs] == [
+        ("wr12", False, None), ("wr18", True, False), ("wr23", True, True)]
+    assert list(runs[0]) == RUN_KEYS
+    for run in runs[1:]:
+        assert list(run) == RUN_KEYS + REPORT_KEYS
+        assert list(run["gains"]) == ["k1", "k2", "delta"]
+
+
+def test_phase_csv_holds_the_records_the_amplitude_is_read_from(tmp_path):
+    """Each converged run's phase.csv is its final period's steps_per_period + 1 records,
+    and their max |w1| is the amplitude in reports.json."""
+    synthetic = {**SYNTHETIC, "integration": {"steps_per_period": 1000, "periods": 12}}
+    converged = 0
+    for name, config in (("synthetic", synthetic), ("motor", MIXED_OUTCOMES)):
+        out = tmp_path / name
+        run_scenario(ScenarioConfig.from_dict(config), out_dir=out)
+        for run in json.loads((out / "reports.json").read_text())["runs"]:
+            if not run.get("converged"):
+                continue
+            converged += 1
+            rows = (out / run["label"] / "phase.csv").read_text().splitlines()[1:]
+            assert len(rows) == config["integration"]["steps_per_period"] + 1
+            assert max(abs(float(row.split(",")[0])) for row in rows) == run["amplitude"]
+    assert converged == 5
+
+
 def test_worker_writes_its_run_and_returns_no_trajectory(tmp_path):
     cfg = ScenarioConfig.from_dict(MIXED_OUTCOMES)
     results = run_scenario(cfg, workers=2, out_dir=tmp_path)

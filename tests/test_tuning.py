@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab.dynamics import DEFAULT_DELTA, Gains
-from twistlab.tuning import (AccuracySpec, InfeasibleSpecError, RegimeError,
-                             check_averaged_conditions, cycle_width_bound,
-                             finite_time_gains, optimize_gains,
+from twistlab.tuning import (AccuracySpec, InfeasibleSpecError, check_averaged_conditions,
+                             cycle_width_bound, finite_time_gains, optimize_gains,
                              tight_bound_feasible, tight_width_bound, tune_k2)
 
 SPEC_A = AccuracySpec(eta=0.2, rate_bound=12.0, period=0.3125, n=0.5)
@@ -62,8 +61,7 @@ def test_tight_bound_feasible():
     assert tight_bound_feasible(0.9, 11.65, 12.0)     # sqrt(0.7) = 0.837 < 0.9
     assert tight_bound_feasible(0.9, 19.65, 20.0)
     assert not tight_bound_feasible(0.5, 11.65, 12.0)
-    with pytest.raises(RegimeError):
-        tight_bound_feasible(0.9, 13.0, 12.0)
+    assert not tight_bound_feasible(0.9, 13.0, 12.0)
 
 
 def test_tight_width_bound_values():
@@ -74,8 +72,8 @@ def test_tight_width_bound_values():
     assert tight_width_bound(0.9, 11.9999, 12.0, 0.5, 0.3125) < 1e-6
     # quadratic in the period
     assert tight_width_bound(0.9, 11.65, 12.0, 0.5, 0.625) == pytest.approx(4 * bound)
-    with pytest.raises(RegimeError):
-        tight_width_bound(0.5, 11.65, 12.0, 0.5, 0.3125)
+    assert tight_width_bound(0.5, 11.65, 12.0, 0.5, 0.3125) is None
+    assert tight_width_bound(0.9, 12.0, 12.0, 0.5, 0.3125) is None
 
 
 def test_tune_k2_reproduces_applied_gains():
