@@ -29,7 +29,8 @@ class MotorModel:
     torque-like quantities then share the error's units.  Encoder
     quantization and velocity noise are off by default; switching either on
     re-routes the controller through a backward-differenced, noisy velocity
-    estimate without touching the baseline physics.
+    estimate over ``velocity_window`` samples without touching the baseline
+    physics.  With both off the window must stay 1: nothing reads it.
     """
 
     inertia: float = 1.0
@@ -48,6 +49,9 @@ class MotorModel:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if type(self.velocity_window) is not int or self.velocity_window < 1:  # so True fails too
             raise ValueError(f"velocity_window must be an integer >= 1, got {self.velocity_window!r}")
+        if self.velocity_window != 1 and self.encoder_quantum == 0.0 and self.noise_std == 0.0:
+            raise ValueError(f"velocity_window must be 1 with encoder_quantum and noise_std 0 "
+                             f"(the continuous loop reads no window), got {self.velocity_window}")
 
 
 def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,

@@ -149,9 +149,11 @@ class ScenarioConfig:
 
     The sections keep the keys as written.  Loading checks them against
     ``CONFIG_TABLE`` into ``checked`` (section -> key -> value, defaults filled
-    in) and builds the labelled ``cases`` and, for the motor scenarios,
-    ``motor_model`` (None for ``synthetic_q``), so a bad config fails before
-    any case runs.
+    in) and builds the labelled ``cases``, for the motor scenarios
+    ``motor_model`` (None for ``synthetic_q``), and ``forcing``: each case's
+    rate bound and period ``(L, T)`` as floats, in case order.  A bad config,
+    or an ``L = 0`` case whose gains are tuned to ``L``, thus fails before any
+    case runs.
     """
 
     scenario: str
@@ -206,39 +208,38 @@ class ScenarioConfig:
         else:
             self.cases = [{"label": f"L{L:g}_T{T:g}", "rate_bound": L, "period": T}
                           for L, T in params["cases"]]
-        # every source but explicit gains, or finite_time with its own rate_bound, tunes to L
-        gains = self.checked["gains"]
-        if gains["source"] != "explicit" and gains.get("rate_bound") is None:
-            zero_rate = self._zero_rate()
-            if zero_rate is not None:
-                raise ValueError(f"{zero_rate}, which gains.source {gains['source']!r} "
-                                 "cannot tune to: it needs a rate bound > 0")
         labels = [case["label"] for case in self.cases]
         for i, label in enumerate(labels):
             if label in labels[:i]:
                 raise ValueError(f"config error: two cases share the label {label!r} (labels "
                                  "keep 6 significant digits); each needs its own run directory")
-
-    def _zero_rate(self) -> str | None:
-        """The keys that give a case an identically zero rate, so L = 0, or None."""
-        params = self.checked["parameters"]
-        if self.scenario == "synthetic_q":
-            for L, T in params["cases"]:
+        self.forcing = [self._characterize(case) for case in self.cases]
+        # every source but explicit gains, or finite_time with its own rate_bound, tunes to L
+        if source != "explicit" and self.checked["gains"].get("rate_bound") is None:
+            for label, (L, _) in zip(labels, self.forcing):
                 if L == 0.0:
-                    return f"parameters.cases [{L:g}, {T:g}] has L = 0"
-            return None
+                    raise ValueError(f"case {label!r} has L = 0, which gains.source {source!r} "
+                                     "cannot tune to: it needs a rate bound > 0")
+
+    def _profile(self, case: dict) -> MotionProfile:
+        """A motor case's reference motion."""
+        if self.scenario == "constant_speed":
+            return MotionProfile.constant_speed(case["omega_r"])
+        return MotionProfile.sinusoidal_velocity(
+            case["frequency_hz"], accel_peak=self.checked["parameters"]["accel_peak"])
+
+    def _characterize(self, case: dict) -> tuple[float, float]:
+        """The case's forcing (L, T): as given, in closed form, or bounded by sampling."""
+        if self.scenario == "synthetic_q":
+            return case["rate_bound"], case["period"]
         model = self.motor_model.friction_cogging
-        no_cogging = model.cogging_amplitude == 0.0
-        if self.scenario == "constant_speed" and no_cogging:
-            return (f"perturbation.harmonics {[list(h) for h in model.harmonics]} sum to no "
-                    "cogging, so every constant_speed case has L = 0")
-        if self.scenario == "sinusoidal_velocity":
-            if params["accel_peak"] == 0.0:
-                return "parameters.accel_peak is 0, so every case has L = 0"
-            if no_cogging and model.coulomb == 0.0 and model.viscous == 0.0:
-                return ("perturbation.coulomb and perturbation.viscous are 0 and "
-                        "perturbation.harmonics sum to no cogging, so every case has L = 0")
-        return None
+        if self.scenario == "constant_speed":
+            return constant_speed_characterization(model, case["omega_r"])
+        profile, T = self._profile(case), 1.0 / case["frequency_hz"]
+        try:
+            return bound_L(lambda t: eval_q(model, profile, t), T), T
+        except ValueError as exc:  # the rate gave non-finite samples
+            raise ValueError(f"characterize case {case['label']!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -326,21 +327,22 @@ def _sinusoid_rate(pert: SinusoidPerturbation):
     return lambda t: amp * np.sin(w * t + phase)
 
 
-def _execute_case(cfg: ScenarioConfig, case: dict, index: int, out_dir=None) -> RunResult:
-    """Run one parameter case end to end; exceptions become a recorded error.
+def _execute_case(cfg: ScenarioConfig, index: int, out_dir=None) -> RunResult:
+    """Run the config's case ``index`` end to end; exceptions become a recorded error.
 
     With ``out_dir``, this process also writes the run's directory and drops the
     trajectory from the result.  A write error is not a case error: it
     propagates to the caller.
     """
+    case = cfg.cases[index]
     result = RunResult(label=case["label"], params=dict(case))
-    params, initial = cfg.checked["parameters"], cfg.checked["initial"]
+    initial = cfg.checked["initial"]
+    L, T = cfg.forcing[index]
     try:
+        gains = _resolve_gains(cfg, L, T)
+        icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
         if cfg.scenario == "synthetic_q":
-            L, T = case["rate_bound"], case["period"]
-            pert = SinusoidPerturbation(L, T, phase=params["phase"])
-            gains = _resolve_gains(cfg, L, T)
-            icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
+            pert = SinusoidPerturbation(L, T, phase=cfg.checked["parameters"]["phase"])
             traj = integrate(gains, _sinusoid_rate(pert),
                              (initial["x1"], initial["x2"]), icfg)
             d = pert.d(traj.t)
@@ -348,21 +350,9 @@ def _execute_case(cfg: ScenarioConfig, case: dict, index: int, out_dir=None) -> 
                            q=pert.q(traj.t))
         else:
             motor = cfg.motor_model
-            model = motor.friction_cogging
-            if cfg.scenario == "constant_speed":
-                omega_r = case["omega_r"]
-                L, T = constant_speed_characterization(model, omega_r)
-                profile = MotionProfile.constant_speed(omega_r)
-            else:
-                f = case["frequency_hz"]
-                T = 1.0 / f
-                profile = MotionProfile.sinusoidal_velocity(f, accel_peak=params["accel_peak"])
-                L = bound_L(lambda t: eval_q(model, profile, t), T)
-            gains = _resolve_gains(cfg, L, T)
-            icfg = IntegrationConfig.for_period(T, **cfg.checked["integration"])
             rng = np.random.default_rng(cfg.seed + index) if motor.noise_std > 0.0 else None
             traj = simulate_motor_loop(
-                motor, profile, gains, icfg, initial_error=initial["error"],
+                motor, cfg._profile(case), gains, icfg, initial_error=initial["error"],
                 initial_integral=initial["integral"], rng=rng,
             )
 
@@ -392,11 +382,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1, out_dir=None) -> list[Ru
         _retire_previous_sweep(Path(out_dir), {case["label"] for case in cfg.cases})
     workers = min(workers, len(cfg.cases))
     if workers == 1:
-        results = [_execute_case(cfg, case, i, out_dir) for i, case in enumerate(cfg.cases)]
+        results = [_execute_case(cfg, i, out_dir) for i in range(len(cfg.cases))]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_case, cfg, case, i, out_dir)
-                       for i, case in enumerate(cfg.cases)]
+            futures = [pool.submit(_execute_case, cfg, i, out_dir) for i in range(len(cfg.cases))]
             results = [f.result() for f in futures]
     if out_dir is not None:
         emit_outputs(results, out_dir)
@@ -584,10 +573,8 @@ def _cmd_tune(args) -> int:
     if (k1 := t["k1"]) is not None:
         try:
             k2 = tune_k2(k1, spec)
-            bound = tight_width_bound(k1, k2, L, n, T)
-            premise, tight = ("FAILS", "nan") if bound is None else ("holds", f"{bound:.6g}")
-            print(f"fixed k1={k1:g}: k2={k2:.6g} "
-                  f"(k1 premise {premise}, tight bound {tight} vs eta {eta:g})")
+            print(f"fixed k1={k1:g}: k2={k2:.6g} (k1 premise holds, "
+                  f"tight bound {tight_width_bound(k1, k2, L, n, T):.6g} vs eta {eta:g})")
             print(f"coarse bound: {cycle_width_bound(k2, L, n, T):.6g}")
             print(f"averaged-loop conditions at mean rate 0: "
                   f"{check_averaged_conditions(Gains(k1, k2))} (informative)")

@@ -180,7 +180,8 @@ def eval_q(model: FrictionCoggingModel, profile: MotionProfile, t):
 
 
 def _abs_samples(q: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
-    values = np.abs(np.broadcast_to(np.asarray(q(t), dtype=float), t.shape))
+    with np.errstate(all="ignore"):  # an overflow is reported below, as a non-finite sample
+        values = np.abs(np.broadcast_to(np.asarray(q(t), dtype=float), t.shape))
     if not np.all(np.isfinite(values)):
         raise ValueError("rate signal produced non-finite samples")
     return values

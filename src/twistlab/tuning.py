@@ -134,7 +134,9 @@ def tune_k2(k1: float, spec: AccuracySpec) -> float:
     holds for any k1 > 0, since k1^2 - 2*(L - k2) = k1^3*n*T / (2*sqrt(eta)
     + k1*n*T), and the tight bound equals eta * k1^2: within the spec for
     k1 <= 1 (with zero margin at k1 = 1), beyond it for k1 > 1.  k2 falls as
-    k1 rises or eta grows; raises :class:`InfeasibleSpecError` when k2 <= 0.
+    k1 rises or eta grows.  Raises :class:`InfeasibleSpecError` when k2 <= 0,
+    or when rounding breaks :func:`tight_bound_feasible` at the returned pair
+    (e.g. a tiny eta leaves k2 = L), so every k2 returned has a tight bound.
     """
     if k1 <= 0.0:
         raise ValueError(f"k1 must be positive, got {k1}")
@@ -144,6 +146,10 @@ def tune_k2(k1: float, spec: AccuracySpec) -> float:
         raise InfeasibleSpecError(
             f"accuracy eta={spec.eta} with k1={k1} needs k2={k2:.6g} <= 0; "
             "lower k1 or tighten eta"
+        )
+    if not tight_bound_feasible(k1, k2, spec.rate_bound):
+        raise InfeasibleSpecError(
+            f"rounding breaks the k1 premise at k1={k1}, k2={k2!r}, L={spec.rate_bound}"
         )
     return k2
 
@@ -155,15 +161,11 @@ def optimize_gains(spec: AccuracySpec, k1_max: float) -> Gains:
     rises, so the least k2 sits at k1 = min(k1_max, 1).  At k1 = 1 the bound
     equals eta with zero margin, and rounding of L - k2 can read it slightly
     above eta (about 2e-12 relative at L = 25, more at larger L).  Raises
-    :class:`InfeasibleSpecError` when k2 <= 0 there: k2 then falls towards 0
-    as k1 rises to the root of k2(k1) = 0, and no least k2 exists.
+    :class:`InfeasibleSpecError` where :func:`tune_k2` does at that k1: when
+    k2 <= 0 there (k2 then falls towards 0 as k1 rises to the root of
+    k2(k1) = 0, and no least k2 exists), or when rounding breaks the k1 premise.
     """
     if not k1_max > 0.0:
         raise ValueError(f"k1_max must be positive, got {k1_max}")
     k1 = min(k1_max, 1.0)
-    k2 = tune_k2(k1, spec)
-    if not tight_bound_feasible(k1, k2, spec.rate_bound):
-        raise InfeasibleSpecError(
-            f"rounding breaks the k1 premise at k1={k1}, k2={k2!r}, L={spec.rate_bound}"
-        )
-    return Gains(k1=k1, k2=k2, delta=default_layer_width(spec.eta))
+    return Gains(k1=k1, k2=tune_k2(k1, spec), delta=default_layer_width(spec.eta))

@@ -96,6 +96,17 @@ def test_estimate_period_rejects_constant():
         estimate_period(np.ones(1000), 1e-3)
 
 
+def test_estimate_period_rejects_short_and_non_finite_signals():
+    with pytest.raises(InsufficientDataError, match="at least 8 samples"):
+        estimate_period(np.arange(7.0), 1e-3)
+    # a ramp's autocorrelation first turns non-positive at lag 3, past half of 8 samples
+    with pytest.raises(AperiodicSignalError, match="window too short"):
+        estimate_period(np.arange(8.0), 1e-3)
+    # a zero-mean signal's autocorrelation past lag 0 sums to -1/2, so only NaN never decays
+    with pytest.raises(AperiodicSignalError, match="never decays"):
+        estimate_period(np.full(100, np.nan), 1e-3)
+
+
 def test_scaling_fit_quadratic_row():
     """Points generated as 3.0625 / f^2 recover exponent 2 and the coefficient."""
     points = [(1.0 / f, 3.0625 / f ** 2) for f in (1.0, 1.5, 2.0, 2.5)]

@@ -4,7 +4,6 @@ import concurrent.futures
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -56,7 +55,7 @@ OUT_OF_RANGE = [
     ("motor", "inertia", 0), ("motor", "inertia", -1.0), ("motor", "inertia", 1e13),
     ("motor", "inertia", "abc"), ("motor", "encoder_quantum", -1e-5),
     ("motor", "encoder_quantum", math.nan), ("motor", "velocity_window", 0),
-    ("motor", "velocity_window", 2.5),
+    ("motor", "velocity_window", 2.5), ("motor", "velocity_window", 4),
     ("perturbation", "viscous", math.nan), ("perturbation", "viscous", -0.01),
     ("perturbation", "coulomb", math.inf), ("perturbation", "coulomb", "0.4"),
     ("perturbation", "steepness", math.inf), ("perturbation", "steepness", 0),
@@ -247,7 +246,7 @@ def test_unforced_case_fails_at_load_unless_the_gains_ignore_L(tmp_path, capsys,
     path = tmp_path / "cfg.json"
     out = tmp_path / "out"
     for gains in TUNED_TO_L:
-        message = rf"parameters\.cases \[0, 0\.2\].*gains\.source '{gains['source']}'"
+        message = rf"^case 'L0_T0\.2' has L = 0.*gains\.source '{gains['source']}'"
         with pytest.raises(ValueError, match=message):
             ScenarioConfig.from_dict({**SYNTHETIC, "gains": gains,
                                       "parameters": {"cases": unforced}})
@@ -257,7 +256,7 @@ def test_unforced_case_fails_at_load_unless_the_gains_ignore_L(tmp_path, capsys,
             assert main(["sweep", "--config", str(path), "--out", str(out),
                          "--override", f"parameters.cases={json.dumps(unforced)}"]) == 1
         err = capsys.readouterr().err
-        assert "parameters.cases" in err and gains["source"] in err
+        assert "'L0_T0.2'" in err and gains["source"] in err
         assert not out.exists()
     for gains in FIXED_FOR_L:
         cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": gains,
@@ -267,7 +266,7 @@ def test_unforced_case_fails_at_load_unless_the_gains_ignore_L(tmp_path, capsys,
         assert result.report.converged and result.report.amplitude == 0.0
 
 
-#: Motor configs whose load-torque rate is identically zero, so L = 0, and the key each names.
+#: Motor configs whose load-torque rate is identically zero, so L = 0, and the key that zeroes it.
 ZERO_RATE_MOTOR = [
     ({"perturbation": {"harmonics": []}}, "perturbation.harmonics"),
     ({"perturbation": {"harmonics": [[0.5, 0.0], [-0.5, 0.0]]}}, "perturbation.harmonics"),
@@ -282,22 +281,32 @@ ZERO_RATE_MOTOR = [
 def test_zero_rate_motor_config_fails_at_load_unless_the_gains_ignore_L(
         overrides, key, tmp_path, capsys, monkeypatch):
     """A motor config with no load-torque rate gives L = 0: tuned gains fail at load."""
+    label = "f2" if "scenario" in overrides else "wr18"  # the config's first case
     path = tmp_path / "cfg.json"
     out = tmp_path / "out"
     path.write_text(json.dumps(_constant_speed_config(**overrides)))
     for gains in TUNED_TO_L:
-        with pytest.raises(ValueError, match=rf"^{re.escape(key)}.*L = 0.*'{gains['source']}'"):
+        with pytest.raises(ValueError, match=rf"^case '{label}' has L = 0.*'{gains['source']}'"):
             ScenarioConfig.from_dict(_constant_speed_config(**overrides, gains=gains))
         with monkeypatch.context() as patch:
             patch.setattr(runner, "_execute_case", lambda *args: pytest.fail("a case ran"))
             assert main(["sweep", "--config", str(path), "--out", str(out),
                          "--override", f"gains={json.dumps(gains)}"]) == 1
         err = capsys.readouterr().err
-        assert key in err and gains["source"] in err
+        assert f"'{label}'" in err and gains["source"] in err
         assert not out.exists()
     for gains in FIXED_FOR_L:
         cfg = ScenarioConfig.from_dict(_constant_speed_config(**overrides, gains=gains))
         assert len(cfg.cases) >= 1
+
+
+def test_non_finite_rate_fails_at_load_naming_the_case():
+    """bound_L's non-finite samples fail the config at load, naming the stage and the case."""
+    with pytest.raises(ValueError,
+                       match=r"^characterize case 'f2': rate signal produced non-finite"):
+        ScenarioConfig.from_dict(_constant_speed_config(
+            scenario="sinusoidal_velocity", parameters={"frequency_hz": [2.0]},
+            perturbation={"viscous": 1e308}))
 
 
 #: Per gains source: a valid section, and a non-default valid value for each key it reads.
@@ -837,6 +846,36 @@ def test_cli_tune(tmp_path, capsys):
     assert "k2=11.65" in out
     assert "optimized: k1=0.9 k2=11.65 delta=" in out
     assert "finite-time gains" in out
+
+
+def test_cli_sweep_without_out_prints_the_summary(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({**SYNTHETIC, "parameters": {"cases": [[12.0, 0.2]]},
+                                       "integration": {"steps_per_period": 500, "periods": 15}}))
+    assert main(["sweep", "--config", str(config_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("L12_T0.2: converged ") and "satisfied=yes" in out
+    assert list(tmp_path.iterdir()) == [config_path]
+
+
+def test_cli_tune_without_a_tuning_section_exits_1(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(SYNTHETIC))
+    assert main(["tune", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "config has no `tuning` section\n"
+
+
+@pytest.mark.parametrize("tuning, line", [
+    # k2 <= 0 at the optimizer's k1 = 1
+    ({"rate_bound": 0.1, "period": 0.3125, "eta": 100, "k1_max": 1}, "optimizer: infeasible"),
+    # k2 rounds to L, where the k1 premise fails
+    ({"rate_bound": 12.0, "period": 0.3125, "eta": 1e-40, "k1": 1}, "fixed k1=1: infeasible"),
+])
+def test_cli_tune_infeasible_spec_exits_2(tuning, line, tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({**SYNTHETIC, "tuning": tuning}))
+    assert main(["tune", "--config", str(config_path)]) == 2
+    assert f"\n{line} (" in capsys.readouterr().out
 
 
 def test_cli_bad_config_path():

@@ -106,6 +106,14 @@ def test_tune_k2_infeasible_advice_leads_to_k2_above_zero():
             tune_k2(k1, AccuracySpec(eta=eta, rate_bound=0.2, period=0.3, n=0.5))
 
 
+def test_tune_k2_infeasible_where_rounding_breaks_the_premise():
+    """A tiny eta rounds k2 to L itself, outside the under-tuned regime: no tight bound."""
+    spec = AccuracySpec(eta=1e-32, rate_bound=12, period=0.3125)
+    for tune in (lambda: tune_k2(1.0, spec), lambda: optimize_gains(spec, k1_max=1.0)):
+        with pytest.raises(InfeasibleSpecError, match="rounding breaks the k1 premise.*k2=12.0"):
+            tune()
+
+
 def test_optimize_gains_reproduces_applied_pair():
     gains = optimize_gains(SPEC_A, k1_max=0.9)
     assert (gains.k1, gains.k2) == (0.9, tune_k2(0.9, SPEC_A))
