@@ -145,22 +145,28 @@ def estimate_period(samples: np.ndarray, dt: float) -> float:
     """Dominant period via the autocorrelation peak, parabolically refined.
 
     The search starts past the first non-positive autocorrelation lag so the
-    trivial lag-0 peak is excluded.  A normalized peak below 0.2 (or no
-    interior peak at all) raises :class:`AperiodicSignalError`.
+    trivial lag-0 peak is excluded.  Non-finite samples, a constant signal,
+    a power that overflows, a normalized peak below 0.2 or no interior peak
+    at all raise :class:`AperiodicSignalError`.
     """
     x = np.asarray(samples, dtype=float)
     if len(x) < 8:
         raise InsufficientDataError("need at least 8 samples to estimate a period")
-    x = x - x.mean()
-    power = float(np.dot(x, x))
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise AperiodicSignalError(f"{bad} of {len(x)} samples are not finite (NaN or inf)")
+    with np.errstate(over="ignore", invalid="ignore"):  # a power that overflows fails below
+        x = x - x.mean()
+        power = float(np.dot(x, x))
     if power == 0.0:
         raise AperiodicSignalError("signal is constant")
+    if not math.isfinite(power):
+        raise AperiodicSignalError("signal power overflows a float")
     corr = np.correlate(x, x, mode="full")[len(x) - 1:] / power
 
-    nonpos = np.nonzero(corr <= 0.0)[0]
-    if len(nonpos) == 0:
-        raise AperiodicSignalError("autocorrelation never decays; no cycle resolved")
-    start = int(nonpos[0])
+    # past lag 0 the autocorrelation of a mean-free signal of finite power sums to -1/2,
+    # so some lag is <= 0
+    start = int(np.argmax(corr <= 0.0))
     search = corr[start:len(x) // 2 + 1]
     if len(search) < 3:
         raise AperiodicSignalError("window too short past the autocorrelation decay")

@@ -255,22 +255,44 @@ class ScenarioConfig:
         return cls(**data)
 
     @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
+    def from_file(cls, path, overrides=()) -> "ScenarioConfig":
+        """Load a JSON config file, each ``(dotted_key, raw_value)`` override applied to it first.
+
+        The config is checked and its cases characterized once, with every
+        override in place, so an override can repair a file that fails alone.
+        """
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            data = json.load(fh)
+        for dotted_key, raw_value in overrides:
+            data = _overridden(data, dotted_key, raw_value)
+        return cls.from_dict(data)
 
     def with_override(self, dotted_key: str, raw_value: str) -> "ScenarioConfig":
         """Return a copy with one dotted-path key replaced (JSON-parsed value)."""
-        try:
-            value = json.loads(raw_value)
-        except json.JSONDecodeError:
-            value = raw_value
-        head, _, rest = dotted_key.partition(".")
-        if head not in (CONFIG_TABLE if rest else self.__dataclass_fields__):
-            raise ValueError(f"unknown config section {head!r}")
-        if rest:  # every section is flat, so a deeper path names a key that no row has
-            value = {**getattr(self, head), rest: value}
-        return replace(self, **{head: value})
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **_overridden(data, dotted_key, raw_value))
+
+
+def _overridden(data, dotted_key: str, raw_value: str) -> dict:
+    """The config object ``data`` with one dotted-path key set to ``raw_value``.
+
+    The value is parsed as JSON, or kept as the string when it is not JSON.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    try:
+        value = json.loads(raw_value)
+    except json.JSONDecodeError:
+        value = raw_value
+    head, _, rest = dotted_key.partition(".")
+    if head not in (CONFIG_TABLE if rest else ScenarioConfig.__dataclass_fields__):
+        raise ValueError(f"unknown config section {head!r}")
+    if rest:  # every section is flat, so a deeper path names a key that no row has
+        section = data.get(head, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {head!r} must be an object")
+        value = {**section, rest: value}
+    return {**data, head: value}
 
 
 @dataclass
@@ -533,13 +555,13 @@ def _summary_text(results: list[RunResult], fit) -> str:
 # command-line interface
 
 def _load_config(args) -> ScenarioConfig:
-    cfg = ScenarioConfig.from_file(args.config)
+    overrides = []
     for item in args.override:
         key, sep, value = item.partition("=")
         if not sep:
             raise SystemExit(f"bad override {item!r}; expected KEY=VALUE")
-        cfg = cfg.with_override(key, value)
-    return cfg
+        overrides.append((key, value))
+    return ScenarioConfig.from_file(args.config, overrides)
 
 
 def _cmd_run(args, single: bool) -> int:

@@ -1,7 +1,7 @@
 """The generic RK4 solver and the scalar law: the reference the written-out loops are held to.
 
-``integrate`` and both step rules of ``twistlab.plant._motor_loop`` write
-their RK4 step and the super-twisting law out on float locals.  The tests
+``integrate``'s C kernel and both step rules of ``twistlab.plant._motor_loop``
+write their RK4 step and the super-twisting law out on doubles.  The tests
 hold them, bit for bit, to :func:`rk4_solve` on fields built from
 :func:`twisting_law`.
 """

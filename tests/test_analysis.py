@@ -102,9 +102,18 @@ def test_estimate_period_rejects_short_and_non_finite_signals():
     # a ramp's autocorrelation first turns non-positive at lag 3, past half of 8 samples
     with pytest.raises(AperiodicSignalError, match="window too short"):
         estimate_period(np.arange(8.0), 1e-3)
-    # a zero-mean signal's autocorrelation past lag 0 sums to -1/2, so only NaN never decays
-    with pytest.raises(AperiodicSignalError, match="never decays"):
+    t = np.arange(100.0)
+    for bad, count in ((np.nan, 1), (np.inf, 2), (-np.inf, 1)):
+        samples = np.sin(t)
+        samples[7::50][:count] = bad
+        with pytest.raises(AperiodicSignalError, match=f"^{count} of 100 samples are not finite"):
+            estimate_period(samples, 1e-3)
+    with pytest.raises(AperiodicSignalError, match="^100 of 100 samples are not finite"):
         estimate_period(np.full(100, np.nan), 1e-3)
+    # finite samples whose mean or power overflows
+    for samples in (np.full(100, 1e308), 1e200 * np.sin(t), np.repeat([1e308, -1e308], 50)):
+        with pytest.raises(AperiodicSignalError, match="power overflows"):
+            estimate_period(samples, 1e-3)
 
 
 def test_scaling_fit_quadratic_row():

@@ -1,14 +1,22 @@
 """Fixed-step integrator and crossing-detector tests."""
 
 import dataclasses
+import hashlib
 import math
+import os
+import shlex
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistlab
+from twistlab import integrator
 from twistlab.dynamics import Gains
 from twistlab.integrator import (DivergenceError, IntegrationConfig,
                                  Trajectory, detect_crossings, integrate)
@@ -175,6 +183,115 @@ def test_integrate_divergence_time_is_rk4_solves(k1, k2, scale, blowup_steps, dt
     with pytest.raises(DivergenceError) as actual:
         integrate(gains, rate, (0.0, 0.0), cfg)
     assert actual.value.time == expected.value.time
+
+
+#: A child process that points the kernel cache at argv[1], integrates one loop and
+#: prints the trajectory's hash and whether it started a compiler or loaded a kernel.
+_KERNEL_CHILD = """
+import hashlib, sys
+from pathlib import Path
+events = []
+sys.addaudithook(lambda event, args: events.append(event) if event == "subprocess.Popen"
+                 or (event == "ctypes.dlopen" and "rk4_kernel" in str(args)) else None)
+import numpy as np
+import twistlab
+from twistlab import integrator
+loaded = integrator._kernel is not None or bool(events)
+if len(sys.argv) > 1:
+    integrator._KERNEL_DIR = Path(sys.argv[1])
+    traj = integrator.integrate(twistlab.Gains(0.9, 11.65), lambda t: 12.0 * np.sin(20.0 * t),
+                                (0.0, 0.5), integrator.IntegrationConfig(dt=1e-4, n_steps=5000))
+    print(hashlib.sha256(traj.x1.tobytes() + traj.x2.tobytes()).hexdigest())
+print(loaded, events.count("subprocess.Popen"), events.count("ctypes.dlopen"))
+"""
+
+
+def _kernel_child(*args):
+    src = str(Path(twistlab.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-W", "error", "-c", _KERNEL_CHILD, *map(str, args)],
+                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def _child_output(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return out.split("\n")[:-1]
+
+
+def _this_process_hash():
+    traj = integrate(Gains(0.9, 11.65), lambda t: 12.0 * np.sin(20.0 * t), (0.0, 0.5),
+                     IntegrationConfig(dt=1e-4, n_steps=5000))
+    return hashlib.sha256(traj.x1.tobytes() + traj.x2.tobytes()).hexdigest()
+
+
+def _cache_files(cache):
+    return sorted(p.name for p in Path(cache).iterdir())
+
+
+def test_import_builds_and_loads_no_kernel():
+    """Importing twistlab starts no compiler and loads no kernel; the first integrate does."""
+    assert _child_output(_kernel_child()) == ["False 0 0"]
+
+
+def test_a_warm_cache_runs_no_compiler(tmp_path):
+    """The first process builds the kernel into the cache; the next one only loads it."""
+    cold = _child_output(_kernel_child(tmp_path))
+    (built,) = _cache_files(tmp_path)
+    assert built.startswith("rk4_kernel-") and built.endswith(".so")
+    warm = _child_output(_kernel_child(tmp_path))
+    assert cold == [_this_process_hash(), "False 1 1"]
+    assert warm == [_this_process_hash(), "False 0 1"]
+    assert _cache_files(tmp_path) == [built]
+
+
+def test_processes_on_a_cold_cache_all_succeed(tmp_path):
+    """Two processes that start on an empty cache both build or load it and agree bit for bit."""
+    racers = [_kernel_child(tmp_path) for _ in range(2)]
+    outputs = [_child_output(proc) for proc in racers]
+    assert [out[0] for out in outputs] == [_this_process_hash()] * 2
+    assert len(_cache_files(tmp_path)) == 1  # one library, no temporary file left
+
+
+@pytest.mark.parametrize("unusable", ["file", "file/cache"])
+def test_an_unusable_cache_builds_into_a_private_directory(unusable, tmp_path, monkeypatch):
+    """A cache path that is a file, or lies under one, falls back to a removed temporary build."""
+    (tmp_path / "file").write_text("")
+    private_root = tmp_path / "tmp"
+    private_root.mkdir()
+    expected = _this_process_hash()
+    monkeypatch.setattr(integrator, "_KERNEL_DIR", tmp_path / unusable)
+    monkeypatch.setattr(integrator, "_kernel", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(private_root))
+    assert _this_process_hash() == expected
+    assert integrator._kernel is not None
+    assert _cache_files(tmp_path) == ["file", "tmp"] and _cache_files(private_root) == []
+
+
+def test_a_failing_compiler_raises_its_error_once(tmp_path, monkeypatch):
+    """A failed build names the command and the compiler's stderr; later calls re-raise it."""
+    log = tmp_path / "compiler.log"
+    failing = (f"import sys; open({str(log)!r}, 'a').write('ran\\n'); "
+               "sys.stderr.write('cc1: no target for this file'); sys.exit(3)")
+    cc = shlex.join([sys.executable, "-c", failing])
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(integrator, "_KERNEL_CC", cc)
+    monkeypatch.setattr(integrator, "_KERNEL_DIR", cache)
+    monkeypatch.setattr(integrator, "_kernel", None)
+    cfg = IntegrationConfig(dt=1e-3, n_steps=10)
+    for _ in range(3):
+        with pytest.raises(RuntimeError) as info:
+            integrate(Gains(0.9, 1.2), lambda t: 0.0, (0.1, 0.0), cfg)
+        message = str(info.value)
+        assert message.startswith(f"building the RK4 kernel failed: {cc} -O2 -shared -fPIC "
+                                  "-std=c99 -ffp-contract=off ")
+        assert message.endswith(" exited with status 3:\ncc1: no target for this file")
+    assert log.read_text() == "ran\n"
+    assert _cache_files(cache) == []  # the failed build left no file behind
+    monkeypatch.setattr(integrator, "_KERNEL_CC", "twistlab-no-such-cc")
+    monkeypatch.setattr(integrator, "_kernel", None)
+    with pytest.raises(RuntimeError, match="^building the RK4 kernel failed: twistlab-no-such-cc "):
+        integrate(Gains(0.9, 1.2), lambda t: 0.0, (0.1, 0.0), cfg)
 
 
 def _stage_grids(dt, n):

@@ -300,6 +300,43 @@ def test_zero_rate_motor_config_fails_at_load_unless_the_gains_ignore_L(
         assert len(cfg.cases) >= 1
 
 
+def test_override_repairs_a_file_that_fails_at_load(tmp_path, capsys, monkeypatch):
+    """Overrides apply to the file's JSON before the one load, so they can fix a zero-rate file."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_constant_speed_config(
+        parameters={"omega_r": [12.0]}, perturbation={"harmonics": []},
+        gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2})))
+    with pytest.raises(ValueError, match="^case 'wr12' has L = 0"):
+        ScenarioConfig.from_file(path)
+    loaded = []
+    monkeypatch.setattr(runner, "run_scenario",
+                        lambda cfg, workers, out_dir: loaded.append(cfg) or [])
+    assert main(["sweep", "--config", str(path), "--override", "perturbation={}",
+                 "--out", str(tmp_path / "out")]) == 0
+    (cfg,) = loaded
+    assert cfg.perturbation == {} and cfg.forcing[0][0] > 0.0
+    assert cfg.forcing == ScenarioConfig.from_dict(_constant_speed_config(
+        parameters={"omega_r": [12.0]}, gains={"source": "tune_k2", "k1": 0.9,
+                                               "eta": 0.2})).forcing
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_with_overrides_characterizes_each_case_once(tmp_path, monkeypatch):
+    """The config loads once with both overrides in place: one bound_L call per case."""
+    calls = []
+    bound_L = runner.bound_L
+    monkeypatch.setattr(runner, "bound_L", lambda *args: calls.append(args) or bound_L(*args))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_constant_speed_config(
+        scenario="sinusoidal_velocity", parameters={"frequency_hz": [2.0, 4.0]})))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--override", "integration.periods=10",
+                 "--override", "integration.steps_per_period=200"]) in (0, 2)
+    assert len(calls) == 2
+    reports = json.loads((tmp_path / "out" / "reports.json").read_text())["runs"]
+    assert [run["label"] for run in reports] == ["f2", "f4"]
+
+
 def test_non_finite_rate_fails_at_load_naming_the_case():
     """bound_L's non-finite samples fail the config at load, naming the stage and the case."""
     with pytest.raises(ValueError,
