@@ -233,7 +233,7 @@ _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-std=c99", "-ffp-contract=off",
                  "-x", "c", "-", "-lm")
 #: The C compiler command; None is the one the interpreter was built with.
 _KERNEL_CC: str | None = None
-#: Where the built kernel is kept, one file per source, command and interpreter ABI.
+#: Where the built kernel is kept: one file per interpreter ABI, the last one built.
 _KERNEL_DIR = Path(__file__).resolve().parent / "__pycache__"
 
 _kernel = None  # the loaded ``rk4_loop``, or the RuntimeError its build raised
@@ -242,14 +242,17 @@ _kernel = None  # the loaded ``rk4_loop``, or the RuntimeError its build raised
 def _rk4_kernel():
     """The compiled ``rk4_loop``, built or loaded on the first call in the process.
 
-    The library is cached as ``_KERNEL_DIR/rk4_kernel-<sha256>.so``, keyed by
-    the source, the compile command and the interpreter's ``EXT_SUFFIX``, so
-    a later process loads it without running the compiler.  A build writes a
-    uniquely named file and renames it into place, so processes that start
-    on a cold cache each build and all succeed.  Where the cache cannot be
-    written, the process builds into a private temporary directory.  A
-    failed build raises RuntimeError, naming the command with the compiler's
-    stderr, and every later call raises it again without a rebuild.
+    The library is cached as ``_KERNEL_DIR/rk4_kernel-<sha256><EXT_SUFFIX>``,
+    keyed by the source, the compile command and the interpreter's
+    ``EXT_SUFFIX``, so a later process loads it without running the compiler.
+    A build writes a uniquely named file and renames it into place, so
+    processes that start on a cold cache each build and all succeed; it then
+    removes the cache's other kernels of this ``EXT_SUFFIX``, which an earlier
+    source or command left, and keeps other interpreters' kernels.  Where the
+    cache cannot be written, the process builds into a private temporary
+    directory.  A failed build raises RuntimeError, naming the command with
+    the compiler's stderr, and every later call raises it again without a
+    rebuild.
     """
     global _kernel
     if _kernel is None:
@@ -275,14 +278,17 @@ def _load_kernel():
         raise RuntimeError("integrate needs a C compiler to build its RK4 kernel, and this "
                            "interpreter names none (sysconfig CC is unset)")
     command = [*shlex.split(cc), *_KERNEL_FLAGS]
-    key = hashlib.sha256("\0".join([_KERNEL_SOURCE, shlex.join(command),
-                                     sysconfig.get_config_var("EXT_SUFFIX") or ""]).encode())
-    name = f"rk4_kernel-{key.hexdigest()}.so"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    key = hashlib.sha256("\0".join([_KERNEL_SOURCE, shlex.join(command), suffix]).encode())
+    name = f"rk4_kernel-{key.hexdigest()}{suffix}"
     try:
         _KERNEL_DIR.mkdir(exist_ok=True)
         path = _KERNEL_DIR / name
         if not path.exists():
             _build(command, path)
+            for stale in _KERNEL_DIR.glob(f"rk4_kernel-*{suffix}"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)
         loop = ctypes.CDLL(str(path)).rk4_loop
     except OSError:  # the cache cannot be written or read: build for this process only
         with tempfile.TemporaryDirectory(prefix="twistlab-kernel-") as private:

@@ -90,8 +90,6 @@ _positive = _number("a finite number > 0", lambda v: v > 0.0)
 _count = _number("an integer >= 1", lambda v: v >= 1, int)
 
 # Rows that more than one section or gains source reads.
-_N = (0.5, _number("a number in (0, 0.5]", lambda v: 0.0 < v <= 0.5))
-_MARGIN = (1.1, _number("a finite number > 1", lambda v: v > 1.0))
 _DELTA = (DEFAULT_DELTA, _positive)
 _ZERO = (0.0, _finite)
 # the motor scenarios' rows; the models, which loading builds, check the ranges
@@ -101,22 +99,24 @@ _PERTURBATION = {f.name: (f.default, lambda v: v) for f in fields(FrictionCoggin
 
 #: Every key the runner reads, per config section.  A row is ``(default, check)``,
 #: or a bare check for a key that must be given; a default of None is resolved
-#: where the key is read.  ``gains`` rows depend on ``gains.source``, ``motor``,
-#: ``perturbation``, ``parameters`` and ``initial`` rows on the scenario, and
-#: ``tuning`` is checked only when it is non-empty.  A key with no row is rejected.
+#: where the key is read.  ``gains`` rows depend on ``gains.source``, and ``motor``,
+#: ``perturbation``, ``parameters`` and ``initial`` rows on the scenario.  A key
+#: with no row is rejected.
 CONFIG_TABLE = {
     "integration": {"steps_per_period": (2000, _count),
                     "periods": (40, _number(f"an integer >= {MIN_STROBE_PERIODS}",
                                             lambda v: v >= MIN_STROBE_PERIODS, int))},
-    "analysis": {"n": _N, "tolerance": (None, lambda v: None if v is None else _positive(v))},
+    "analysis": {"n": (0.5, _number("a number in (0, 0.5]", lambda v: 0.0 < v <= 0.5)),
+                 "tolerance": (None, lambda v: None if v is None else _positive(v))},
     "motor": {"constant_speed": _MOTOR, "sinusoidal_velocity": _MOTOR, "synthetic_q": {}},
     "perturbation": {"constant_speed": _PERTURBATION, "sinusoidal_velocity": _PERTURBATION,
                      "synthetic_q": {}},
     "gains": {
         "explicit": {"k1": _positive, "k2": _positive, "delta": _DELTA},
-        "finite_time": {"margin": _MARGIN, "rate_bound": (None, _positive), "delta": _DELTA},
-        "tune_k2": {"k1": _positive, "eta": _positive, "n": _N, "delta": (None, _positive)},
-        "optimize": {"k1_max": _positive, "eta": _positive, "n": _N},
+        "finite_time": {"margin": (1.1, _number("a finite number > 1", lambda v: v > 1.0)),
+                        "rate_bound": (None, _positive), "delta": _DELTA},
+        "tune_k2": {"k1": _positive, "eta": _positive, "delta": (None, _positive)},
+        "optimize": {"k1_max": _positive, "eta": _positive},
     },
     "parameters": {
         "constant_speed": {"omega_r": _each(_number("a finite nonzero number", lambda v: v != 0))},
@@ -126,8 +126,6 @@ CONFIG_TABLE = {
     "initial": {"constant_speed": {"error": _ZERO, "integral": _ZERO},
                 "sinusoidal_velocity": {"error": _ZERO, "integral": _ZERO},
                 "synthetic_q": {"x1": _ZERO, "x2": _ZERO}},
-    "tuning": {"rate_bound": _positive, "period": _positive, "eta": _positive, "n": _N,
-               "margin": _MARGIN, "k1": (None, _positive), "k1_max": (None, _positive)},
 }
 
 
@@ -164,7 +162,6 @@ class ScenarioConfig:
     integration: dict = field(default_factory=dict)
     analysis: dict = field(default_factory=dict)
     initial: dict = field(default_factory=dict)
-    tuning: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -178,7 +175,6 @@ class ScenarioConfig:
         source_row = ("explicit", _one_of(*CONFIG_TABLE["gains"]))
         source = _check("gains", self.gains, "source", source_row)
         table = dict(CONFIG_TABLE, gains={"source": source_row, **CONFIG_TABLE["gains"][source]},
-                     tuning=CONFIG_TABLE["tuning"] if self.tuning else {},
                      **{name: CONFIG_TABLE[name][self.scenario]
                         for name in ("motor", "perturbation", "parameters", "initial")})
         self.checked = {}
@@ -267,11 +263,6 @@ class ScenarioConfig:
             data = _overridden(data, dotted_key, raw_value)
         return cls.from_dict(data)
 
-    def with_override(self, dotted_key: str, raw_value: str) -> "ScenarioConfig":
-        """Return a copy with one dotted-path key replaced (JSON-parsed value)."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return replace(self, **_overridden(data, dotted_key, raw_value))
-
 
 def _overridden(data, dotted_key: str, raw_value: str) -> dict:
     """The config object ``data`` with one dotted-path key set to ``raw_value``.
@@ -323,14 +314,18 @@ class RunResult:
 
 
 def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gains:
-    """The run's gains: the config's explicit pair, or resolved against (L, T)."""
+    """The run's gains: the config's explicit pair, or resolved against (L, T).
+
+    The tuned sources read ``analysis.n``, the ``n`` the run's bounds are reported with.
+    """
     g = cfg.checked["gains"]
     if g["source"] == "explicit":
         return Gains(g["k1"], g["k2"], g["delta"])
     if g["source"] == "finite_time":
         L = rate_bound if g["rate_bound"] is None else g["rate_bound"]
         return finite_time_gains(L, margin=g["margin"], delta=g["delta"])
-    accuracy = AccuracySpec(eta=g["eta"], rate_bound=rate_bound, period=period, n=g["n"])
+    accuracy = AccuracySpec(eta=g["eta"], rate_bound=rate_bound, period=period,
+                            n=cfg.checked["analysis"]["n"])
     if g["source"] == "tune_k2":
         delta = default_layer_width(g["eta"]) if g["delta"] is None else g["delta"]
         return Gains(k1=g["k1"], k2=tune_k2(g["k1"], accuracy), delta=delta)
@@ -580,36 +575,26 @@ def _cmd_run(args, single: bool) -> int:
 
 
 def _cmd_tune(args) -> int:
+    """Print, per case, its (L, T), the gains a sweep runs it with and their bounds."""
     cfg = _load_config(args)
-    t = cfg.checked["tuning"]
-    if not t:
-        print("config has no `tuning` section", file=sys.stderr)
-        return 1
-    L, T, eta, n = t["rate_bound"], t["period"], t["eta"], t["n"]
-    spec = AccuracySpec(eta=eta, rate_bound=L, period=T, n=n)
-
-    ft = finite_time_gains(L, margin=t["margin"])
-    print(f"finite-time gains (margin {t['margin']}): k1={ft.k1:.6g} k2={ft.k2:.6g}")
-
+    n = cfg.checked["analysis"]["n"]
     status = 0
-    if (k1 := t["k1"]) is not None:
+    for case, (L, T) in zip(cfg.cases, cfg.forcing):
+        line = f"{case['label']}: L={L:.6g} T={T:.6g}"
         try:
-            k2 = tune_k2(k1, spec)
-            print(f"fixed k1={k1:g}: k2={k2:.6g} (k1 premise holds, "
-                  f"tight bound {tight_width_bound(k1, k2, L, n, T):.6g} vs eta {eta:g})")
-            print(f"coarse bound: {cycle_width_bound(k2, L, n, T):.6g}")
-            print(f"averaged-loop conditions at mean rate 0: "
-                  f"{check_averaged_conditions(Gains(k1, k2))} (informative)")
+            g = _resolve_gains(cfg, L, T)
         except InfeasibleSpecError as exc:
-            print(f"fixed k1={k1:g}: infeasible ({exc})")
+            print(f"{line} infeasible ({exc})")
             status = 2
-    if t["k1_max"] is not None:
-        try:
-            g = optimize_gains(spec, k1_max=t["k1_max"])
-            print(f"optimized: k1={g.k1:.6g} k2={g.k2:.6g} delta={g.delta:g}")
-        except InfeasibleSpecError as exc:
-            print(f"optimizer: infeasible ({exc})")
-            status = 2
+            continue
+        tight = tight_width_bound(g.k1, g.k2, L, n, T)
+        averaged = "pass" if check_averaged_conditions(g) else "informative-fail"
+        ft = finite_time_gains(L) if L > 0.0 else None
+        print(f"{line} k1={g.k1!r} k2={g.k2!r} delta={g.delta!r} "
+              f"coarse_bound={cycle_width_bound(g.k2, L, n, T):.6g} "
+              f"tight_bound={'-' if tight is None else f'{tight:.6g}'} "
+              f"averaged_conditions={averaged} finite_time: "
+              + ("-" if ft is None else f"k1={ft.k1:.6g} k2={ft.k2:.6g}"))
     return status
 
 
@@ -657,7 +642,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runs = [sub.add_parser("simulate", help="run a single parameter case"),
             sub.add_parser("sweep", help="run a parameter sweep")]
-    tune = sub.add_parser("tune", help="print the gain calculus for a spec")
+    tune = sub.add_parser("tune", help="print the gains each case runs with, and their bounds")
     table = sub.add_parser("table", help="re-render the bounds table from stored results")
     for command in (*runs, tune):
         command.add_argument("--config", required=True, help="JSON scenario config")

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
 
@@ -238,11 +239,23 @@ def test_a_warm_cache_runs_no_compiler(tmp_path):
     """The first process builds the kernel into the cache; the next one only loads it."""
     cold = _child_output(_kernel_child(tmp_path))
     (built,) = _cache_files(tmp_path)
-    assert built.startswith("rk4_kernel-") and built.endswith(".so")
+    assert built.startswith("rk4_kernel-")
+    assert built.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
     warm = _child_output(_kernel_child(tmp_path))
     assert cold == [_this_process_hash(), "False 1 1"]
     assert warm == [_this_process_hash(), "False 0 1"]
     assert _cache_files(tmp_path) == [built]
+
+
+def test_a_build_removes_this_interpreters_stale_kernels(tmp_path):
+    """A cold build unlinks the kernels an earlier source left for this ABI, not other ABIs'."""
+    stale = f"rk4_kernel-0{sysconfig.get_config_var('EXT_SUFFIX')}"
+    other_abi = "rk4_kernel-0.cpython-39-other-abi.so"
+    for name in (stale, other_abi):
+        (tmp_path / name).write_text("")
+    assert _child_output(_kernel_child(tmp_path))[0] == _this_process_hash()
+    (built,) = set(_cache_files(tmp_path)) - {other_abi}
+    assert built != stale and _cache_files(tmp_path) == sorted([built, other_abi])
 
 
 def test_processes_on_a_cold_cache_all_succeed(tmp_path):

@@ -19,7 +19,7 @@ from twistlab.dynamics import Gains
 from twistlab.integrator import detect_crossings
 from twistlab.runner import (SCHEMA_VERSION, RunResult, ScenarioConfig,
                              emit_outputs, main, run_scenario)
-from twistlab.tuning import finite_time_gains
+from twistlab.tuning import cycle_width_bound, finite_time_gains
 
 SYNTHETIC = {
     "schema_version": 1,
@@ -75,11 +75,9 @@ OUT_OF_RANGE = [
 #: ``synthetic_q`` does not read.
 MOTOR_SECTIONS = ("motor", "perturbation")
 
-#: Valid ``tuning`` section (the values ``test_cli_tune`` passes with).
-TUNING = {"rate_bound": 12.0, "period": 0.3125, "eta": 0.2, "k1": 0.9, "k1_max": 0.9}
-
 #: Whole sections that must fail at load, naming the dotted key: keys that a
-#: gains source does not read, and missing or out-of-range keys it does.
+#: gains source does not read, missing or out-of-range keys it does, and the
+#: former ``tuning`` section, whose spec the ``gains`` section now gives.
 BAD_SECTIONS = [
     ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "delta": 1e-6}, "gains.delta"),
     ("gains", {"source": "tune_k2", "k1": 0.9, "eta": 0.2, "k2": 5.0}, "gains.k2"),
@@ -88,10 +86,9 @@ BAD_SECTIONS = [
     ("gains", {"source": "finite_time", "margin": -1}, "gains.margin"),
     ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "objective": "k2"},
      "gains.objective"),
-    ("tuning", {**TUNING, "eta": -1}, "tuning.eta"),
-    ("tuning", {"rate_bound": 12.0, "period": 0.3125}, "tuning.eta"),
-    ("tuning", {**TUNING, "k1_max": 0}, "tuning.k1_max"),
-    ("tuning", {**TUNING, "objective": "k2"}, "tuning.objective"),
+    ("gains", {"source": "tune_k2", "k1": 0.9, "eta": 0.2, "n": 0.25}, "gains.n"),
+    ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "n": 0.25}, "gains.n"),
+    ("tuning", {"rate_bound": 12.0, "period": 0.3125, "eta": 0.2, "k1": 0.9}, "tuning"),
 ]
 
 
@@ -129,7 +126,6 @@ def test_config_schema_validation():
     assert runner._resolve_gains(cfg, 12.0, 0.2) == Gains(3.6, 6.0)  # default source and delta
     cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {"source": "finite_time"}})
     assert runner._resolve_gains(cfg, 12.0, 0.2) == finite_time_gains(12.0)
-    ScenarioConfig.from_dict({**SYNTHETIC, "tuning": TUNING})
     ScenarioConfig.from_dict(_constant_speed_config(
         perturbation={"coulomb": 0, "viscous": 0.0, "harmonics": []}))
     ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25, "tolerance": 1e-3}})
@@ -137,44 +133,50 @@ def test_config_schema_validation():
         motor={"inertia": 2, "encoder_quantum": 1e-5, "velocity_window": 4, "noise_std": 0.0}))
 
 
-def test_config_override():
-    cfg = ScenarioConfig.from_dict(SYNTHETIC)
-    motor_cfg = ScenarioConfig.from_dict(_constant_speed_config())
-    assert cfg.with_override("seed", "7").seed == 7
-    patched = cfg.with_override("integration.periods", "33")
+def _config_file(tmp_path, data, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_config_override(tmp_path):
+    path = _config_file(tmp_path, SYNTHETIC)
+    motor_path = _config_file(tmp_path, _constant_speed_config(), "motor.json")
+    assert ScenarioConfig.from_file(path, [("seed", "7")]).seed == 7
+    patched = ScenarioConfig.from_file(path, [("integration.periods", "33")])
     assert patched.integration["periods"] == 33
-    assert cfg.integration["periods"] == 20  # original untouched
-    nested = cfg.with_override("gains.k1", "1.25")
+    assert json.loads(path.read_text()) == SYNTHETIC  # the file untouched
+    nested = ScenarioConfig.from_file(path, [("gains.k1", "1.25")])
     assert nested.gains["k1"] == 1.25
-    for path in ("nonexistent.key", "seed.x"):
+    for dotted in ("nonexistent.key", "seed.x"):
         with pytest.raises(ValueError):
-            cfg.with_override(path, "1")
+            ScenarioConfig.from_file(path, [(dotted, "1")])
     with pytest.raises(ValueError, match="seed must be an integer"):
-        cfg.with_override("seed", "abc")
+        ScenarioConfig.from_file(path, [("seed", "abc")])
     for section, key, value in OUT_OF_RANGE:
-        base = motor_cfg if section in MOTOR_SECTIONS else cfg
+        base = motor_path if section in MOTOR_SECTIONS else path
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
-            base.with_override(f"{section}.{key}", json.dumps(value))
+            ScenarioConfig.from_file(base, [(f"{section}.{key}", json.dumps(value))])
     for section, value, key in BAD_SECTIONS:
         with pytest.raises(ValueError, match=key.replace(".", r"\.")):
-            cfg.with_override(section, json.dumps(value))
+            ScenarioConfig.from_file(path, [(section, json.dumps(value))])
 
 
 @pytest.mark.parametrize("section,key", [
     ("gains", "k3"), ("integration", "steps_per_periods"), ("motor", "inertial"),
-    ("analysis", "tol"), ("initial", "x3"), ("tuning", "eta_max"),
+    ("analysis", "tol"), ("initial", "x3"),
     ("parameters", "omega_r"), ("perturbation", "coulombb"), ("integration", "record_stride"),
     ("motor", "noise_std"), ("motor", "inertia"), ("perturbation", "coulomb"),
 ])
-def test_unknown_nested_key_names_its_path(section, key):
+def test_unknown_nested_key_names_its_path(section, key, tmp_path):
     """A typo, or a key ``synthetic_q`` does not read, fails at load, naming the dotted path."""
     data = json.loads(json.dumps(SYNTHETIC))
     data.setdefault(section, {})[key] = 1
     with pytest.raises(ValueError, match=rf"{section}\.{key}"):
         ScenarioConfig.from_dict(data)
-    cfg = ScenarioConfig.from_dict(SYNTHETIC)
+    path = _config_file(tmp_path, SYNTHETIC)
     with pytest.raises(ValueError, match=rf"{section}\.{key}"):
-        cfg.with_override(f"{section}.{key}", "1")
+        ScenarioConfig.from_file(path, [(f"{section}.{key}", "1")])
 
 
 def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
@@ -350,14 +352,14 @@ def test_non_finite_rate_fails_at_load_naming_the_case():
 GAINS_KEY_CHANGES = {
     "explicit": ({"k1": 3.6, "k2": 6.0}, {"k1": 3.7, "k2": 6.5, "delta": 1e-5}),
     "finite_time": ({}, {"margin": 1.5, "rate_bound": 20.0, "delta": 1e-5}),
-    "tune_k2": ({"k1": 0.9, "eta": 0.2}, {"k1": 0.8, "eta": 0.1, "n": 0.25, "delta": 1e-5}),
-    "optimize": ({"k1_max": 0.9, "eta": 0.2},
-                 {"k1_max": 0.8, "eta": 0.1, "n": 0.25}),
+    "tune_k2": ({"k1": 0.9, "eta": 0.2}, {"k1": 0.8, "eta": 0.1, "delta": 1e-5}),
+    "optimize": ({"k1_max": 0.9, "eta": 0.2}, {"k1_max": 0.8, "eta": 0.1}),
 }
 
 
 def test_every_gains_key_is_read():
-    """Each key a gains source accepts changes the gains it resolves."""
+    """Each key a gains source accepts changes the gains it resolves; the tuned
+    sources read ``analysis.n``, which the run's bounds are reported with."""
     assert set(GAINS_KEY_CHANGES) == set(runner.CONFIG_TABLE["gains"])
     for source, (base, changes) in GAINS_KEY_CHANGES.items():
         assert set(changes) == set(runner.CONFIG_TABLE["gains"][source])
@@ -367,6 +369,15 @@ def test_every_gains_key_is_read():
         for key, value in changes.items():
             cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {**gains, key: value}})
             assert runner._resolve_gains(cfg, 12.0, 0.3125) != reference, (source, key)
+    for source in ("tune_k2", "optimize"):
+        runs = {n: run_scenario(ScenarioConfig.from_dict({
+            **SYNTHETIC, "gains": {"source": source, **GAINS_KEY_CHANGES[source][0]},
+            "analysis": {"n": n}, "parameters": {"cases": [[12.0, 0.3125]]},
+            "integration": {"steps_per_period": 200, "periods": 10}}))[0] for n in (0.5, 0.25)}
+        assert runs[0.5].gains.k2 != runs[0.25].gains.k2, source
+        for n, run in runs.items():
+            assert run.report.coarse_bound == cycle_width_bound(run.gains.k2, 12.0, n, 0.3125)
+        assert runs[0.5].report.coarse_bound != runs[0.25].report.coarse_bound, source
 
 
 def test_synthetic_sweep_and_outputs(tmp_path):
@@ -871,18 +882,49 @@ def test_cli_sweep_exit_code_on_failure(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def _tuned_gains(out: str) -> dict:
+    """Each ``tune`` line's label and its printed (k1, k2, delta) as a :class:`Gains`."""
+    tuned = {}
+    for line in out.splitlines():
+        label, _, rest = line.partition(": ")
+        pair = rest.partition(" finite_time:")[0]  # the finite-time pair is for comparison
+        values = dict(item.split("=") for item in pair.split())
+        tuned[label] = Gains(*(float(values[key]) for key in ("k1", "k2", "delta")))
+    return tuned
+
+
 def test_cli_tune(tmp_path, capsys):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({
-        **SYNTHETIC,
-        "tuning": {"eta": 0.2, "rate_bound": 12.0, "period": 0.3125,
-                   "k1": 0.9, "k1_max": 0.9},
-    }))
-    assert main(["tune", "--config", str(config_path)]) == 0
-    out = capsys.readouterr().out
-    assert "k2=11.65" in out
-    assert "optimized: k1=0.9 k2=11.65 delta=" in out
-    assert "finite-time gains" in out
+    """One line per case: its (L, T), the resolved gains, their bounds and the finite-time pair."""
+    path = _config_file(tmp_path, {**SYNTHETIC, "parameters": {"cases": [[12.0, 0.3125]]},
+                                   "gains": {"source": "tune_k2", "k1": 0.9, "eta": 0.2}})
+    assert main(["tune", "--config", str(path)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("L12_T0.3125: L=12 T=0.3125 k1=0.9 k2=11.65")
+    assert line.endswith(" tight_bound=0.162 averaged_conditions=informative-fail "
+                         "finite_time: k1=9.03593 k2=13.2")
+    # an unforced case under explicit gains has no finite-time pair and no tight bound
+    path = _config_file(tmp_path, {**SYNTHETIC, "parameters": {"cases": [[0, 0.2]]}})
+    assert main(["tune", "--config", str(path)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line == ("L0_T0.2: L=0 T=0.2 k1=3.6 k2=6.0 delta=1e-05 coarse_bound=0.03 "
+                    "tight_bound=- averaged_conditions=informative-fail finite_time: -")
+
+
+#: A sinusoidal-velocity config whose cases ``tune`` and ``sweep`` both measure.
+MOVING = _constant_speed_config(scenario="sinusoidal_velocity",
+                                parameters={"frequency_hz": [2.0, 8.0]},
+                                perturbation={"coulomb": 0.003, "viscous": 0.01})
+
+
+@pytest.mark.parametrize("base", [SYNTHETIC, MOVING], ids=["synthetic_q", "sinusoidal_velocity"])
+@pytest.mark.parametrize("source", GAINS_KEY_CHANGES)
+def test_tune_prints_the_gains_a_sweep_runs(source, base, tmp_path, capsys):
+    """For every gains source, ``tune`` prints each case's gains as a sweep resolves them."""
+    data = {**base, "gains": {"source": source, **GAINS_KEY_CHANGES[source][1]},
+            "integration": {"steps_per_period": 200, "periods": 10}}
+    assert main(["tune", "--config", str(_config_file(tmp_path, data))]) == 0
+    results = run_scenario(ScenarioConfig.from_dict(data))
+    assert _tuned_gains(capsys.readouterr().out) == {r.label: r.gains for r in results}
 
 
 def test_cli_sweep_without_out_prints_the_summary(tmp_path, capsys):
@@ -895,24 +937,36 @@ def test_cli_sweep_without_out_prints_the_summary(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config_path]
 
 
-def test_cli_tune_without_a_tuning_section_exits_1(tmp_path, capsys):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(SYNTHETIC))
-    assert main(["tune", "--config", str(config_path)]) == 1
-    assert capsys.readouterr().err == "config has no `tuning` section\n"
+def test_cli_tune_with_a_tuning_section_exits_1(tmp_path, capsys):
+    """The former ``tuning`` section, in the file or by override, and a per-source ``n`` fail."""
+    tuning = {"rate_bound": 12.0, "period": 0.3125, "eta": 0.2, "k1": 0.9}
+    path = _config_file(tmp_path, {**SYNTHETIC, "tuning": tuning})
+    assert main(["tune", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['tuning']\n"
+    path = _config_file(tmp_path, SYNTHETIC)
+    for override, key in ((f"tuning={json.dumps(tuning)}", "'tuning'"),
+                          ('gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2, "n": 0.25}',
+                           "gains.n")):
+        assert main(["tune", "--config", str(path), "--override", override]) == 1
+        captured = capsys.readouterr()
+        assert key in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("tuning, line", [
+@pytest.mark.parametrize("gains, case, line", [
     # k2 <= 0 at the optimizer's k1 = 1
-    ({"rate_bound": 0.1, "period": 0.3125, "eta": 100, "k1_max": 1}, "optimizer: infeasible"),
+    ({"source": "optimize", "eta": 100, "k1_max": 1}, [0.1, 0.3125],
+     "L0.1_T0.3125: L=0.1 T=0.3125 infeasible (accuracy eta=100"),
     # k2 rounds to L, where the k1 premise fails
-    ({"rate_bound": 12.0, "period": 0.3125, "eta": 1e-40, "k1": 1}, "fixed k1=1: infeasible"),
-])
-def test_cli_tune_infeasible_spec_exits_2(tuning, line, tmp_path, capsys):
-    config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({**SYNTHETIC, "tuning": tuning}))
-    assert main(["tune", "--config", str(config_path)]) == 2
-    assert f"\n{line} (" in capsys.readouterr().out
+    ({"source": "tune_k2", "eta": 1e-40, "k1": 1}, [12.0, 0.3125],
+     "L12_T0.3125: L=12 T=0.3125 infeasible (rounding breaks the k1 premise"),
+], ids=["optimize", "tune_k2"])
+def test_cli_tune_infeasible_spec_exits_2(gains, case, line, tmp_path, capsys):
+    path = _config_file(tmp_path, {**SYNTHETIC, "gains": gains,
+                                   "parameters": {"cases": [case, [12.0, 0.1]]}})
+    assert main(["tune", "--config", str(path)]) == 2
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith(line)
+    assert second.startswith("L12_T0.1: L=12 T=0.1 ")  # the other cases still print
 
 
 def test_cli_bad_config_path():
@@ -941,7 +995,7 @@ def test_cli_config_that_is_not_an_object_exits_1(tmp_path, capsys, monkeypatch)
 def test_cli_rejects_flags_a_command_does_not_read(flags, tmp_path, capsys):
     """A flag the command does not read, or table without --out, is a usage error (exit 2)."""
     paths = {"CFG": tmp_path / "cfg.json", "OUT": tmp_path / "out", "NEW": tmp_path / "new"}
-    paths["CFG"].write_text(json.dumps({**SYNTHETIC, "tuning": TUNING}))
+    paths["CFG"].write_text(json.dumps(SYNTHETIC))
     paths["OUT"].mkdir()
     (paths["OUT"] / "reports.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION,
                                                            "runs": []}))
