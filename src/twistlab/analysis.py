@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Gains
+from .dynamics import Gains, check_number
 from .integrator import Trajectory, detect_crossings
 from .tuning import cycle_width_bound, tight_width_bound
 
@@ -72,10 +72,12 @@ class LimitCycleReport:
 
     def __post_init__(self) -> None:
         if self.converged:
-            if self.amplitude is not None and self.amplitude < 0.0:
-                raise ValueError("amplitude must be non-negative")
-            if self.measured_period is not None and self.measured_period <= 0.0:
-                raise ValueError("measured_period must be positive")
+            if self.amplitude is not None:
+                check_number(self.amplitude, "a number >= 0", lambda v: v >= 0.0,
+                             name="amplitude")
+            if self.measured_period is not None:
+                check_number(self.measured_period, "a number > 0", lambda v: v > 0.0,
+                             name="measured_period")
 
     @property
     def satisfied(self) -> bool:
@@ -188,13 +190,13 @@ def scaling_fit(points) -> tuple[float, float, float]:
     r_squared).  Non-positive periods or amplitudes, and points that do not
     span 2 distinct periods, are a domain error.
     """
-    pts = [(float(T), float(amp)) for T, amp in points]
+    pts = [(check_number(T, "a number > 0", lambda v: v > 0.0, name="period"),
+            check_number(amp, "a number > 0", lambda v: v > 0.0, name="amplitude"))
+           for T, amp in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points for a scaling fit, got {len(pts)}")
     if len({T for T, _ in pts}) < 2:
         raise ValueError("a scaling fit needs at least 2 distinct periods")
-    if any(T <= 0.0 or amp <= 0.0 for T, amp in pts):
-        raise ValueError("scaling fit requires positive periods and amplitudes")
     log_T = np.log([T for T, _ in pts])
     log_a = np.log([amp for _, amp in pts])
     exponent, intercept = np.polyfit(log_T, log_a, 1)
@@ -252,9 +254,10 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
 
     The amplitude is read over the records of the final period (steady
     state, :func:`final_periods`), the period estimated over those of the
-    last five.  Crossings are interpolated times, so they are counted over
-    the final period's time span; those inside the boundary layer
-    ``gains.delta`` are merged.
+    last five, or None where they resolve none (too few records, as at a
+    few steps per period, or no periodicity).  Crossings are interpolated
+    times, so they are counted over the final period's time span; those
+    inside the boundary layer ``gains.delta`` are merged.
     """
     if tol is None:
         tol = default_tolerance(gains.delta)
@@ -273,7 +276,7 @@ def build_report(traj: Trajectory, period: float, rate_bound: float, gains: Gain
     tail = final_periods(traj, period, PERIOD_WINDOW_CYCLES)
     try:
         measured_period = estimate_period(traj.x1[tail], traj.dt)
-    except AperiodicSignalError:
+    except (AperiodicSignalError, InsufficientDataError):  # e.g. too few steps per period
         measured_period = None
 
     crossings = detect_crossings(traj, gains.delta)

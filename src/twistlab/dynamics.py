@@ -11,6 +11,7 @@ by whoever integrates the loop.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_DELTA",
     "Gains",
+    "check_number",
     "default_layer_width",
     "saturation",
     "twisting_action",
@@ -27,14 +29,35 @@ __all__ = [
 DEFAULT_DELTA = 1e-4
 
 
+def check_number(value, what: str = "a finite number > 0", ok=lambda v: 0.0 < v < math.inf,
+                 integer: bool = False, name: str = ""):
+    """``value`` as a float, or as an int with ``integer``, once it is a number passing ``ok``.
+
+    A number is a real number, numpy's scalars included, that is not NaN and
+    fits a float; with ``integer`` it must be an int.  ``ok`` is asked about
+    its float; by default it asks for what ``what`` says, a finite number
+    > 0.  A bool, a non-number or a value failing ``ok`` raises ValueError,
+    "<name> must be <what>, got <value!r>", so a caller names its argument
+    and a config its dotted key.
+    """
+    number = math.nan
+    if isinstance(value, int if integer else numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    if number != number or not ok(number):
+        raise ValueError(f"{name} must be {what}, got {value!r}".lstrip())
+    return int(value) if integer else number
+
+
 def default_layer_width(accuracy: float) -> float:
     """Boundary-layer width kept far below the amplitudes a run must resolve.
 
     For an accuracy target ``eta`` the width is ``min(1e-4, 1e-3 * eta)``, so
     the layer never dominates the measured cycle.
     """
-    if accuracy <= 0.0:
-        raise ValueError(f"accuracy target must be positive, got {accuracy}")
+    check_number(accuracy, "a number > 0", lambda v: v > 0.0, name="accuracy")
     return min(DEFAULT_DELTA, 1e-3 * accuracy)
 
 
@@ -47,12 +70,8 @@ class Gains:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
-        if not (self.k1 > 0.0 and math.isfinite(self.k1)):
-            raise ValueError(f"k1 must be positive and finite, got {self.k1}")
-        if not (self.k2 > 0.0 and math.isfinite(self.k2)):
-            raise ValueError(f"k2 must be positive and finite, got {self.k2}")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        for name in ("k1", "k2", "delta"):
+            check_number(getattr(self, name), name=name)
 
 
 def saturation(q, delta):
@@ -61,8 +80,7 @@ def saturation(q, delta):
     Continuous, odd and non-decreasing in ``q``; equals the sign function
     exactly for |q| >= delta.  Accepts scalars or arrays.
     """
-    if delta <= 0.0:
-        raise ValueError(f"layer width delta must be positive, got {delta}")
+    check_number(delta, "a number > 0", lambda v: v > 0.0, name="delta")
     return np.clip(q / delta, -1.0, 1.0)
 
 

@@ -9,7 +9,6 @@ would break both.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Gains
+from .dynamics import Gains, check_number
 
 __all__ = [
     "DivergenceError",
@@ -48,10 +47,9 @@ class IntegrationConfig:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if type(self.n_steps) is not int or self.n_steps < 1:  # so True and 10.0 fail too
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        check_number(self.dt, name="dt")
+        check_number(self.n_steps, "an integer >= 1", lambda v: v >= 1, integer=True,
+                     name="n_steps")
 
     @classmethod
     def for_period(cls, period: float, steps_per_period: int, periods: int) -> "IntegrationConfig":
@@ -60,8 +58,9 @@ class IntegrationConfig:
         Samples then land exactly on period multiples, which the stroboscopic
         map requires.  A step coarser than period/200 draws a warning.
         """
-        if steps_per_period < 1 or periods < 1:
-            raise ValueError("steps_per_period and periods must be positive")
+        check_number(period, name="period")
+        for name, count in (("steps_per_period", steps_per_period), ("periods", periods)):
+            check_number(count, "an integer >= 1", lambda v: v >= 1, integer=True, name=name)
         if steps_per_period < 200:
             warnings.warn(
                 f"dt = T/{steps_per_period} is coarser than T/200; "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Gains, twisting_action
+from .dynamics import Gains, check_number, twisting_action
 from .integrator import DivergenceError, IntegrationConfig, Trajectory, on_grid
 from .signals import FrictionCoggingModel, MotionProfile
 
@@ -40,15 +40,14 @@ class MotorModel:
     noise_std: float = 0.0              # std of the velocity measurement noise; 0 disables
 
     def __post_init__(self) -> None:
-        if not (self.inertia > 0.0 and math.isfinite(self.inertia)):
-            raise ValueError(f"inertia must be positive and finite, got {self.inertia}")
+        check_number(self.inertia, name="inertia")
         if 1.0 / self.inertia < 1e-12:
             raise ValueError(f"inertia {self.inertia!r} puts the input gain 1/inertia below 1e-12")
         for name in ("encoder_quantum", "noise_std"):
-            if not 0.0 <= (value := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if type(self.velocity_window) is not int or self.velocity_window < 1:  # so True fails too
-            raise ValueError(f"velocity_window must be an integer >= 1, got {self.velocity_window!r}")
+            check_number(getattr(self, name), "a finite number >= 0",
+                         lambda v: 0.0 <= v < math.inf, name=name)
+        check_number(self.velocity_window, "an integer >= 1", lambda v: v >= 1, integer=True,
+                     name="velocity_window")
         if self.velocity_window != 1 and self.encoder_quantum == 0.0 and self.noise_std == 0.0:
             raise ValueError(f"velocity_window must be 1 with encoder_quantum and noise_std 0 "
                              f"(the continuous loop reads no window), got {self.velocity_window}")
@@ -118,7 +117,6 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
     times = np.arange(n_steps + 1) * dt
     theta, omega, z = (float(v) for v in x0)
     records = array("d", (theta, omega, z))
-    w_b = w_c = omega  # read by the except clause; the last step left them finite
     sampled = quantum > 0.0 or noise_std > 0.0
     # the stage grids: the sampled rule reads the reference at k*dt only
     grid = times[:-1]
@@ -205,9 +203,6 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                 if not (isfinite(theta) and isfinite(omega) and isfinite(z)):
                     raise DivergenceError(k * dt + dt)
                 records.extend((theta, omega, z))
-    except ValueError as exc:  # math.sin raises on a stage angle that overflowed to inf
-        if all(isfinite(a) for a in (theta + half * omega, theta + half * w_b,
-                                     theta + dt * w_c)):
-            raise
+    except ValueError as exc:  # only math.sin raises here, on a stage angle overflowed to inf
         raise DivergenceError(k * dt + dt) from exc
     return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)

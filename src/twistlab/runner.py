@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import (MIN_STROBE_PERIODS, LimitCycleReport, bound_comparison_table,
                        build_report, final_periods, scaling_fit)
-from .dynamics import DEFAULT_DELTA, Gains, default_layer_width, twisting_action
+from .dynamics import DEFAULT_DELTA, Gains, check_number, default_layer_width, twisting_action
 from .integrator import IntegrationConfig, Trajectory, integrate
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
@@ -50,14 +50,9 @@ SCENARIOS = ("constant_speed", "sinusoidal_velocity", "synthetic_q")
 SWEEP_FILES = ("bounds.csv", "scaling.csv", "summary.txt", "reports.json")
 
 
-def _number(what: str, ok=lambda v: True, kind=float):
-    """Check: a finite number passing ``ok``, kept as ``kind`` (an int must be given as one)."""
-    def check(value):
-        if not (isinstance(value, int if kind is int else (int, float))
-                and not isinstance(value, bool) and math.isfinite(value) and ok(value)):
-            raise ValueError(f"must be {what}, got {value!r}")
-        return kind(value)
-    return check
+def _number(what: str, ok=math.isfinite, integer: bool = False):
+    """Check: :func:`~twistlab.dynamics.check_number`; ``_check`` names the key."""
+    return lambda value: check_number(value, what, ok, integer)
 
 
 def _one_of(*choices):
@@ -85,16 +80,16 @@ def _case(entry) -> tuple[float, float]:
 
 
 _finite = _number("a finite number")
-_nonnegative = _number("a finite number >= 0", lambda v: v >= 0.0)
-_positive = _number("a finite number > 0", lambda v: v > 0.0)
-_count = _number("an integer >= 1", lambda v: v >= 1, int)
+_nonnegative = _number("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_positive = check_number  # by default, a finite number > 0
+_count = _number("an integer >= 1", lambda v: v >= 1, integer=True)
 
 # Rows that more than one section or gains source reads.
 _DELTA = (DEFAULT_DELTA, _positive)
 _ZERO = (0.0, _finite)
-# the motor scenarios' rows; the models, which loading builds, check the ranges
-_MOTOR = {"inertia": (1.0, _finite), "encoder_quantum": (0.0, _finite),
-          "velocity_window": (1, _count), "noise_std": (0.0, _finite)}
+# the motor scenarios' rows: the models, which loading builds, check them
+_MOTOR = {f.name: (f.default, lambda v: v) for f in fields(MotorModel)
+          if f.name != "friction_cogging"}
 _PERTURBATION = {f.name: (f.default, lambda v: v) for f in fields(FrictionCoggingModel)}
 
 #: Every key the runner reads, per config section.  A row is ``(default, check)``,
@@ -105,7 +100,7 @@ _PERTURBATION = {f.name: (f.default, lambda v: v) for f in fields(FrictionCoggin
 CONFIG_TABLE = {
     "integration": {"steps_per_period": (2000, _count),
                     "periods": (40, _number(f"an integer >= {MIN_STROBE_PERIODS}",
-                                            lambda v: v >= MIN_STROBE_PERIODS, int))},
+                                            lambda v: v >= MIN_STROBE_PERIODS, integer=True))},
     "analysis": {"n": (0.5, _number("a number in (0, 0.5]", lambda v: 0.0 < v <= 0.5)),
                  "tolerance": (None, lambda v: None if v is None else _positive(v))},
     "motor": {"constant_speed": _MOTOR, "sinusoidal_velocity": _MOTOR, "synthetic_q": {}},
@@ -113,13 +108,15 @@ CONFIG_TABLE = {
                      "synthetic_q": {}},
     "gains": {
         "explicit": {"k1": _positive, "k2": _positive, "delta": _DELTA},
-        "finite_time": {"margin": (1.1, _number("a finite number > 1", lambda v: v > 1.0)),
+        "finite_time": {"margin": (1.1, _number("a finite number > 1",
+                                                lambda v: 1.0 < v < math.inf)),
                         "rate_bound": (None, _positive), "delta": _DELTA},
         "tune_k2": {"k1": _positive, "eta": _positive, "delta": (None, _positive)},
         "optimize": {"k1_max": _positive, "eta": _positive},
     },
     "parameters": {
-        "constant_speed": {"omega_r": _each(_number("a finite nonzero number", lambda v: v != 0))},
+        "constant_speed": {"omega_r": _each(_number("a finite nonzero number",
+                                                    lambda v: v != 0.0 and math.isfinite(v)))},
         "sinusoidal_velocity": {"frequency_hz": _each(_positive), "accel_peak": (100.0, _finite)},
         "synthetic_q": {"cases": _each(_case), "phase": _ZERO},
     },
@@ -134,7 +131,7 @@ def _check(name: str, section: dict, key: str, row):
     if key in section:
         try:
             return (row[1] if isinstance(row, tuple) else row)(section[key])
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{name}.{key} {exc}") from None
     if not isinstance(row, tuple):
         raise ValueError(f"{name}.{key} is required")
@@ -167,8 +164,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_number(self.seed, "an integer >= 0", lambda v: v >= 0, integer=True, name="seed")
         for name in CONFIG_TABLE:
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"config section {name!r} must be an object")
@@ -247,7 +243,7 @@ class ScenarioConfig:
             raise ValueError(f"config schema_version {version!r} is not {SCHEMA_VERSION}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError("unknown config keys: " + ", ".join(sorted(unknown)))
         return cls(**data)
 
     @classmethod
@@ -267,7 +263,8 @@ class ScenarioConfig:
 def _overridden(data, dotted_key: str, raw_value: str) -> dict:
     """The config object ``data`` with one dotted-path key set to ``raw_value``.
 
-    The value is parsed as JSON, or kept as the string when it is not JSON.
+    The value is parsed as JSON, or kept as the string when it is not JSON.  An
+    unknown section or key is named by the load, as one in the file is.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
@@ -276,8 +273,6 @@ def _overridden(data, dotted_key: str, raw_value: str) -> dict:
     except json.JSONDecodeError:
         value = raw_value
     head, _, rest = dotted_key.partition(".")
-    if head not in (CONFIG_TABLE if rest else ScenarioConfig.__dataclass_fields__):
-        raise ValueError(f"unknown config section {head!r}")
     if rest:  # every section is flat, so a deeper path names a key that no row has
         section = data.get(head, {})
         if not isinstance(section, dict):
@@ -393,8 +388,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1, out_dir=None) -> list[Ru
     run's directory is written by the process that ran it (its result keeps no
     trajectory), and ``emit_outputs`` writes the sweep-level files last.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    check_number(workers, "an integer >= 1", lambda v: v >= 1, integer=True, name="workers")
     if out_dir is not None:
         _retire_previous_sweep(Path(out_dir), {case["label"] for case in cfg.cases})
     workers = min(workers, len(cfg.cases))

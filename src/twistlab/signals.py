@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import check_number
+
 __all__ = [
     "TWO_PI",
     "SinusoidPerturbation",
@@ -36,8 +38,7 @@ class SinusoidPerturbation:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise ValueError(f"period must be positive, got {self.period}")
+        check_number(self.period, name="period")
 
     def q(self, t):
         return self.rate_amplitude * np.sin(TWO_PI * t / self.period + self.phase)
@@ -68,20 +69,15 @@ class FrictionCoggingModel:
 
     def __post_init__(self) -> None:
         # each message opens with the field name, so a config error can name its key
-        for name in ("coulomb", "steepness", "viscous"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                               and 0.0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if self.steepness == 0.0:
-            raise ValueError("steepness must be positive, got 0")
+        for name in ("coulomb", "viscous"):
+            check_number(getattr(self, name), "a finite number >= 0",
+                         lambda v: 0.0 <= v < math.inf, name=name)
+        check_number(self.steepness, name="steepness")
 
-        def number(v):
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError
-            return float(v)
+        def finite(v):
+            return check_number(v, "a finite number", math.isfinite)
         try:
-            harmonics = tuple((number(a), number(p)) for a, p in self.harmonics)
+            harmonics = tuple((finite(a), finite(p)) for a, p in self.harmonics)
         except (TypeError, ValueError):
             raise ValueError(f"harmonics must be (amplitude, phase) pairs of finite numbers, "
                              f"got {self.harmonics!r}") from None
@@ -163,8 +159,7 @@ class MotionProfile:
         omega(t) = (accel_peak / 2*pi*f) * cos(2*pi*f*t), so the acceleration
         amplitude stays at ``accel_peak`` for every frequency.
         """
-        if frequency_hz <= 0.0:
-            raise ValueError(f"frequency must be positive, got {frequency_hz}")
+        check_number(frequency_hz, "a number > 0", lambda v: v > 0.0, name="frequency_hz")
         w = TWO_PI * frequency_hz
         amp = accel_peak / w
         return cls(
@@ -195,8 +190,7 @@ def bound_L(q: Callable[[np.ndarray], np.ndarray], period: float) -> float:
     and returns the rate at each (e.g. ``lambda t: eval_q(model, profile, t)``).
     Non-finite samples raise ValueError.
     """
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period}")
+    check_number(period, name="period")
     samples = 10000
     t = np.linspace(0.0, period, samples, endpoint=False)
     values = _abs_samples(q, t)
@@ -214,8 +208,7 @@ def constant_speed_characterization(model: FrictionCoggingModel, omega_r: float)
     omega_r * sum_i amp_i*cos(theta + phase_i), so L = |omega_r| times the
     model's ``cogging_amplitude`` and T = 2*pi / |omega_r|.
     """
-    if omega_r == 0.0:
-        raise ValueError("constant-speed characterization requires omega_r != 0")
+    check_number(omega_r, "a number != 0", lambda v: v != 0.0, name="omega_r")
     L = abs(omega_r * model.cogging_amplitude)
     T = TWO_PI / abs(omega_r)
     return L, T

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_DELTA, Gains, default_layer_width
+from .dynamics import DEFAULT_DELTA, Gains, check_number, default_layer_width
 
 __all__ = [
     "AccuracySpec",
@@ -29,6 +29,10 @@ class InfeasibleSpecError(ValueError):
     """No gain pair can satisfy the requested accuracy specification."""
 
 
+def _check_n(n) -> None:
+    check_number(n, "a number in (0, 0.5]", lambda v: 0.0 < v <= 0.5, name="n")
+
+
 @dataclass(frozen=True)
 class AccuracySpec:
     """Accuracy target: keep |x1| below eta against a (rate_bound, period) forcing.
@@ -43,14 +47,9 @@ class AccuracySpec:
     n: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not (0.0 < self.n <= 0.5):
-            raise ValueError(f"n must lie in (0, 0.5], got {self.n}")
-        if not (self.rate_bound > 0.0 and math.isfinite(self.rate_bound)):
-            raise ValueError(f"rate_bound must be positive, got {self.rate_bound}")
-        if not (self.period > 0.0 and math.isfinite(self.period)):
-            raise ValueError(f"period must be positive, got {self.period}")
+        for name in ("eta", "rate_bound", "period"):
+            check_number(getattr(self, name), name=name)
+        _check_n(self.n)
 
 
 def finite_time_gains(rate_bound: float, margin: float = 1.1,
@@ -60,10 +59,8 @@ def finite_time_gains(rate_bound: float, margin: float = 1.1,
     ``margin`` must exceed 1 strictly; the default 1.1 reproduces the usual
     10% headroom over the rate bound.
     """
-    if rate_bound <= 0.0:
-        raise ValueError(f"rate_bound must be positive, got {rate_bound}")
-    if margin <= 1.0:
-        raise ValueError(f"margin must exceed 1 for finite-time convergence, got {margin}")
+    check_number(rate_bound, name="rate_bound")
+    check_number(margin, "a finite number > 1", lambda v: 1.0 < v < math.inf, name="margin")
     k2 = margin * rate_bound
     k1 = 1.8 * math.sqrt(k2 + rate_bound)
     return Gains(k1=k1, k2=k2, delta=delta)
@@ -86,10 +83,8 @@ def cycle_width_bound(k2: float, rate_bound: float, n: float, period: float) -> 
     Grows with the integral gain and the rate bound, shrinks quadratically
     with the forcing period: faster perturbations average out better.
     """
-    if not (0.0 < n <= 0.5):
-        raise ValueError(f"n must lie in (0, 0.5], got {n}")
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period}")
+    _check_n(n)
+    check_number(period, "a number > 0", lambda v: v > 0.0, name="period")
     return 0.5 * (k2 + rate_bound) * n * n * period * period
 
 
@@ -113,10 +108,8 @@ def tight_width_bound(k1: float, k2: float, rate_bound: float, n: float,
     under-tuned regime, or where the k1 premise fails.  A bad ``n`` or
     ``period`` raises ValueError.
     """
-    if not (0.0 < n <= 0.5):
-        raise ValueError(f"n must lie in (0, 0.5], got {n}")
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period}")
+    _check_n(n)
+    check_number(period, "a number > 0", lambda v: v > 0.0, name="period")
     if not tight_bound_feasible(k1, k2, rate_bound):
         return None
     excess = rate_bound - k2
@@ -138,8 +131,7 @@ def tune_k2(k1: float, spec: AccuracySpec) -> float:
     or when rounding breaks :func:`tight_bound_feasible` at the returned pair
     (e.g. a tiny eta leaves k2 = L), so every k2 returned has a tight bound.
     """
-    if k1 <= 0.0:
-        raise ValueError(f"k1 must be positive, got {k1}")
+    check_number(k1, name="k1")
     root_eta = math.sqrt(spec.eta)
     k2 = spec.rate_bound - root_eta * k1 * k1 / (2.0 * root_eta + k1 * spec.n * spec.period)
     if k2 <= 0.0:
@@ -165,7 +157,6 @@ def optimize_gains(spec: AccuracySpec, k1_max: float) -> Gains:
     k2 <= 0 there (k2 then falls towards 0 as k1 rises to the root of
     k2(k1) = 0, and no least k2 exists), or when rounding breaks the k1 premise.
     """
-    if not k1_max > 0.0:
-        raise ValueError(f"k1_max must be positive, got {k1_max}")
+    check_number(k1_max, name="k1_max")
     k1 = min(k1_max, 1.0)
     return Gains(k1=k1, k2=tune_k2(k1, spec), delta=default_layer_width(spec.eta))

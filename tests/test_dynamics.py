@@ -1,4 +1,4 @@
-"""Control-law and vector-field unit tests."""
+"""Control-law, vector-field and number-check unit tests."""
 
 import math
 from dataclasses import dataclass
@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twistlab.dynamics import (DEFAULT_DELTA, Gains, default_layer_width, saturation,
-                               twisting_action)
+from twistlab.analysis import LimitCycleReport, scaling_fit
+from twistlab.dynamics import (DEFAULT_DELTA, Gains, check_number, default_layer_width,
+                               saturation, twisting_action)
 from twistlab.integrator import IntegrationConfig, integrate
+from twistlab.plant import MotorModel
+from twistlab.runner import ScenarioConfig, run_scenario
+from twistlab.signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
+                              bound_L, constant_speed_characterization)
+from twistlab.tuning import (AccuracySpec, cycle_width_bound, finite_time_gains,
+                             optimize_gains, tight_width_bound, tune_k2)
 
 from _fields import twisting_law
 
@@ -236,3 +243,94 @@ def test_default_layer_width():
     assert default_layer_width(0.05) == pytest.approx(5e-5)
     with pytest.raises(ValueError):
         default_layer_width(0.0)
+
+
+def test_check_number_keeps_a_number_and_names_what_fails():
+    assert check_number(np.float32(0.5)) == 0.5 and type(check_number(np.int64(2))) is float
+    assert check_number(-3, "a finite number", math.isfinite) == -3.0
+    assert check_number(7, "an integer >= 0", lambda v: v >= 0, True) == 7
+    with pytest.raises(ValueError, match=r"^must be a finite number > 0, got inf$"):
+        check_number(math.inf)
+    with pytest.raises(ValueError, match="^k1 must be a finite number > 0, got 1000"):
+        check_number(10 ** 400, name="k1")  # past the float range
+
+
+#: Each spec's accuracy, rate bound and period; ``run_scenario`` runs the config's cases.
+SPEC = AccuracySpec(eta=0.2, rate_bound=12.0, period=0.3125)
+CONFIG = {"schema_version": 1, "scenario": "synthetic_q", "parameters": {"cases": [[12.0, 0.2]]},
+          "gains": {"source": "explicit", "k1": 3.6, "k2": 6.0}}
+
+#: Every argument the library checks as a number: its name and a call passing ``v`` as it.
+NUMBER_ARGUMENTS = [
+    ("accuracy", default_layer_width),
+    ("k1", lambda v: Gains(v, 2.0)),
+    ("k2", lambda v: Gains(1.0, v)),
+    ("delta", lambda v: Gains(1.0, 2.0, v)),
+    ("delta", lambda v: saturation(0.1, v)),
+    ("eta", lambda v: AccuracySpec(v, 12.0, 0.3125)),
+    ("rate_bound", lambda v: AccuracySpec(0.2, v, 0.3125)),
+    ("period", lambda v: AccuracySpec(0.2, 12.0, v)),
+    ("n", lambda v: AccuracySpec(0.2, 12.0, 0.3125, v)),
+    ("rate_bound", finite_time_gains),
+    ("margin", lambda v: finite_time_gains(12.0, margin=v)),
+    ("delta", lambda v: finite_time_gains(12.0, delta=v)),
+    ("n", lambda v: cycle_width_bound(5.0, 12.0, v, 0.3125)),
+    ("period", lambda v: cycle_width_bound(5.0, 12.0, 0.5, v)),
+    ("n", lambda v: tight_width_bound(0.9, 5.0, 12.0, v, 0.3125)),
+    ("period", lambda v: tight_width_bound(0.9, 5.0, 12.0, 0.5, v)),
+    ("k1", lambda v: tune_k2(v, SPEC)),
+    ("k1_max", lambda v: optimize_gains(SPEC, v)),
+    ("dt", lambda v: IntegrationConfig(v, 10)),
+    ("n_steps", lambda v: IntegrationConfig(0.1, v)),
+    ("period", lambda v: IntegrationConfig.for_period(v, 200, 10)),
+    ("steps_per_period", lambda v: IntegrationConfig.for_period(0.3, v, 10)),
+    ("periods", lambda v: IntegrationConfig.for_period(0.3, 200, v)),
+    ("inertia", lambda v: MotorModel(inertia=v)),
+    ("encoder_quantum", lambda v: MotorModel(encoder_quantum=v)),
+    ("velocity_window", lambda v: MotorModel(velocity_window=v)),
+    ("noise_std", lambda v: MotorModel(noise_std=v)),
+    ("period", lambda v: SinusoidPerturbation(12.0, v)),
+    ("coulomb", lambda v: FrictionCoggingModel(coulomb=v)),
+    ("steepness", lambda v: FrictionCoggingModel(steepness=v)),
+    ("viscous", lambda v: FrictionCoggingModel(viscous=v)),
+    ("harmonics", lambda v: FrictionCoggingModel(harmonics=((v, 0.0),))),
+    ("harmonics", lambda v: FrictionCoggingModel(harmonics=((0.5, v),))),
+    ("frequency_hz", MotionProfile.sinusoidal_velocity),
+    ("period", lambda v: bound_L(np.sin, v)),
+    ("omega_r", lambda v: constant_speed_characterization(FrictionCoggingModel(), v)),
+    ("workers", lambda v: run_scenario(ScenarioConfig.from_dict(CONFIG), workers=v)),
+    ("seed", lambda v: ScenarioConfig.from_dict({**CONFIG, "seed": v})),
+    ("period", lambda v: scaling_fit([(v, 1.0), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)])),
+    ("amplitude", lambda v: scaling_fit([(0.1, v), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)])),
+]
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, math.nan], ids=["True", "str", "None", "nan"])
+@pytest.mark.parametrize("name, call", NUMBER_ARGUMENTS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(NUMBER_ARGUMENTS)])
+def test_a_bool_non_number_or_nan_fails_naming_its_argument(name, call, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call(bad)
+
+
+def test_number_checks_keep_what_they_accepted_and_name_the_argument():
+    # numpy scalars are numbers, but an integer argument takes an int
+    assert Gains(np.int64(1), 2.0).k1 == 1 and Gains(np.float32(0.9), 2.0).k1 == np.float32(0.9)
+    with pytest.raises(ValueError, match="^n_steps must be an integer >= 1"):
+        IntegrationConfig(0.1, np.int64(5))
+    assert default_layer_width(math.inf) == DEFAULT_DELTA  # a number > 0, inf included
+    with pytest.raises(ValueError, match="^margin "):
+        finite_time_gains(12, margin=math.nan)
+    with pytest.raises(ValueError, match="^k1 "):
+        tune_k2(math.nan, SPEC)
+    with pytest.raises(ValueError, match="^steps_per_period "):
+        IntegrationConfig.for_period(0.3, 2.5, 20)
+    with pytest.raises(ValueError, match="^workers must be an integer >= 1, got 1.5"):
+        run_scenario(ScenarioConfig.from_dict(CONFIG), workers=1.5)
+    with pytest.raises(ValueError, match="^k1_max must be a finite number > 0, got inf"):
+        optimize_gains(SPEC, math.inf)  # as the config's gains.k1_max
+    assert optimize_gains(SPEC, 1e300) == optimize_gains(SPEC, 1.0)
+    for bad in (True, "1", math.nan):  # a report's measurements, where None means unmeasured
+        for name in ("amplitude", "measured_period"):
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                LimitCycleReport(True, **{name: bad})

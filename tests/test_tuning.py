@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab.dynamics import DEFAULT_DELTA, Gains
+from twistlab.integrator import IntegrationConfig, integrate
 from twistlab.tuning import (AccuracySpec, InfeasibleSpecError, check_averaged_conditions,
                              cycle_width_bound, finite_time_gains, optimize_gains,
                              tight_bound_feasible, tight_width_bound, tune_k2)
@@ -229,3 +230,34 @@ def test_accuracy_spec_validation():
                    {"eta": 0.1, "rate_bound": 1.0, "period": 1.0, "n": 0.6}):
         with pytest.raises(ValueError):
             AccuracySpec(**kwargs)
+
+
+@pytest.mark.parametrize("mu, lam", [(mu, lam) for mu in (0.25, 4.0, 16.0) for lam in (0.5, 2.0)])
+def test_amplitude_and_time_scaling_is_exact(mu, lam):
+    """The loop, ``tune_k2`` and the coarse bound keep the loop's two scalings, bit for bit.
+
+    With time scaled by lam and the error by mu*lam**2 (so x2 by mu*lam), the
+    reduced loop keeps its form when L and k2 scale by mu, k1 by sqrt(mu), T
+    by lam, and delta, eta and the start's x1 by mu*lam**2.  With mu a power
+    of 4 and lam a power of 2 every operation scales exactly.  Two rules
+    break it, the open break of ROADMAP item 1, whose mend moves goldens:
+    ``tight_width_bound`` scales by mu**2 * lam**2, not as a width, and
+    ``optimize_gains`` caps k1 at the constant 1, fixed in units of sqrt(L).
+    """
+    def run(scale, time):
+        width = scale * time * time
+        L, T, k1 = scale * 12.0, time * 0.3125, math.sqrt(scale) * 0.9
+        k2 = tune_k2(k1, AccuracySpec(eta=width * 0.2, rate_bound=L, period=T))
+        w = 2.0 * math.pi / T
+        start = (width * 0.01, scale * time * 0.5)
+        traj = integrate(Gains(k1, k2, width * 1e-4), lambda t: L * np.sin(w * t), start,
+                         IntegrationConfig.for_period(T, 200, 10))
+        return k2, cycle_width_bound(k2, L, 0.5, T), traj
+
+    k2, coarse, base = run(1.0, 1.0)
+    scaled_k2, scaled_coarse, scaled = run(mu, lam)
+    assert scaled_k2 == mu * k2
+    assert scaled_coarse == mu * lam ** 2 * coarse
+    np.testing.assert_array_equal(scaled.t, lam * base.t)
+    np.testing.assert_array_equal(scaled.x1, mu * lam ** 2 * base.x1)
+    np.testing.assert_array_equal(scaled.x2, mu * lam * base.x2)
