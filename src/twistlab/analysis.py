@@ -187,11 +187,10 @@ def scaling_fit(points) -> tuple[float, float, float]:
     """Power-law fit amplitude = coefficient * period^exponent on >= 4 points.
 
     Least squares in log-log space; returns (exponent, coefficient,
-    r_squared).  Non-positive periods or amplitudes, and points that do not
-    span 2 distinct periods, are a domain error.
+    r_squared).  Periods or amplitudes that are not finite and positive, and
+    points that do not span 2 distinct periods, are a domain error.
     """
-    pts = [(check_number(T, "a number > 0", lambda v: v > 0.0, name="period"),
-            check_number(amp, "a number > 0", lambda v: v > 0.0, name="amplitude"))
+    pts = [(check_number(T, name="period"), check_number(amp, name="amplitude"))
            for T, amp in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points for a scaling fit, got {len(pts)}")

@@ -1,9 +1,10 @@
 """Virtual motor experiment: the speed loop closed on simulated rotor dynamics.
 
-The rotor obeys J*domega/dt = u0 + d(omega, theta) with d from the
-friction-plus-cogging model; the speed error e = omega - omega_r is driven
-by the super-twisting law, whose output is mapped onto the rotor torque
-u0 = J*(u + domega_r/dt).
+The rotor is stated per unit inertia: domega/dt = u0 + d(omega, theta)
+with d from the friction-plus-cogging model; the speed error
+e = omega - omega_r is driven by the super-twisting law, whose output is
+mapped onto the rotor torque u0 = u + domega_r/dt.  A rotor of another
+inertia is the same loop with every load coefficient divided by it.
 """
 
 from __future__ import annotations
@@ -23,26 +24,24 @@ __all__ = ["MotorModel", "simulate_motor_loop"]
 
 @dataclass(frozen=True)
 class MotorModel:
-    """Rotor inertia, load-torque model and measurement options.
+    """Load-torque model and measurement options of a rotor of unit inertia.
 
-    Inertia defaults to 1.0 (normalized): only gain/bound ratios matter, so
-    torque-like quantities then share the error's units.  Encoder
-    quantization and velocity noise are off by default; switching either on
-    re-routes the controller through a backward-differenced, noisy velocity
-    estimate over ``velocity_window`` samples without touching the baseline
-    physics.  With both off the window must stay 1: nothing reads it.
+    Torque-like quantities share the error's units: a rotor of another
+    inertia is this model with ``coulomb``, ``viscous`` and each harmonic
+    amplitude divided by the inertia, so the rate bound L read from the
+    model is the one the loop feels.  Encoder quantization and velocity
+    noise are off by default; switching either on re-routes the controller
+    through a backward-differenced, noisy velocity estimate over
+    ``velocity_window`` samples without touching the baseline physics.  With
+    both off the window must stay 1: nothing reads it.
     """
 
-    inertia: float = 1.0
     friction_cogging: FrictionCoggingModel = FrictionCoggingModel()
     encoder_quantum: float = 0.0        # position LSB in rad; 0 disables
     velocity_window: int = 1            # samples for backward differencing
     noise_std: float = 0.0              # std of the velocity measurement noise; 0 disables
 
     def __post_init__(self) -> None:
-        check_number(self.inertia, name="inertia")
-        if 1.0 / self.inertia < 1e-12:
-            raise ValueError(f"inertia {self.inertia!r} puts the input gain 1/inertia below 1e-12")
         for name in ("encoder_quantum", "noise_std"):
             check_number(getattr(self, name), "a finite number >= 0",
                          lambda v: 0.0 <= v < math.inf, name=name)
@@ -66,8 +65,6 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     the true error, not from the measured error the controller acted on.
     """
     model = motor.friction_cogging
-    J = motor.inertia
-    inv_inertia = 1.0 / J
     ref_omega, ref_accel = reference.omega, reference.omega_dot
     x0 = (float(reference.theta(0.0)), float(ref_omega(0.0)) + initial_error, initial_integral)
 
@@ -77,12 +74,12 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     omega = states[:, 1]
     z = states[:, 2]
     e = omega - ref_omega(times)
-    u0 = (twisting_action(e, z, gains) + ref_accel(times)) / inv_inertia
+    u0 = twisting_action(e, z, gains) + ref_accel(times)
     d = np.asarray(model.torque(omega, theta))
-    omega_dot = (u0 + d) / J
+    omega_dot = u0 + d
     q = np.asarray(model.rate(omega, omega_dot, theta))
 
-    return Trajectory(t=times, x1=e, x2=z + d / J, u=u0, d=d, q=q, dt=cfg.dt)
+    return Trajectory(t=times, x1=e, x2=z + d, u=u0, d=d, q=q, dt=cfg.dt)
 
 
 def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
@@ -105,8 +102,6 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
     if noise_std > 0.0 and rng is None:
         raise ValueError("noise injection requires an rng")
     torque = motor.friction_cogging.scalar_torque()
-    J = motor.inertia
-    inv_inertia = 1.0 / J
     neg_k1, neg_k2, delta = -gains.k1, -gains.k2, gains.delta
     dt, n_steps = cfg.dt, cfg.n_steps
     half = 0.5 * dt
@@ -136,8 +131,8 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
 
         # constants as defaults: read by a closure they would be cells for the sampled step too
         def stage(theta: float, omega: float, z: float, omega_r: float, accel_r: float,
-                  torque=torque, J=J, inv_inertia=inv_inertia, neg_k1=neg_k1, neg_k2=neg_k2,
-                  delta=delta, sqrt=sqrt) -> tuple[float, float]:
+                  torque=torque, neg_k1=neg_k1, neg_k2=neg_k2, delta=delta,
+                  sqrt=sqrt) -> tuple[float, float]:
             """(domega, dz), with the law in the operation order of ``twisting_action``."""
             e = omega - omega_r
             s = e / delta
@@ -145,8 +140,8 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                 s = 1.0
             elif s < -1.0:
                 s = -1.0
-            u0 = (neg_k1 * sqrt(abs(e)) * s + z + accel_r) / inv_inertia
-            return (u0 + torque(omega, theta)) / J, neg_k2 * s
+            u0 = neg_k1 * sqrt(abs(e)) * s + z + accel_r
+            return u0 + torque(omega, theta), neg_k2 * s
 
     try:
         if sampled:
@@ -169,16 +164,16 @@ def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                     s = 1.0
                 elif s < -1.0:
                     s = -1.0
-                u0 = (neg_k1 * sqrt(abs(e)) * s + z + accel_a[k]) / inv_inertia
+                u0 = neg_k1 * sqrt(abs(e)) * s + z + accel_a[k]
 
-                # one RK4 step of (theta, omega) -> (omega, (u0 + d) / J)
-                dw_a = (u0 + torque(omega, theta)) / J
+                # one RK4 step of (theta, omega) -> (omega, u0 + d)
+                dw_a = u0 + torque(omega, theta)
                 w_b = omega + half * dw_a
-                dw_b = (u0 + torque(w_b, theta + half * omega)) / J
+                dw_b = u0 + torque(w_b, theta + half * omega)
                 w_c = omega + half * dw_b
-                dw_c = (u0 + torque(w_c, theta + half * w_b)) / J
+                dw_c = u0 + torque(w_c, theta + half * w_b)
                 w_e = omega + dt * dw_c
-                dw_e = (u0 + torque(w_e, theta + dt * w_c)) / J
+                dw_e = u0 + torque(w_e, theta + dt * w_c)
                 theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
                 omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
                 z += dt * (neg_k2 * s)

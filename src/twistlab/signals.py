@@ -39,6 +39,8 @@ class SinusoidPerturbation:
 
     def __post_init__(self) -> None:
         check_number(self.period, name="period")
+        for name in ("rate_amplitude", "phase"):
+            check_number(getattr(self, name), "a finite number", math.isfinite, name=name)
 
     def q(self, t):
         return self.rate_amplitude * np.sin(TWO_PI * t / self.period + self.phase)
@@ -146,6 +148,7 @@ class MotionProfile:
     @classmethod
     def constant_speed(cls, omega_r: float) -> "MotionProfile":
         """Constant set-point: theta advances as omega_r * t."""
+        check_number(omega_r, "a finite number", math.isfinite, name="omega_r")
         return cls(
             omega=lambda t: omega_r + 0.0 * t,
             theta=lambda t: omega_r * t,
@@ -159,7 +162,8 @@ class MotionProfile:
         omega(t) = (accel_peak / 2*pi*f) * cos(2*pi*f*t), so the acceleration
         amplitude stays at ``accel_peak`` for every frequency.
         """
-        check_number(frequency_hz, "a number > 0", lambda v: v > 0.0, name="frequency_hz")
+        check_number(frequency_hz, name="frequency_hz")
+        check_number(accel_peak, "a finite number", math.isfinite, name="accel_peak")
         w = TWO_PI * frequency_hz
         amp = accel_peak / w
         return cls(
@@ -208,7 +212,7 @@ def constant_speed_characterization(model: FrictionCoggingModel, omega_r: float)
     omega_r * sum_i amp_i*cos(theta + phase_i), so L = |omega_r| times the
     model's ``cogging_amplitude`` and T = 2*pi / |omega_r|.
     """
-    check_number(omega_r, "a number != 0", lambda v: v != 0.0, name="omega_r")
+    check_number(omega_r, "a finite number != 0", lambda v: 0.0 < abs(v) < math.inf, name="omega_r")
     L = abs(omega_r * model.cogging_amplitude)
     T = TWO_PI / abs(omega_r)
     return L, T

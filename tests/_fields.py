@@ -118,16 +118,14 @@ def motor_field(motor, reference, gains):
     """The continuous motor loop (t, (theta, omega, z)) -> derivatives, from ``twisting_law``."""
     law = twisting_law(gains)
     torque = motor.friction_cogging.scalar_torque()
-    J = motor.inertia
-    inv_inertia = 1.0 / J
     ref_omega, ref_accel = reference.omega, reference.omega_dot
 
     def field(t, x):
         theta, omega, z = x
         # q = -0.0 adds nothing to any float, so dz is exactly -k2*s
         u, dz = law(omega - float(ref_omega(t)), z, -0.0)
-        u0 = (u + float(ref_accel(t))) / inv_inertia
-        return (omega, (u0 + torque(omega, theta)) / J, dz)
+        u0 = u + float(ref_accel(t))
+        return (omega, u0 + torque(omega, theta), dz)
 
     return field
 

@@ -1,9 +1,10 @@
 """Test-local disturbance reconstruction from the recorded motor signals.
 
 A first-order sliding-mode differentiator estimates the rotor acceleration,
-so d_hat = J * domega/dt - u0 needs only the speed and the torque command;
-q_hat differentiates d_hat again.  It checks the virtual motor's recorded
-``d`` and ``q`` channels; it cannot identify (L, T).
+so d_hat = domega/dt - u0, per unit inertia as the motor loop is stated,
+needs only the speed and the torque command; q_hat differentiates d_hat
+again.  It checks the virtual motor's recorded ``d`` and ``q`` channels; it
+cannot identify (L, T).
 """
 
 import math
@@ -30,8 +31,8 @@ def robust_differentiate(samples, dt: float, rate_bound: float) -> np.ndarray:
     return out
 
 
-def reconstruct_disturbance(traj, omega, inertia: float, rate_bound: float,
+def reconstruct_disturbance(traj, omega, rate_bound: float,
                             rate_rate_bound: float | None = None):
     """(d_hat, q_hat) from the rotor speed ``omega`` and the recorded torque command ``traj.u``."""
-    d_hat = inertia * robust_differentiate(omega, traj.dt, rate_bound) - traj.u
+    d_hat = robust_differentiate(omega, traj.dt, rate_bound) - traj.u
     return d_hat, robust_differentiate(d_hat, traj.dt, rate_rate_bound or rate_bound)

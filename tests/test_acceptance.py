@@ -192,7 +192,7 @@ def test_criterion_7_disturbance_reconstruction():
     motor = tl.MotorModel(friction_cogging=model)
     cfg = tl.IntegrationConfig.for_period(T, 2000, 20)
     traj = tl.simulate_motor_loop(motor, profile, gains, cfg)
-    d_hat, q_hat = reconstruct_disturbance(traj, traj.x1 + 18.0, motor.inertia, 50.0, 200.0)
+    d_hat, q_hat = reconstruct_disturbance(traj, traj.x1 + 18.0, 50.0, 200.0)
     skip = len(traj) // 4
     rel_rms = math.sqrt(np.mean((d_hat[skip:] - traj.d[skip:]) ** 2)
                         / np.mean(traj.d[skip:] ** 2))

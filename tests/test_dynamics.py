@@ -285,7 +285,7 @@ NUMBER_ARGUMENTS = [
     ("period", lambda v: IntegrationConfig.for_period(v, 200, 10)),
     ("steps_per_period", lambda v: IntegrationConfig.for_period(0.3, v, 10)),
     ("periods", lambda v: IntegrationConfig.for_period(0.3, 200, v)),
-    ("inertia", lambda v: MotorModel(inertia=v)),
+    ("rate_amplitude", lambda v: SinusoidPerturbation(v, 0.3125)),
     ("encoder_quantum", lambda v: MotorModel(encoder_quantum=v)),
     ("velocity_window", lambda v: MotorModel(velocity_window=v)),
     ("noise_std", lambda v: MotorModel(noise_std=v)),
@@ -302,6 +302,22 @@ NUMBER_ARGUMENTS = [
     ("seed", lambda v: ScenarioConfig.from_dict({**CONFIG, "seed": v})),
     ("period", lambda v: scaling_fit([(v, 1.0), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)])),
     ("amplitude", lambda v: scaling_fit([(0.1, v), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)])),
+    ("phase", lambda v: SinusoidPerturbation(12.0, 0.3125, v)),
+    ("omega_r", MotionProfile.constant_speed),
+    ("accel_peak", lambda v: MotionProfile.sinusoidal_velocity(4.0, v)),
+]
+
+#: Arguments where an infinite value would pass as a number but give nonsense: a
+#: NaN reference or rate, a zero period or a failed fit.
+FINITE_ARGUMENTS = [
+    ("rate_amplitude", lambda v: SinusoidPerturbation(v, 0.3125)),
+    ("phase", lambda v: SinusoidPerturbation(12.0, 0.3125, v)),
+    ("omega_r", MotionProfile.constant_speed),
+    ("frequency_hz", MotionProfile.sinusoidal_velocity),
+    ("accel_peak", lambda v: MotionProfile.sinusoidal_velocity(4.0, v)),
+    ("omega_r", lambda v: constant_speed_characterization(FrictionCoggingModel(), v)),
+    ("period", lambda v: scaling_fit([(v, 1.0), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)])),
+    ("amplitude", lambda v: scaling_fit([(0.1, v), (0.2, 2.0), (0.4, 3.0), (0.8, 4.0)])),
 ]
 
 
@@ -310,6 +326,14 @@ NUMBER_ARGUMENTS = [
                          ids=[f"{name}-{i}" for i, (name, _) in enumerate(NUMBER_ARGUMENTS)])
 def test_a_bool_non_number_or_nan_fails_naming_its_argument(name, call, bad):
     with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("name, call", FINITE_ARGUMENTS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(FINITE_ARGUMENTS)])
+def test_an_infinite_value_fails_naming_its_argument(name, call, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite "):
         call(bad)
 
 

@@ -351,7 +351,7 @@ def _motor_loops(draw):
                                  steepness=draw(st.floats(1.0, 400.0)),
                                  viscous=draw(st.floats(0.0, 0.05)),
                                  harmonics=tuple(draw(_HARMONICS)))
-    motor = MotorModel(inertia=draw(st.floats(0.05, 5.0)), friction_cogging=model)
+    motor = MotorModel(friction_cogging=model)
     if draw(st.booleans()):
         reference = MotionProfile.constant_speed(draw(st.floats(-25.0, 25.0)))
     else:
@@ -384,7 +384,7 @@ def test_continuous_motor_loop_is_rk4_solve_on_the_motor_field(loop, dt):
 @PROPERTY
 @given(loop=_motor_loops(), dt=st.floats(1e-4, 1e-2), stiffness=st.floats(4.0, 50.0))
 def test_continuous_motor_loop_divergence_time_is_rk4_solves(loop, dt, stiffness):
-    """Viscous friction too stiff for the step (dt*viscous/J of 4-50) blows both up together.
+    """Viscous friction too stiff for the step (dt*viscous of 4-50) blows both up together.
 
     With cogging, ``math.sin`` of an angle that overflowed inside a step
     raises ValueError before the step's finiteness check; both take that as
@@ -392,7 +392,7 @@ def test_continuous_motor_loop_divergence_time_is_rk4_solves(loop, dt, stiffness
     """
     motor, reference, gains, (theta, omega, z) = loop
     model = motor.friction_cogging
-    model = dataclasses.replace(model, viscous=stiffness * motor.inertia / dt,
+    model = dataclasses.replace(model, viscous=stiffness / dt,
                                 harmonics=model.harmonics + ((0.5, 0.3),))
     motor = dataclasses.replace(motor, friction_cogging=model)
     x0 = (theta, omega + 1.0, z)  # off the equilibrium, which a zero reference would keep
@@ -410,10 +410,9 @@ def test_sampled_motor_loop_divergence_is_a_divergence_error():
     dt, n = 1e-3, 2000
     causes = set()
     for _ in range(20):
-        J = float(rng.uniform(0.05, 1.0))
-        model = FrictionCoggingModel(viscous=float(rng.uniform(3.0, 50.0)) * J / dt,
+        model = FrictionCoggingModel(viscous=float(rng.uniform(3.0, 50.0)) / dt,
                                      harmonics=((0.5, 0.3),))
-        motor = MotorModel(inertia=J, friction_cogging=model, encoder_quantum=1e-5)
+        motor = MotorModel(friction_cogging=model, encoder_quantum=1e-5)
         with pytest.raises(DivergenceError) as info:
             _motor_loop(motor, MotionProfile.constant_speed(10.0), Gains(0.9, 5.0),
                         IntegrationConfig(dt=dt, n_steps=n), (0.0, 10.3, 0.0), None)

@@ -106,13 +106,13 @@ def test_motor_loop_sinusoidal_reference_periodicity():
 
 
 def test_motor_loop_records_consistent_channels(monkeypatch):
-    """x2 = integral state + d/J, and x1 plus the reference speed is the rotor speed."""
+    """x2 = integral state + d, and x1 plus the reference speed is the rotor speed."""
     motor = MotorModel(friction_cogging=CALIBRATED)
     reference = MotionProfile.constant_speed(18.0)
     gains = Gains(0.9, 11.65)
     cfg = IntegrationConfig.for_period(2 * math.pi / 18.0, 2000, 12)
     traj, states = _run_with_states(monkeypatch, motor, reference, gains, cfg)
-    assert np.allclose(traj.x2, states[:, 2] + traj.d / motor.inertia)
+    assert np.allclose(traj.x2, states[:, 2] + traj.d)
     assert (traj.x1 + 18.0).tobytes() == states[:, 1].tobytes()
 
     # x1 = fl(omega - omega_r), so adding omega_r back rounds twice: within half
@@ -127,7 +127,7 @@ def test_motor_loop_records_consistent_channels(monkeypatch):
 
 
 def test_motor_loop_torque_is_law_plus_reference_acceleration(monkeypatch):
-    """With J = 1 the recorded torque command is u + domega_r/dt, bit for bit."""
+    """The recorded torque command is u + domega_r/dt, bit for bit."""
     motor = MotorModel(friction_cogging=GENTLE)
     reference = MotionProfile.sinusoidal_velocity(4.0)
     gains = Gains(0.9, 19.65, default_layer_width(0.2))
@@ -166,7 +166,6 @@ def test_sampled_rotor_step_matches_rk4_solve():
         # magnitudes from 1e-6 to 50, so rounding inside the step is not absorbed by theta
         theta, omega, z = (rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-6.0, 1.7, 3)).tolist()
         dt = float(rng.uniform(1e-5, 1e-2))
-        J = float(rng.choice([1.0, 0.37, 2.5]))
         model = models[int(rng.integers(2))]
         gains = Gains(float(rng.uniform(0.1, 5.0)), float(rng.uniform(1.0, 30.0)),
                       float(rng.choice([1e-4, 0.05])))
@@ -175,16 +174,15 @@ def test_sampled_rotor_step_matches_rk4_solve():
         accel = float(rng.normal(0.0, 50.0))
         reference = MotionProfile(omega=lambda t: omega_r + 0.0 * t, theta=lambda t: 0.0 * t,
                                   omega_dot=lambda t: accel + 0.0 * t)
-        _, states = _motor_loop(MotorModel(inertia=J, friction_cogging=model,
-                                           encoder_quantum=1e-9),
+        _, states = _motor_loop(MotorModel(friction_cogging=model, encoder_quantum=1e-9),
                                 reference, gains, IntegrationConfig(dt=dt, n_steps=1),
                                 (theta, omega, z), None)
         u, dz = twisting_law(gains)(omega - omega_r, z, -0.0)
-        u0 = (u + accel) / (1.0 / J)
+        u0 = u + accel
 
         def rotor(t, x):
             th, w = x
-            return (w, (u0 + float(model.torque(w, th))) / J)
+            return (w, u0 + float(model.torque(w, th)))
 
         _, expected = rk4_solve(rotor, (theta, omega), 0.0, dt, 1)
         assert states[1, :2].tobytes() == expected[1].tobytes()
@@ -235,7 +233,7 @@ def test_reconstruct_disturbance_accuracy():
     _, T = constant_speed_characterization(CALIBRATED, 18.0)
     cfg = IntegrationConfig.for_period(T, 2000, 20)
     traj = simulate_motor_loop(motor, reference, gains, cfg)
-    d_hat, q_hat = reconstruct_disturbance(traj, traj.x1 + 18.0, motor.inertia, 50.0, 200.0)
+    d_hat, q_hat = reconstruct_disturbance(traj, traj.x1 + 18.0, 50.0, 200.0)
     skip = len(traj) // 4
     err = d_hat[skip:] - traj.d[skip:]
     rel_rms = math.sqrt(np.mean(err ** 2) / np.mean(traj.d[skip:] ** 2))
@@ -251,18 +249,13 @@ def test_reconstruct_zero_perturbation():
     gains = finite_time_gains(5.0, 1.1)
     cfg = IntegrationConfig.for_period(2 * math.pi / 10.0, 2000, 10)
     traj = simulate_motor_loop(motor, reference, gains, cfg, initial_error=0.1)
-    d_hat, _ = reconstruct_disturbance(traj, traj.x1 + 10.0, motor.inertia, 10.0)
+    d_hat, _ = reconstruct_disturbance(traj, traj.x1 + 10.0, 10.0)
     assert np.max(np.abs(d_hat[len(traj) // 2:])) < 0.05
 
 
 def test_motor_model_validation():
-    with pytest.raises(ValueError):
-        MotorModel(inertia=0.0)
-    for non_finite in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            MotorModel(inertia=non_finite)
-    with pytest.raises(ValueError):
-        MotorModel(inertia=1e13)  # input gain 1/J below 1e-12
+    with pytest.raises(TypeError, match="inertia"):  # the loop is stated per unit inertia
+        MotorModel(inertia=1.0)
     with pytest.raises(ValueError):
         MotorModel(encoder_quantum=-1.0)
     for window in (0, -1, 2.5, 4.0, True):

@@ -52,8 +52,7 @@ OUT_OF_RANGE = [
     ("analysis", "tolerance", math.nan), ("analysis", "tolerance", "abc"),
     ("motor", "noise_std", -1e-3), ("motor", "noise_std", math.nan),
     ("motor", "noise_std", math.inf), ("motor", "noise_std", "1e-3"),
-    ("motor", "inertia", 0), ("motor", "inertia", -1.0), ("motor", "inertia", 1e13),
-    ("motor", "inertia", "abc"), ("motor", "encoder_quantum", -1e-5),
+    ("motor", "encoder_quantum", -1e-5),
     ("motor", "encoder_quantum", math.nan), ("motor", "velocity_window", 0),
     ("motor", "velocity_window", 2.5), ("motor", "velocity_window", 4),
     ("perturbation", "viscous", math.nan), ("perturbation", "viscous", -0.01),
@@ -130,7 +129,7 @@ def test_config_schema_validation():
         perturbation={"coulomb": 0, "viscous": 0.0, "harmonics": []}))
     ScenarioConfig.from_dict({**SYNTHETIC, "analysis": {"n": 0.25, "tolerance": 1e-3}})
     ScenarioConfig.from_dict(_constant_speed_config(
-        motor={"inertia": 2, "encoder_quantum": 1e-5, "velocity_window": 4, "noise_std": 0.0}))
+        motor={"encoder_quantum": 1e-5, "velocity_window": 4, "noise_std": 0.0}))
 
 
 def _config_file(tmp_path, data, name="cfg.json"):
@@ -177,6 +176,26 @@ def test_unknown_nested_key_names_its_path(section, key, tmp_path):
     path = _config_file(tmp_path, SYNTHETIC)
     with pytest.raises(ValueError, match=rf"{section}\.{key}"):
         ScenarioConfig.from_file(path, [(f"{section}.{key}", "1")])
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("motor", "inertia", 1.0), ("motor", "inertia", 2), ("motor", "inertia", 0),
+    ("motor", "inertia", -1.0), ("motor", "inertia", 1e13), ("motor", "inertia", "abc"),
+    ("motor", "inertial", 1), ("perturbation", "coulombb", 0.4),
+])
+def test_unknown_motor_key_names_its_path(section, key, value, tmp_path):
+    """A key the motor scenarios do not read fails at load whatever its value, naming it.
+
+    The motor loop is stated per unit inertia, so ``motor.inertia`` is such a key.
+    """
+    line = rf"^unknown config keys: {section}\.{key}$"
+    data = _constant_speed_config()
+    data.setdefault(section, {})[key] = value
+    with pytest.raises(ValueError, match=line):
+        ScenarioConfig.from_dict(data)
+    path = _config_file(tmp_path, _constant_speed_config())
+    with pytest.raises(ValueError, match=line):
+        ScenarioConfig.from_file(path, [(f"{section}.{key}", json.dumps(value))])
 
 
 def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
