@@ -1,11 +1,11 @@
 """The super-twisting control law.
 
 The law has one array form here, :func:`twisting_action`, for recorded
-channels.  The RK4 loops (``integrator.integrate``'s C kernel and both step
-rules of ``plant._motor_loop``) write the law out inline on doubles, in the
-same operation order, so each loop's control equals :func:`twisting_action`
-on its recorded states bit for bit.  The controller's integral state is owned
-by whoever integrates the loop.
+channels.  The RK4 loops (the C kernel behind ``integrator.integrate`` and
+both step rules of ``plant._motor_loop``) write the law out inline on
+doubles, in the same operation order, so each loop's control equals
+:func:`twisting_action` on its recorded states bit for bit.  The
+controller's integral state is owned by whoever integrates the loop.
 """
 
 from __future__ import annotations

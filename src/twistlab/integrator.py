@@ -115,13 +115,12 @@ class Trajectory:
                                  for t, x1, x2, u, d, q in rows))
 
 
-def on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> memoryview:
-    """``f`` called once on the whole ``grid``, as float values that index to Python floats.
+def on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
+    """``f`` called once on the whole ``grid``, as a contiguous float64 array a kernel can read.
 
-    A scalar result is broadcast to the grid.  Indexing the memoryview holds
-    no float object per grid point.
+    A scalar result is broadcast to the grid.
     """
-    return memoryview(np.broadcast_to(f(grid), grid.shape).astype(float))
+    return np.ascontiguousarray(np.broadcast_to(f(grid), grid.shape), dtype=float)
 
 
 def integrate(gains: Gains, rate: Callable[[np.ndarray], np.ndarray], x0,
@@ -153,11 +152,12 @@ def integrate(gains: Gains, rate: Callable[[np.ndarray], np.ndarray], x0,
     dt, n_steps = cfg.dt, cfg.n_steps
     times = np.arange(n_steps + 1) * dt
     grid = times[:-1]
-    rates = [np.ascontiguousarray(on_grid(rate, g)) for g in (grid, grid + 0.5 * dt, grid + dt)]
+    rates = [on_grid(rate, g) for g in (grid, grid + 0.5 * dt, grid + dt)]
     x1, x2 = np.empty(n_steps + 1), np.empty(n_steps + 1)
     x1[0], x2[0] = start
-    steps = _rk4_kernel()(-gains.k1, -gains.k2, gains.delta, dt,
-                          *(r.ctypes.data for r in rates), n_steps, x1.ctypes.data, x2.ctypes.data)
+    steps = _rk4_kernel().rk4_loop(-gains.k1, -gains.k2, gains.delta, dt,
+                                   *(r.ctypes.data for r in rates), n_steps,
+                                   x1.ctypes.data, x2.ctypes.data)
     if steps < n_steps:
         raise DivergenceError(steps * dt + dt)
 
@@ -165,10 +165,14 @@ def integrate(gains: Gains, rate: Callable[[np.ndarray], np.ndarray], x0,
     return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, dt=cfg.dt)
 
 
-#: The reduced loop's RK4 steps in C.  Each expression keeps the operation
-#: order of the step as the reference ``rk4_solve`` on ``loop_field`` takes it
-#: (tests/_fields.py).  With ``FLT_EVAL_METHOD == 0`` and no contraction into
-#: FMA, every ``+ - * /`` and ``sqrt`` rounds to double as CPython's float does.
+#: The RK4 steps in C: the reduced loop (``rk4_loop``) and both step rules of
+#: the motor loop (``motor_loop``, ``sampled_motor_loop``).  Each expression
+#: keeps the operation order of its reference in tests/_fields.py:
+#: ``rk4_solve`` on ``loop_field`` or ``motor_field``, and
+#: ``sampled_motor_loop``.  With ``FLT_EVAL_METHOD == 0`` and no contraction
+#: into FMA, every ``+ - * /`` and ``sqrt`` rounds to double as CPython's float
+#: does, and ``atan`` and ``sin`` are the libm calls behind ``math.atan`` and
+#: ``math.sin``.
 _KERNEL_SOURCE = r"""
 #include <float.h>
 #include <math.h>
@@ -224,6 +228,123 @@ int64_t rk4_loop(double neg_k1, double neg_k2, double delta, double dt,
     }
     return n_steps;
 }
+
+/* The motor's load torque per unit inertia, in FrictionCoggingModel.torque's
+   operation order.  model = {coulomb * (2/pi), steepness, viscous, then an
+   (amplitude, phase) pair per cogging harmonic}. */
+static double torque(const double *model, int64_t n_harmonics, double omega, double theta)
+{
+    double d = model[0] * atan(model[1] * omega) + model[2] * omega;
+    for (int64_t i = 0; i < n_harmonics; i++)
+        d += model[3 + 2 * i] * sin(theta + model[4 + 2 * i]);
+    return d;
+}
+
+struct motor {
+    double neg_k1, neg_k2, delta;
+    const double *model;
+    int64_t n_harmonics;
+};
+
+/* One stage of the continuous motor loop: returns domega, and sets *dz. */
+static double motor_stage(const struct motor *m, double theta, double omega, double z,
+                          double omega_r, double accel_r, double *dz)
+{
+    const double e = omega - omega_r;
+    const double s = sat(e / m->delta);
+    const double u0 = m->neg_k1 * sqrt(fabs(e)) * s + z + accel_r;
+    *dz = m->neg_k2 * s;
+    return u0 + torque(m->model, m->n_harmonics, omega, theta);
+}
+
+/* Steps states[0..2] = (theta, omega, z) into states[3 * k .. 3 * k + 2] for
+   k = 1..n_steps, reading the reference at stage k's times by index.  Returns
+   n_steps, or the index k of the first step that ends on a non-finite state. */
+int64_t motor_loop(double neg_k1, double neg_k2, double delta, double dt,
+                   const double *model, int64_t n_harmonics,
+                   const double *omega_a, const double *omega_mid, const double *omega_end,
+                   const double *accel_a, const double *accel_mid, const double *accel_end,
+                   int64_t n_steps, double *states)
+{
+    const struct motor m = {neg_k1, neg_k2, delta, model, n_harmonics};
+    const double half = 0.5 * dt, sixth = dt / 6.0;
+    double theta = states[0], omega = states[1], z = states[2];
+    for (int64_t k = 0; k < n_steps; k++) {
+        double dw_a, dz_a, w_b, dw_b, dz_b, w_c, dw_c, dz_c, w_e, dw_e, dz_e;
+        dw_a = motor_stage(&m, theta, omega, z, omega_a[k], accel_a[k], &dz_a);
+        w_b = omega + half * dw_a;
+        dw_b = motor_stage(&m, theta + half * omega, w_b, z + half * dz_a,
+                           omega_mid[k], accel_mid[k], &dz_b);
+        w_c = omega + half * dw_b;
+        dw_c = motor_stage(&m, theta + half * w_b, w_c, z + half * dz_b,
+                           omega_mid[k], accel_mid[k], &dz_c);
+        w_e = omega + dt * dw_c;
+        dw_e = motor_stage(&m, theta + dt * w_c, w_e, z + dt * dz_c,
+                           omega_end[k], accel_end[k], &dz_e);
+
+        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e);
+        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e);
+        z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e);
+        if (!(isfinite(theta) && isfinite(omega) && isfinite(z)))
+            return k;
+        states[3 * k + 3] = theta;
+        states[3 * k + 4] = omega;
+        states[3 * k + 5] = z;
+    }
+    return n_steps;
+}
+
+/* The sampled motor loop: the law acts on the measured speed, the backward
+   difference over `window` steps of the position quantized to `quantum` (0:
+   unquantized) plus noise[k] (NULL: no noise); u0 is held over the rotor's RK4
+   step and z takes an Euler step.  `measured` is a ring of window + 1
+   positions: step k's at k % (window + 1), so step k - window's is the slot
+   after it.  States, reference and return value as in motor_loop. */
+int64_t sampled_motor_loop(double neg_k1, double neg_k2, double delta, double dt,
+                           const double *model, int64_t n_harmonics,
+                           const double *omega_r, const double *accel_r,
+                           double quantum, int64_t window, const double *noise,
+                           double *measured, int64_t n_steps, double *states)
+{
+    const double half = 0.5 * dt, sixth = dt / 6.0, window_dt = (double)window * dt;
+    const int64_t ring = window + 1;
+    double theta = states[0], omega = states[1], z = states[2];
+    for (int64_t k = 0; k < n_steps; k++) {
+        const double theta_meas = quantum > 0.0 ? floor(theta / quantum) * quantum : theta;
+        const int64_t slot = k % ring;
+        double omega_meas, e, s, u0, dw_a, w_b, dw_b, w_c, dw_c, w_e, dw_e;
+        measured[slot] = theta_meas;
+        if (k >= window)
+            omega_meas = (theta_meas - measured[(slot + 1) % ring]) / window_dt;
+        else if (k)
+            omega_meas = (theta_meas - measured[0]) / ((double)k * dt);
+        else
+            omega_meas = omega;
+        if (noise)
+            omega_meas += noise[k];
+
+        e = omega_meas - omega_r[k];
+        s = sat(e / delta);
+        u0 = neg_k1 * sqrt(fabs(e)) * s + z + accel_r[k];
+
+        dw_a = u0 + torque(model, n_harmonics, omega, theta);
+        w_b = omega + half * dw_a;
+        dw_b = u0 + torque(model, n_harmonics, w_b, theta + half * omega);
+        w_c = omega + half * dw_b;
+        dw_c = u0 + torque(model, n_harmonics, w_c, theta + half * w_b);
+        w_e = omega + dt * dw_c;
+        dw_e = u0 + torque(model, n_harmonics, w_e, theta + dt * w_c);
+        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e);
+        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e);
+        z += dt * (neg_k2 * s);
+        if (!(isfinite(theta) && isfinite(omega) && isfinite(z)))
+            return k;
+        states[3 * k + 3] = theta;
+        states[3 * k + 4] = omega;
+        states[3 * k + 5] = z;
+    }
+    return n_steps;
+}
 """
 
 #: The compile command after the compiler: flags that keep the bits (no FMA
@@ -235,11 +356,14 @@ _KERNEL_CC: str | None = None
 #: Where the built kernel is kept: one file per interpreter ABI, the last one built.
 _KERNEL_DIR = Path(__file__).resolve().parent / "__pycache__"
 
-_kernel = None  # the loaded ``rk4_loop``, or the RuntimeError its build raised
+_kernel = None  # the loaded library, or the RuntimeError its build raised
 
 
 def _rk4_kernel():
-    """The compiled ``rk4_loop``, built or loaded on the first call in the process.
+    """The compiled kernel library, built or loaded on the first call in the process.
+
+    Its three functions ``rk4_loop``, ``motor_loop`` and ``sampled_motor_loop``
+    are typed for ``ctypes``; each takes its arrays as addresses.
 
     The library is cached as ``_KERNEL_DIR/rk4_kernel-<sha256><EXT_SUFFIX>``,
     keyed by the source, the compile command and the interpreter's
@@ -265,7 +389,7 @@ def _rk4_kernel():
 
 
 def _load_kernel():
-    """``rk4_loop`` from the cache, built into it first if absent; see :func:`_rk4_kernel`."""
+    """The library from the cache, built into it first if absent; see :func:`_rk4_kernel`."""
     import ctypes
     import hashlib
     import shlex
@@ -288,16 +412,22 @@ def _load_kernel():
             for stale in _KERNEL_DIR.glob(f"rk4_kernel-*{suffix}"):
                 if stale != path:
                     stale.unlink(missing_ok=True)
-        loop = ctypes.CDLL(str(path)).rk4_loop
+        library = ctypes.CDLL(str(path))
     except OSError:  # the cache cannot be written or read: build for this process only
         with tempfile.TemporaryDirectory(prefix="twistlab-kernel-") as private:
             path = Path(private) / name
             _build(command, path)
-            loop = ctypes.CDLL(str(path)).rk4_loop  # the mapped library outlives its file
-    double, pointer = ctypes.c_double, ctypes.c_void_p
-    loop.argtypes = [double] * 4 + [pointer] * 3 + [ctypes.c_int64] + [pointer] * 2
-    loop.restype = ctypes.c_int64
-    return loop
+            library = ctypes.CDLL(str(path))  # the mapped library outlives its file
+    double, pointer, count = ctypes.c_double, ctypes.c_void_p, ctypes.c_int64
+    law = [double] * 4  # -k1, -k2, delta, dt
+    for function, argtypes in (
+            (library.rk4_loop, law + [pointer] * 3 + [count] + [pointer] * 2),
+            (library.motor_loop, law + [pointer, count] + [pointer] * 6 + [count, pointer]),
+            (library.sampled_motor_loop, law + [pointer, count] + [pointer] * 2
+             + [double, count] + [pointer] * 2 + [count, pointer])):
+        function.argtypes = argtypes
+        function.restype = count
+    return library
 
 
 def _build(command: list[str], path: Path) -> None:

@@ -227,10 +227,10 @@ class ScenarioConfig:
         model = self.motor_model.friction_cogging
         if self.scenario == "constant_speed":
             return constant_speed_characterization(model, case["omega_r"])
-        profile, T = self._profile(case), 1.0 / case["frequency_hz"]
         try:
+            profile, T = self._profile(case), 1.0 / case["frequency_hz"]
             return bound_L(lambda t: eval_q(model, profile, t), T), T
-        except ValueError as exc:  # the rate gave non-finite samples
+        except ValueError as exc:  # an overflowing frequency, or non-finite rate samples
             raise ValueError(f"characterize case {case['label']!r}: {exc}") from exc
 
     @classmethod

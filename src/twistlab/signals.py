@@ -103,26 +103,6 @@ class FrictionCoggingModel:
             d = d + amp * np.sin(theta + phase)
         return d
 
-    def scalar_torque(self):
-        """Float closure ``torque(omega, theta) -> d`` for the RK4 hot loops.
-
-        Bit-identical to :meth:`torque` on Python floats.  It keeps
-        ``np.arctan``, because ``math.atan`` differs from it in the last
-        bit on rare arguments; ``math.sin`` matches ``np.sin`` and skips
-        numpy's per-call scalar overhead.
-        """
-        coulomb = self.coulomb * (2.0 / math.pi)
-        steepness, viscous, harmonics = self.steepness, self.viscous, self.harmonics
-        arctan, sin = np.arctan, math.sin
-
-        def torque(omega: float, theta: float) -> float:
-            d = coulomb * float(arctan(steepness * omega)) + viscous * omega
-            for amp, phase in harmonics:
-                d += amp * sin(theta + phase)
-            return d
-
-        return torque
-
     def rate(self, omega, omega_dot, theta):
         """Time derivative of :meth:`torque` along a motion (omega, omega_dot, theta)."""
         a = self.steepness
@@ -160,12 +140,19 @@ class MotionProfile:
         """Zero-mean sinusoidal velocity with a frequency-independent acceleration peak.
 
         omega(t) = (accel_peak / 2*pi*f) * cos(2*pi*f*t), so the acceleration
-        amplitude stays at ``accel_peak`` for every frequency.
+        amplitude stays at ``accel_peak`` for every frequency.  A frequency
+        whose ``2*pi*f``, speed amplitude or angle amplitude overflows raises
+        ValueError.
         """
         check_number(frequency_hz, name="frequency_hz")
         check_number(accel_peak, "a finite number", math.isfinite, name="accel_peak")
         w = TWO_PI * frequency_hz
         amp = accel_peak / w
+        for what, value in (("2*pi*f", w), ("accel_peak/(2*pi*f)", amp),
+                            ("accel_peak/(2*pi*f)**2", amp / w)):
+            if not math.isfinite(value):
+                raise ValueError(f"frequency_hz must keep {what} finite, got {frequency_hz!r} "
+                                 f"({what} = {value!r} at accel_peak {accel_peak!r})")
         return cls(
             omega=lambda t: amp * np.cos(w * t),
             theta=lambda t: amp / w * np.sin(w * t),

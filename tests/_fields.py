@@ -1,9 +1,10 @@
-"""The generic RK4 solver and the scalar law: the reference the written-out loops are held to.
+"""The generic RK4 solver, the scalar law and torque: the reference the C kernel is held to.
 
 ``integrate``'s C kernel and both step rules of ``twistlab.plant._motor_loop``
-write their RK4 step and the super-twisting law out on doubles.  The tests
-hold them, bit for bit, to :func:`rk4_solve` on fields built from
-:func:`twisting_law`.
+write their RK4 step, the super-twisting law and the load torque out on
+doubles.  The tests hold them, bit for bit, to :func:`rk4_solve` on fields
+built from :func:`twisting_law` and :func:`scalar_torque`, and to
+:func:`sampled_motor_loop`.
 """
 
 import math
@@ -114,10 +115,33 @@ def loop_field(gains, rate):
     return lambda t, x: law(x[0], x[1], float(rate(t)))
 
 
+def scalar_torque(model):
+    """Float closure ``torque(omega, theta) -> d``: the load torque as the C kernel computes it.
+
+    The expression of ``FrictionCoggingModel.torque`` in its operation order,
+    on ``math.atan`` and ``math.sin``, which call the kernel's libm.  It
+    equals the numpy ``torque`` bit for bit wherever ``math.atan`` and
+    ``np.arctan`` round ``steepness * omega`` alike; on rare arguments they
+    differ in the last bit.  ``math.sin`` raises ValueError on an infinite
+    angle, where C's ``sin`` returns NaN.
+    """
+    coulomb = model.coulomb * (2.0 / math.pi)
+    steepness, viscous, harmonics = model.steepness, model.viscous, model.harmonics
+    atan, sin = math.atan, math.sin
+
+    def torque(omega: float, theta: float) -> float:
+        d = coulomb * atan(steepness * omega) + viscous * omega
+        for amp, phase in harmonics:
+            d += amp * sin(theta + phase)
+        return d
+
+    return torque
+
+
 def motor_field(motor, reference, gains):
     """The continuous motor loop (t, (theta, omega, z)) -> derivatives, from ``twisting_law``."""
     law = twisting_law(gains)
-    torque = motor.friction_cogging.scalar_torque()
+    torque = scalar_torque(motor.friction_cogging)
     ref_omega, ref_accel = reference.omega, reference.omega_dot
 
     def field(t, x):
@@ -128,6 +152,60 @@ def motor_field(motor, reference, gains):
         return (omega, u0 + torque(omega, theta), dz)
 
     return field
+
+
+def sampled_motor_loop(motor, reference, gains, cfg, x0, rng=None):
+    """(times, states) of the sampled motor loop on Python floats: the sampled kernel's reference.
+
+    Takes ``_motor_loop``'s arguments, with the encoder or the noise on.  The
+    noise is drawn up front from ``rng``.  Each step quantizes theta with C's
+    ``floor`` (which keeps -0.0, inf and NaN), estimates the speed by the
+    backward difference over the last ``velocity_window`` positions (fewer in
+    the first steps; the true speed at step 0), adds the noise, applies the
+    law of :func:`twisting_law` plus the reference acceleration as a torque
+    held over one RK4 step of (theta, omega) on :func:`scalar_torque`, and
+    takes an Euler step of z.  Raises :class:`DivergenceError` at the end of
+    the first step whose state is non-finite, or in which ``math.sin`` raised
+    on a stage angle that overflowed.
+    """
+    quantum, window, noise_std = motor.encoder_quantum, motor.velocity_window, motor.noise_std
+    law, torque = twisting_law(gains), scalar_torque(motor.friction_cogging)
+    dt, n_steps = cfg.dt, cfg.n_steps
+    half, sixth = 0.5 * dt, dt / 6.0
+    times = np.arange(n_steps + 1) * dt
+    grid = times[:-1]
+    omega_r = np.broadcast_to(reference.omega(grid), grid.shape).tolist()
+    accel_r = np.broadcast_to(reference.omega_dot(grid), grid.shape).tolist()
+    noise = (noise_std * rng.standard_normal(n_steps)).tolist() if noise_std > 0.0 else None
+    theta, omega, z = (float(v) for v in x0)
+    records = array("d", (theta, omega, z))
+    measured = []  # the positions of the last window + 1 steps, oldest first
+    for k in range(n_steps):
+        theta_meas = float(np.floor(theta / quantum)) * quantum if quantum > 0.0 else theta
+        measured = (measured + [theta_meas])[-(window + 1):]
+        span = len(measured) - 1
+        omega_meas = (theta_meas - measured[0]) / (span * dt) if span else omega
+        if noise is not None:
+            omega_meas += noise[k]
+        u, dz = law(omega_meas - omega_r[k], z, -0.0)
+        u0 = u + accel_r[k]
+        try:
+            dw_a = u0 + torque(omega, theta)
+            w_b = omega + half * dw_a
+            dw_b = u0 + torque(w_b, theta + half * omega)
+            w_c = omega + half * dw_b
+            dw_c = u0 + torque(w_c, theta + half * w_b)
+            w_e = omega + dt * dw_c
+            dw_e = u0 + torque(w_e, theta + dt * w_c)
+        except ValueError as exc:  # math.sin of an angle that overflowed to inf
+            raise DivergenceError(k * dt + dt) from exc
+        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e)
+        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e)
+        z += dt * dz
+        if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(z)):
+            raise DivergenceError(k * dt + dt)
+        records.extend((theta, omega, z))
+    return times, np.frombuffer(records, dtype=float).reshape(n_steps + 1, 3)
 
 
 def solve_trajectory(field, x0, cfg):

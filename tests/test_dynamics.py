@@ -1,6 +1,7 @@
 """Control-law, vector-field and number-check unit tests."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,6 +336,22 @@ def test_a_bool_non_number_or_nan_fails_naming_its_argument(name, call, bad):
 def test_an_infinite_value_fails_naming_its_argument(name, call, bad):
     with pytest.raises(ValueError, match=rf"^{name} must be a finite "):
         call(bad)
+
+
+#: Finite frequencies > 0 whose reference overflows, and the quantity that does.
+OVERFLOWING_FREQUENCIES = [(1e308, "2*pi*f"), (1e-320, "accel_peak/(2*pi*f)"),
+                           (1e-160, "accel_peak/(2*pi*f)**2")]
+
+
+@pytest.mark.parametrize("frequency_hz, what", OVERFLOWING_FREQUENCIES)
+def test_a_frequency_whose_reference_overflows_fails_naming_it(frequency_hz, what):
+    """Not an all-NaN or infinite reference: 2*pi*f, the speed or the angle amplitude overflows."""
+    with pytest.raises(ValueError, match=rf"^frequency_hz must keep {re.escape(what)} finite, "
+                                         rf"got {re.escape(repr(frequency_hz))} "):
+        MotionProfile.sinusoidal_velocity(frequency_hz)
+    # the amplitudes scale with accel_peak: a zero peak keeps them finite
+    if what != "2*pi*f":
+        assert MotionProfile.sinusoidal_velocity(frequency_hz, accel_peak=0.0).omega(1.0) == 0.0
 
 
 def test_number_checks_keep_what_they_accepted_and_name_the_argument():

@@ -24,7 +24,8 @@ from twistlab.integrator import (DivergenceError, IntegrationConfig,
 from twistlab.plant import MotorModel, _motor_loop
 from twistlab.signals import FrictionCoggingModel, MotionProfile
 
-from _fields import loop_field, motor_field, rk4_solve, solve_trajectory
+from _fields import (loop_field, motor_field, rk4_solve, sampled_motor_loop,
+                     solve_trajectory)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -386,9 +387,10 @@ def test_continuous_motor_loop_is_rk4_solve_on_the_motor_field(loop, dt):
 def test_continuous_motor_loop_divergence_time_is_rk4_solves(loop, dt, stiffness):
     """Viscous friction too stiff for the step (dt*viscous of 4-50) blows both up together.
 
-    With cogging, ``math.sin`` of an angle that overflowed inside a step
-    raises ValueError before the step's finiteness check; both take that as
-    the divergence, at the same time.
+    With cogging, an angle can overflow inside a step.  The kernel's ``sin``
+    then returns NaN, which the step's finiteness check catches; the
+    reference's ``math.sin`` raises ValueError, which ``rk4_solve`` takes as
+    the divergence.  Both stop at the same time.
     """
     motor, reference, gains, (theta, omega, z) = loop
     model = motor.friction_cogging
@@ -404,22 +406,58 @@ def test_continuous_motor_loop_divergence_time_is_rk4_solves(loop, dt, stiffness
     assert actual.value.time == expected.value.time
 
 
+@st.composite
+def _sampled_motors(draw):
+    """A motor, reference, gains and start of ``_motor_loops`` with the encoder, noise or both on."""
+    motor, reference, gains, x0 = draw(_motor_loops())
+    quantum = draw(st.sampled_from([0.0, 1e-9, 1e-5, 1e-3, 0.05]))
+    noise_std = draw(st.sampled_from([0.0, 1e-4, 1e-2] if quantum else [1e-4, 1e-2]))
+    motor = dataclasses.replace(motor, encoder_quantum=quantum, noise_std=noise_std,
+                                velocity_window=draw(st.integers(1, 40)))
+    return motor, reference, gains, x0
+
+
+@PROPERTY
+@given(loop=_sampled_motors(), dt=st.floats(1e-5, 2e-3), seed=st.integers(0, 2 ** 32))
+def test_sampled_motor_loop_is_the_python_reference(loop, dt, seed):
+    """The sampled kernel equals the sampled loop on Python floats, bit for bit."""
+    motor, reference, gains, x0 = loop
+    cfg = IntegrationConfig(dt=dt, n_steps=300)
+    times, states = _motor_loop(motor, reference, gains, cfg, x0, np.random.default_rng(seed))
+    ref_times, ref_states = sampled_motor_loop(motor, reference, gains, cfg, x0,
+                                               np.random.default_rng(seed))
+    assert times.tobytes() == ref_times.tobytes()
+    assert states.tobytes() == ref_states.tobytes()
+
+
 def test_sampled_motor_loop_divergence_is_a_divergence_error():
-    """A stiff sampled loop stops with DivergenceError at a step's end, also when math.sin raised."""
+    """A sampled loop that blows up stops with DivergenceError at the reference's time.
+
+    Stiff viscous friction (dt*viscous of 3-50) with cogging overflows the
+    state, or an angle inside a step: the kernel's ``sin`` returns NaN there,
+    which the step's finiteness check catches, while the reference's
+    ``math.sin`` raises.  An encoder quantum of 1e-310 overflows
+    ``theta / quantum`` once theta passes about 0.018 rad: the kernel's
+    ``floor`` keeps the inf, the speed estimate that reads it is inf or NaN,
+    and the step ends non-finite.
+    """
     rng = np.random.default_rng(31)
     dt, n = 1e-3, 2000
-    causes = set()
-    for _ in range(20):
-        model = FrictionCoggingModel(viscous=float(rng.uniform(3.0, 50.0)) / dt,
-                                     harmonics=((0.5, 0.3),))
-        motor = MotorModel(friction_cogging=model, encoder_quantum=1e-5)
-        with pytest.raises(DivergenceError) as info:
-            _motor_loop(motor, MotionProfile.constant_speed(10.0), Gains(0.9, 5.0),
-                        IntegrationConfig(dt=dt, n_steps=n), (0.0, 10.3, 0.0), None)
-        k = round(info.value.time / dt) - 1
-        assert 0 <= k < n and info.value.time == k * dt + dt
-        causes.add(type(info.value.__cause__))
-    assert causes == {type(None), ValueError}  # both ways of diverging were taken
+    motors = [MotorModel(friction_cogging=FrictionCoggingModel(
+        viscous=float(rng.uniform(3.0, 50.0)) / dt, harmonics=((0.5, 0.3),)),
+        encoder_quantum=1e-5) for _ in range(20)]
+    motors += [MotorModel(encoder_quantum=1e-310),
+               MotorModel(encoder_quantum=1e-310, velocity_window=3, noise_std=1e-3)]
+    for motor in motors:
+        args = (motor, MotionProfile.constant_speed(10.0), Gains(0.9, 5.0),
+                IntegrationConfig(dt=dt, n_steps=n), (0.0, 10.3, 0.0))
+        with pytest.raises(DivergenceError) as expected:
+            sampled_motor_loop(*args, np.random.default_rng(2))
+        with pytest.raises(DivergenceError) as actual:
+            _motor_loop(*args, np.random.default_rng(2))
+        assert actual.value.time == expected.value.time
+    # the overflowed quantizer: theta passes 0.018 rad at t = 2*dt; the next step reads it
+    assert actual.value.time == 3 * dt
 
 
 def test_motor_loop_passes_a_reference_value_error_through():

@@ -14,7 +14,7 @@ from twistlab.signals import (FrictionCoggingModel, MotionProfile,
                               constant_speed_characterization)
 from twistlab.tuning import finite_time_gains
 
-from _fields import rk4_solve, twisting_law
+from _fields import rk4_solve, scalar_torque, twisting_law
 from _reconstruct import reconstruct_disturbance, robust_differentiate
 
 CALIBRATED = FrictionCoggingModel()
@@ -179,10 +179,11 @@ def test_sampled_rotor_step_matches_rk4_solve():
                                 (theta, omega, z), None)
         u, dz = twisting_law(gains)(omega - omega_r, z, -0.0)
         u0 = u + accel
+        torque = scalar_torque(model)
 
         def rotor(t, x):
             th, w = x
-            return (w, u0 + float(model.torque(w, th)))
+            return (w, u0 + torque(w, th))
 
         _, expected = rk4_solve(rotor, (theta, omega), 0.0, dt, 1)
         assert states[1, :2].tobytes() == expected[1].tobytes()
@@ -205,7 +206,7 @@ def test_sampled_velocity_estimate_matches_sliding_list(window):
     x0 = (0.01, 4.5, 0.1)  # theta moves about 40 quanta a step
     _, states = _motor_loop(motor, reference, gains, cfg, x0, np.random.default_rng(5))
 
-    law, torque = twisting_law(gains), CALIBRATED.scalar_torque()
+    law, torque = twisting_law(gains), scalar_torque(CALIBRATED)
     noise = (noise_std * np.random.default_rng(5).standard_normal(cfg.n_steps)).tolist()
     grid = np.arange(cfg.n_steps) * dt
     ref_omega, ref_accel = reference.omega(grid).tolist(), reference.omega_dot(grid).tolist()

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -365,6 +366,16 @@ def test_non_finite_rate_fails_at_load_naming_the_case():
         ScenarioConfig.from_dict(_constant_speed_config(
             scenario="sinusoidal_velocity", parameters={"frequency_hz": [2.0]},
             perturbation={"viscous": 1e308}))
+
+
+@pytest.mark.parametrize("frequency_hz, what", [(1e308, "2*pi*f"), (1e-320, "accel_peak/(2*pi*f)")])
+def test_an_overflowing_frequency_fails_at_load_naming_the_case_and_the_key(frequency_hz, what):
+    """A frequency whose reference overflows fails while its case is characterized."""
+    label = re.escape(f"f{frequency_hz:g}")
+    with pytest.raises(ValueError, match=rf"^characterize case '{label}': frequency_hz must keep "
+                                         rf"{re.escape(what)} finite"):
+        ScenarioConfig.from_dict(_constant_speed_config(
+            scenario="sinusoidal_velocity", parameters={"frequency_hz": [2.0, frequency_hz]}))
 
 
 #: Per gains source: a valid section, and a non-default valid value for each key it reads.
