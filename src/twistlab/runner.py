@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import io
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import numpy as np
 from .analysis import (MIN_STROBE_PERIODS, LimitCycleReport, bound_comparison_table,
                        build_report, final_periods, scaling_fit)
 from .dynamics import DEFAULT_DELTA, Gains, check_number, default_layer_width, twisting_action
-from .integrator import IntegrationConfig, Trajectory, integrate
+from .integrator import IntegrationConfig, Trajectory, integrate, write_csv
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
                       TWO_PI, bound_L, constant_speed_characterization, eval_q)
@@ -425,10 +426,9 @@ def _phase_csv(traj: Trajectory, period: float, gains: Gains) -> str:
     """w1/w2 over the final period's records, the amplitude's; w2 from the recorded channels."""
     final = final_periods(traj, period)
     x1 = traj.x1[final]
-    w2 = twisting_action(x1, traj.x2[final], gains)
-    lines = ["w1,w2"]
-    lines.extend(f"{float(a)!r},{float(b)!r}" for a, b in zip(x1, w2))
-    return "\n".join(lines) + "\n"
+    table = io.BytesIO()
+    write_csv(table, "w1,w2", (x1, twisting_action(x1, traj.x2[final], gains)))
+    return table.getvalue().decode("ascii")
 
 
 def _emit_run(result: RunResult, out: Path) -> None:

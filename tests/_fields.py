@@ -1,10 +1,11 @@
-"""The generic RK4 solver, the scalar law and torque: the reference the C kernel is held to.
+"""The generic RK4 solver, the scalar law, torque and ``repr`` CSV: the C kernel's references.
 
 ``integrate``'s C kernel and both step rules of ``twistlab.plant._motor_loop``
 write their RK4 step, the super-twisting law and the load torque out on
 doubles.  The tests hold them, bit for bit, to :func:`rk4_solve` on fields
 built from :func:`twisting_law` and :func:`scalar_torque`, and to
-:func:`sampled_motor_loop`.
+:func:`sampled_motor_loop`.  The kernel's CSV writer is held, byte for byte,
+to :func:`repr_csv`.
 """
 
 import math
@@ -214,3 +215,13 @@ def solve_trajectory(field, x0, cfg):
     u, d, q = (np.zeros_like(times) for _ in range(3))
     return Trajectory(t=times, x1=states[:, 0].copy(), x2=states[:, 1].copy(),
                       u=u, d=d, q=q, dt=cfg.dt)
+
+
+def repr_csv(header: str, columns) -> bytes:
+    """The CSV table ``write_csv`` writes: ``header``, then one row of ``repr`` floats per index.
+
+    Formatted from Python floats (``tolist``), as ``Trajectory.to_csv`` did
+    before the formatting moved into the kernel.
+    """
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return (header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)).encode()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import shlex
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twistlab
@@ -24,7 +25,7 @@ from twistlab.integrator import (DivergenceError, IntegrationConfig,
 from twistlab.plant import MotorModel, _motor_loop
 from twistlab.signals import FrictionCoggingModel, MotionProfile
 
-from _fields import (loop_field, motor_field, rk4_solve, sampled_motor_loop,
+from _fields import (loop_field, motor_field, repr_csv, rk4_solve, sampled_motor_loop,
                      solve_trajectory)
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -584,9 +585,52 @@ def test_csv_round_trip(tmp_path):
     traj.to_csv(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert path.read_text().splitlines()[0] == "t,x1,x2,u,d,q"
-    assert np.array_equal(data[:, 0], traj.t)
-    assert np.array_equal(data[:, 1], traj.x1)
-    assert np.array_equal(data[:, 3], traj.u)
+    channels = (traj.t, traj.x1, traj.x2, traj.u, traj.d, traj.q)
+    for column, channel in zip(data.T, channels, strict=True):
+        assert np.array_equal(column, channel)
+    assert path.read_bytes() == repr_csv(integrator.CSV_HEADER, channels)
+
+
+def _patterns(values):
+    """The 64-bit patterns of the doubles ``values``."""
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+#: Doubles at the edges of the range and of repr's two notations.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308, 1e16, 9999999999999998.0,
+          1e-4, 1e-5, 0.0001234, 1.0, 0.1, math.inf, -math.inf, math.nan, -math.nan]
+#: Every power of two and its two neighbours.
+_POWERS_OF_TWO = [v for e in range(-1074, 1024)
+                  for v in (math.nextafter(math.ldexp(1.0, e), 0.0), math.ldexp(1.0, e),
+                            math.nextafter(math.ldexp(1.0, e), math.inf))]
+
+
+@PROPERTY
+@example(patterns=_patterns(_EDGES))
+@example(patterns=_patterns(_POWERS_OF_TWO))
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_format_rows_writes_each_double_as_repr(patterns):
+    """The kernel's CSV rows equal repr's, byte for byte, on raw 64-bit patterns."""
+    values = np.array(patterns, dtype=np.uint64).view(float)
+    columns = (values, values[::-1])
+    table = io.BytesIO()
+    integrator.write_csv(table, "a,b", columns)
+    assert table.getvalue() == repr_csv("a,b", columns)
+
+
+def test_the_longest_reprs_fill_the_csv_buffer():
+    """The longest reprs have 24 characters: with its separator, each fills the writer's
+    CSV_VALUE_BYTES, over a whole chunk and the one row that a second call formats."""
+    longest = [-2.2250738585072014e-308, -1.7976931348623157e308, -1.2345678901234567e-100]
+    assert [len(repr(v)) for v in longest] == [integrator.CSV_VALUE_BYTES - 1] * 3
+    columns = [np.resize(longest, integrator.CSV_CHUNK_ROWS + 1)] * 6
+    table = io.BytesIO()
+    integrator.write_csv(table, integrator.CSV_HEADER, columns)
+    assert table.getvalue() == repr_csv(integrator.CSV_HEADER, columns)
+    assert len(table.getvalue()) == (len(integrator.CSV_HEADER) + 1
+                                     + (integrator.CSV_CHUNK_ROWS + 1) * 6
+                                     * integrator.CSV_VALUE_BYTES)
 
 
 def test_detect_crossings_sine():
@@ -655,3 +699,18 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(t=np.array([0.0, 1.0]), x1=np.zeros(3), x2=np.zeros(2),
                    u=np.zeros(2), d=np.zeros(2), q=np.zeros(2), dt=1.0)
+
+
+def test_trajectory_rejects_a_channel_that_is_not_1d(tmp_path):
+    """A 2-D channel of the right length, or a scalar one, is refused by name; lists stay accepted."""
+    channels = {name: np.zeros(3) for name in ("t", "x1", "x2", "u", "d", "q")}
+    channels["t"] = np.arange(3.0)
+    for name in channels:
+        for bad in (np.zeros((3, 2)), 0.0):
+            with pytest.raises(ValueError, match=f"channel {name} must be 1-D"):
+                Trajectory(**{**channels, name: bad}, dt=1.0)
+    listed = Trajectory(t=[0.0, 0.5, 1.0], x1=[1, 2, 3], x2=[0.1] * 3, u=[-0.0] * 3,
+                        d=[1e300] * 3, q=[0] * 3, dt=0.5)
+    listed.to_csv(tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == repr_csv(
+        integrator.CSV_HEADER, (listed.t, listed.x1, listed.x2, listed.u, listed.d, listed.q))

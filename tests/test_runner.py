@@ -633,7 +633,7 @@ def test_reports_json_entries_hold_the_schema_1_keys_in_order(tmp_path):
 
 def test_phase_csv_holds_the_records_the_amplitude_is_read_from(tmp_path):
     """Each converged run's phase.csv is its final period's steps_per_period + 1 records,
-    and their max |w1| is the amplitude in reports.json."""
+    each value as repr writes it, and their max |w1| is the amplitude in reports.json."""
     synthetic = {**SYNTHETIC, "integration": {"steps_per_period": 1000, "periods": 12}}
     converged = 0
     for name, config in (("synthetic", synthetic), ("motor", MIXED_OUTCOMES)):
@@ -643,8 +643,10 @@ def test_phase_csv_holds_the_records_the_amplitude_is_read_from(tmp_path):
             if not run.get("converged"):
                 continue
             converged += 1
-            rows = (out / run["label"] / "phase.csv").read_text().splitlines()[1:]
+            header, *rows = (out / run["label"] / "phase.csv").read_text().splitlines()
+            assert header == "w1,w2"
             assert len(rows) == config["integration"]["steps_per_period"] + 1
+            assert all(value == repr(float(value)) for row in rows for value in row.split(","))
             assert max(abs(float(row.split(",")[0])) for row in rows) == run["amplitude"]
     assert converged == 5
 
