@@ -125,7 +125,7 @@ def write_csv(fh, header: str, columns) -> None:
     shortest round-trip digits (U. Adams, PLDI 2018) in ``repr``'s layout.
     It formats ``CSV_CHUNK_ROWS`` rows per call into one reused buffer of
     ``CSV_VALUE_BYTES`` per value.  On a 2-vCPU Intel Xeon VM (gcc 12) it
-    took about 0.1 us per value, where ``repr`` took about 1.2 us.
+    took 0.04 us per value, where ``repr`` took 0.53 us.
     """
     columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
     n_rows = len(columns[0])
@@ -171,6 +171,54 @@ def on_grid(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(np.broadcast_to(f(grid), grid.shape), dtype=float)
 
 
+def stage_grids(f: Callable[[np.ndarray], np.ndarray], cfg: IntegrationConfig) -> list[np.ndarray]:
+    """``f`` on the RK4 stage times ``k*dt``, ``k*dt + dt/2`` (both midpoints) and ``k*dt + dt``."""
+    grid = np.arange(cfg.n_steps) * cfg.dt
+    return [on_grid(f, g) for g in (grid, grid + 0.5 * cfg.dt, grid + cfg.dt)]
+
+
+#: The states each kernel loop steps: the length of its rows in ``states``.
+_LOOP_STATES = {"rk4_loop": 2, "motor_loop": 3, "sampled_motor_loop": 3}
+
+
+def run_loop(name: str, gains: Gains, cfg: IntegrationConfig, x0,
+             *args) -> tuple[np.ndarray, np.ndarray]:
+    """(times, states) of the kernel loop ``name`` stepped ``cfg.n_steps`` times from ``x0``.
+
+    ``times`` is ``k*dt`` for every record ``k``, and ``states`` holds one
+    row of the loop's states per record, row 0 being ``x0``.  The loop is
+    called as ``name(-k1, -k2, delta, dt, *args, n_steps, states)``; a numpy
+    array in ``args`` is passed by its address, so it must be contiguous
+    float64, as :func:`on_grid` and :func:`stage_grids` return.  Every loop
+    reads stage ``k``'s inputs by index and writes the law in
+    :func:`~twistlab.dynamics.twisting_action`'s operation order (see
+    :data:`_KERNEL_SOURCE`).  The first call in a process builds or loads
+    the kernel, which needs a C compiler (see :func:`_rk4_kernel`).  Raises
+    :class:`DivergenceError` at the end of the first step whose state is
+    non-finite.
+
+    A whole call over 20,000 steps, grids and noise included, took per step
+    (2-vCPU Intel Xeon VM, gcc 12, CPython 3.11): 0.13 us for
+    :func:`integrate`, and for the motor loop 0.19 us at constant speed,
+    0.25 us on a 4 Hz sinusoidal reference and 0.21 us sampled.  Their
+    references on Python floats in ``tests/_fields.py`` took 3.4, 4.0, 5.7
+    and 2.8 us per step, to the same bits.
+    """
+    start = [float(v) for v in x0]
+    if len(start) != _LOOP_STATES[name]:
+        raise ValueError(f"{name} steps {_LOOP_STATES[name]} states, got {len(start)}")
+    dt, n_steps = cfg.dt, cfg.n_steps
+    times = np.arange(n_steps + 1) * dt
+    states = np.empty((n_steps + 1, len(start)))
+    states[0] = start
+    addresses = (a.ctypes.data if isinstance(a, np.ndarray) else a for a in args)
+    steps = getattr(_rk4_kernel(), name)(-gains.k1, -gains.k2, gains.delta, dt, *addresses,
+                                         n_steps, states.ctypes.data)
+    if steps < n_steps:
+        raise DivergenceError(steps * dt + dt)
+    return times, states
+
+
 def integrate(gains: Gains, rate: Callable[[np.ndarray], np.ndarray], x0,
               cfg: IntegrationConfig) -> Trajectory:
     """Integrate the reduced loop from ``x0 = (x1, x2)`` at t = 0 into a :class:`Trajectory`.
@@ -178,50 +226,31 @@ def integrate(gains: Gains, rate: Callable[[np.ndarray], np.ndarray], x0,
         dx1 = -k1*sqrt(|x1|)*s + x2
         dx2 = -k2*s + rate(t),       s = sat(x1/delta)
 
-    ``rate`` takes an array of times and is called once on each of the
-    three stage grids, ``k*dt``, ``k*dt + dt/2`` (both midpoint stages) and
-    ``k*dt + dt``.  The classical RK4 steps then run in a C kernel,
-    :data:`_KERNEL_SOURCE`, with the law inlined in
-    :func:`~twistlab.dynamics.twisting_action`'s operation order; it reads
-    stage ``k``'s rates by index and writes every state into the records.
-    On a 2-vCPU Intel Xeon VM (gcc 12) the kernel took 0.07 us per step and
-    the whole call 0.19 us per step over 20,000 steps, grids included; the
-    same step written on Python floats took 1.35 us, to the same bits.  The
-    first call in a process builds or loads the kernel, which needs a C
-    compiler (see :func:`_rk4_kernel`).  Raises :class:`DivergenceError` at
-    the end of the first step whose state is non-finite.  The ``u``, ``d``
-    and ``q`` channels are zero; a caller that knows them swaps them in
-    with ``dataclasses.replace``.
+    ``rate`` takes an array of times and is called once on each of
+    :func:`stage_grids`; the kernel's ``rk4_loop`` takes the classical RK4
+    steps through :func:`run_loop`.  The ``u``, ``d`` and ``q`` channels
+    are zero; a caller that knows them swaps them in with
+    ``dataclasses.replace``.
     """
     start = tuple(float(v) for v in x0)
     if len(start) != 2:
         raise ValueError(f"integrate expects a planar state (x1, x2), got {len(start)} states")
-
-    dt, n_steps = cfg.dt, cfg.n_steps
-    times = np.arange(n_steps + 1) * dt
-    grid = times[:-1]
-    rates = [on_grid(rate, g) for g in (grid, grid + 0.5 * dt, grid + dt)]
-    x1, x2 = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    x1[0], x2[0] = start
-    steps = _rk4_kernel().rk4_loop(-gains.k1, -gains.k2, gains.delta, dt,
-                                   *(r.ctypes.data for r in rates), n_steps,
-                                   x1.ctypes.data, x2.ctypes.data)
-    if steps < n_steps:
-        raise DivergenceError(steps * dt + dt)
-
+    times, states = run_loop("rk4_loop", gains, cfg, start, *stage_grids(rate, cfg))
     u, d, q = (np.zeros_like(times) for _ in range(3))
-    return Trajectory(t=times, x1=x1, x2=x2, u=u, d=d, q=q, dt=cfg.dt)
+    return Trajectory(t=times, x1=states[:, 0].copy(), x2=states[:, 1].copy(), u=u, d=d, q=q,
+                      dt=cfg.dt)
 
 
 #: The RK4 steps in C: the reduced loop (``rk4_loop``) and both step rules of
-#: the motor loop (``motor_loop``, ``sampled_motor_loop``).  Each expression
-#: keeps the operation order of its reference in tests/_fields.py:
-#: ``rk4_solve`` on ``loop_field`` or ``motor_field``, and
-#: ``sampled_motor_loop``.  With ``FLT_EVAL_METHOD == 0`` and no contraction
-#: into FMA, every ``+ - * /`` and ``sqrt`` rounds to double as CPython's float
-#: does, and ``atan`` and ``sin`` are the libm calls behind ``math.atan`` and
-#: ``math.sin``.  The same library holds the CSV writer ``format_rows``, held
-#: to ``repr_csv`` there byte for byte; it needs ``unsigned __int128``.
+#: the motor loop (``motor_loop``, ``sampled_motor_loop``), each called
+#: through :func:`run_loop`.  Each expression keeps the operation order of its
+#: reference in tests/_fields.py: ``rk4_solve`` on ``loop_field`` or
+#: ``motor_field``, and ``sampled_motor_loop``.  With ``FLT_EVAL_METHOD == 0``
+#: and no contraction into FMA, every ``+ - * /`` and ``sqrt`` rounds to double
+#: as CPython's float does, and ``atan`` and ``sin`` are the libm calls behind
+#: ``math.atan`` and ``math.sin``.  The same library holds the CSV writer
+#: ``format_rows``, held to ``repr_csv`` there byte for byte; it needs
+#: ``unsigned __int128``.
 _KERNEL_SOURCE = r"""
 #include <float.h>
 #include <math.h>
@@ -240,44 +269,39 @@ static double sat(double s)
     return s > 1.0 ? 1.0 : (s < -1.0 ? -1.0 : s);
 }
 
-/* Steps (x1s[0], x2s[0]) into x1s[1..n_steps] and x2s[1..n_steps].  Returns
-   n_steps, or the index k of the first step that ends on a non-finite state. */
+/* Every loop steps the row states[0 .. n - 1] of its n states into row k,
+   states[n * k .. n * k + n - 1], for k = 1..n_steps, reading stage k's inputs
+   by index.  It returns n_steps, or the index k of the first step that ends on
+   a non-finite state. */
+
+/* One stage of the reduced loop: returns dx1, and sets *dx2. */
+static double loop_stage(double neg_k1, double neg_k2, double delta, double x1, double x2,
+                         double rate, double *dx2)
+{
+    const double s = sat(x1 / delta);
+    *dx2 = neg_k2 * s + rate;
+    return neg_k1 * sqrt(fabs(x1)) * s + x2;
+}
+
+/* The reduced loop: states (x1, x2), the rate on stage k's times. */
 int64_t rk4_loop(double neg_k1, double neg_k2, double delta, double dt,
                  const double *rate_a, const double *rate_mid, const double *rate_end,
-                 int64_t n_steps, double *x1s, double *x2s)
+                 int64_t n_steps, double *states)
 {
     const double half = 0.5 * dt, sixth = dt / 6.0;
-    double x1 = x1s[0], x2 = x2s[0];
+    double x1 = states[0], x2 = states[1];
     for (int64_t k = 0; k < n_steps; k++) {
-        double s, y1, y2, a1, a2, b1, b2, c1, c2, e1, e2;
-        s = sat(x1 / delta);
-        a1 = neg_k1 * sqrt(fabs(x1)) * s + x2;
-        a2 = neg_k2 * s + rate_a[k];
-
-        y1 = x1 + half * a1;
-        y2 = x2 + half * a2;
-        s = sat(y1 / delta);
-        b1 = neg_k1 * sqrt(fabs(y1)) * s + y2;
-        b2 = neg_k2 * s + rate_mid[k];
-
-        y1 = x1 + half * b1;
-        y2 = x2 + half * b2;
-        s = sat(y1 / delta);
-        c1 = neg_k1 * sqrt(fabs(y1)) * s + y2;
-        c2 = neg_k2 * s + rate_mid[k];
-
-        y1 = x1 + dt * c1;
-        y2 = x2 + dt * c2;
-        s = sat(y1 / delta);
-        e1 = neg_k1 * sqrt(fabs(y1)) * s + y2;
-        e2 = neg_k2 * s + rate_end[k];
-
+        double a1, a2, b1, b2, c1, c2, e1, e2;
+        a1 = loop_stage(neg_k1, neg_k2, delta, x1, x2, rate_a[k], &a2);
+        b1 = loop_stage(neg_k1, neg_k2, delta, x1 + half * a1, x2 + half * a2, rate_mid[k], &b2);
+        c1 = loop_stage(neg_k1, neg_k2, delta, x1 + half * b1, x2 + half * b2, rate_mid[k], &c2);
+        e1 = loop_stage(neg_k1, neg_k2, delta, x1 + dt * c1, x2 + dt * c2, rate_end[k], &e2);
         x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1);
         x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2);
         if (!(isfinite(x1) && isfinite(x2)))
             return k;
-        x1s[k + 1] = x1;
-        x2s[k + 1] = x2;
+        states[2 * k + 2] = x1;
+        states[2 * k + 3] = x2;
     }
     return n_steps;
 }
@@ -310,9 +334,8 @@ static double motor_stage(const struct motor *m, double theta, double omega, dou
     return u0 + torque(m->model, m->n_harmonics, omega, theta);
 }
 
-/* Steps states[0..2] = (theta, omega, z) into states[3 * k .. 3 * k + 2] for
-   k = 1..n_steps, reading the reference at stage k's times by index.  Returns
-   n_steps, or the index k of the first step that ends on a non-finite state. */
+/* The continuous motor loop: states (theta, omega, z), the reference on stage
+   k's times. */
 int64_t motor_loop(double neg_k1, double neg_k2, double delta, double dt,
                    const double *model, int64_t n_harmonics,
                    const double *omega_a, const double *omega_mid, const double *omega_end,
@@ -352,7 +375,8 @@ int64_t motor_loop(double neg_k1, double neg_k2, double delta, double dt,
    unquantized) plus noise[k] (NULL: no noise); u0 is held over the rotor's RK4
    step and z takes an Euler step.  `measured` is a ring of window + 1
    positions: step k's at k % (window + 1), so step k - window's is the slot
-   after it.  States, reference and return value as in motor_loop. */
+   after it.  The caller keeps window <= n_steps, so window + 1 cannot
+   overflow.  States as in motor_loop, the reference on k*dt. */
 int64_t sampled_motor_loop(double neg_k1, double neg_k2, double delta, double dt,
                            const double *model, int64_t n_harmonics,
                            const double *omega_r, const double *accel_r,
@@ -697,12 +721,13 @@ def _load_kernel():
             _build(command, path)
             library = ctypes.CDLL(str(path))  # the mapped library outlives its file
     double, pointer, count = ctypes.c_double, ctypes.c_void_p, ctypes.c_int64
-    law = [double] * 4  # -k1, -k2, delta, dt
+    law, steps = [double] * 4, [count, pointer]  # -k1, -k2, delta, dt; n_steps, states
+    motor = [pointer, count]  # model, n_harmonics
     for function, argtypes in (
-            (library.rk4_loop, law + [pointer] * 3 + [count] + [pointer] * 2),
-            (library.motor_loop, law + [pointer, count] + [pointer] * 6 + [count, pointer]),
-            (library.sampled_motor_loop, law + [pointer, count] + [pointer] * 2
-             + [double, count] + [pointer] * 2 + [count, pointer]),
+            (library.rk4_loop, law + [pointer] * 3 + steps),
+            (library.motor_loop, law + motor + [pointer] * 6 + steps),
+            (library.sampled_motor_loop,
+             law + motor + [pointer] * 2 + [double, count] + [pointer] * 2 + steps),
             (library.format_rows, [pointer] + [count] * 3 + [pointer] * 3)):
         function.argtypes = argtypes
         function.restype = count

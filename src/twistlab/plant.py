@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Gains, check_number, twisting_action
-from .integrator import DivergenceError, IntegrationConfig, Trajectory, _rk4_kernel, on_grid
+from .integrator import IntegrationConfig, Trajectory, on_grid, run_loop, stage_grids
 from .signals import FrictionCoggingModel, MotionProfile
 
 __all__ = ["MotorModel", "simulate_motor_loop"]
@@ -84,55 +84,32 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
 def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,
                 cfg: IntegrationConfig, x0,
                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(times, states) of the speed loop, one RK4 step of the rotor per ``dt`` in the C kernel.
+    """(times, states) of the speed loop, one RK4 step of the rotor per ``dt``, by :func:`run_loop`.
 
-    The reference's ``omega`` and ``omega_dot`` are called once on each
-    stage grid a rule reads, and the step reads stage ``k``'s values by index.
     Continuous (encoder and noise off): ``motor_loop``, an RK4 step of
-    (theta, omega, z) on the true speed, with the reference on the grids
-    ``k*dt``, ``k*dt + dt/2`` (both midpoints) and ``k*dt + dt``.  Sampled:
-    ``sampled_motor_loop``, with the reference on ``k*dt`` and the noise
-    drawn up front; the law acts on the quantized, backward-differenced, noisy
-    speed, u0 is held over the rotor's RK4 step, and z takes an Euler step.
-    Both rules are written out in :data:`~twistlab.integrator._KERNEL_SOURCE`
-    with the law in ``twisting_action``'s operation order and the torque on
-    libm's ``atan`` and ``sin``.  On a 2-vCPU Intel Xeon VM (gcc 12), a
-    whole call over 20,000 steps, grids and noise included, took 0.20 us per
-    step at constant speed, 0.29 us on a 4 Hz sinusoidal reference and 0.23 us
-    sampled, against 3.1, 3.1 and 2.5 us for the same steps written on Python
-    floats, to the same bits.  A non-finite state, also the NaN that ``sin``
-    gives on a stage angle overflowed to inf, raises :class:`DivergenceError`
-    at the end of its step.
+    (theta, omega, z) on the true speed, with the reference's ``omega`` and
+    ``omega_dot`` on :func:`stage_grids`.  Sampled: ``sampled_motor_loop``,
+    with the reference on ``k*dt`` and the noise drawn up front; the law
+    acts on the quantized, backward-differenced, noisy speed, u0 is held
+    over the rotor's RK4 step, and z takes an Euler step.  The torque calls
+    libm's ``atan`` and ``sin``; the NaN that ``sin`` gives on a stage angle
+    overflowed to inf is a divergence.
     """
-    quantum, window, noise_std = motor.encoder_quantum, motor.velocity_window, motor.noise_std
+    quantum, noise_std = motor.encoder_quantum, motor.noise_std
     if noise_std > 0.0 and rng is None:
         raise ValueError("noise injection requires an rng")
     friction = motor.friction_cogging
     model = np.array([friction.coulomb * (2.0 / math.pi), friction.steepness, friction.viscous,
                       *(v for harmonic in friction.harmonics for v in harmonic)])
-    dt, n_steps = cfg.dt, cfg.n_steps
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, 3))
-    states[0] = [float(v) for v in x0]
-    # the arguments both kernel functions open with
-    shared = (-gains.k1, -gains.k2, gains.delta, dt, model.ctypes.data, len(friction.harmonics))
-    grid = times[:-1]
+    load = (model, len(friction.harmonics))
     if quantum > 0.0 or noise_std > 0.0:
-        omega_r, accel_r = on_grid(reference.omega, grid), on_grid(reference.omega_dot, grid)
-        noise = noise_std * rng.standard_normal(n_steps) if noise_std > 0.0 else None
-        # the kernel's ring of positions; no slot past the last step is written
-        measured = np.empty(min(window, n_steps) + 1)
-        steps = _rk4_kernel().sampled_motor_loop(
-            *shared, omega_r.ctypes.data, accel_r.ctypes.data, quantum, window,
-            None if noise is None else noise.ctypes.data, measured.ctypes.data,
-            n_steps, states.ctypes.data)
-    else:
-        grids = (grid, grid + 0.5 * dt, grid + dt)
-        omega_grids = [on_grid(reference.omega, g) for g in grids]
-        accel_grids = [on_grid(reference.omega_dot, g) for g in grids]
-        steps = _rk4_kernel().motor_loop(
-            *shared, *(a.ctypes.data for a in omega_grids + accel_grids), n_steps,
-            states.ctypes.data)
-    if steps < n_steps:
-        raise DivergenceError(steps * dt + dt)
-    return times, states
+        grid = np.arange(cfg.n_steps) * cfg.dt
+        noise = noise_std * rng.standard_normal(cfg.n_steps) if noise_std > 0.0 else None
+        # no step looks back past step 0, so a longer window gives the same bits; the last
+        # argument is the kernel's ring of window + 1 measured positions
+        window = min(motor.velocity_window, cfg.n_steps)
+        return run_loop("sampled_motor_loop", gains, cfg, x0, *load,
+                        on_grid(reference.omega, grid), on_grid(reference.omega_dot, grid),
+                        quantum, window, noise, np.empty(window + 1))
+    return run_loop("motor_loop", gains, cfg, x0, *load, *stage_grids(reference.omega, cfg),
+                    *stage_grids(reference.omega_dot, cfg))

@@ -1,6 +1,6 @@
 """Scenario engine and command-line interface.
 
-Executes single runs and parameter sweeps over three scenario kinds
+Executes parameter sweeps over three scenario kinds
 (constant-speed motor, sinusoidal-velocity motor, synthetic sinusoidal
 rate), measures each run's limit cycle, and writes CSV trajectories,
 phase-plot data, bound tables and a text summary.  Physics is fully
@@ -553,13 +553,8 @@ def _load_config(args) -> ScenarioConfig:
     return ScenarioConfig.from_file(args.config, overrides)
 
 
-def _cmd_run(args, single: bool) -> int:
-    cfg = _load_config(args)
-    if single and len(cfg.cases) != 1:
-        print(f"simulate expects exactly one parameter case, found {len(cfg.cases)}; "
-              "use `sweep` for parameter sets", file=sys.stderr)
-        return 1
-    results = run_scenario(cfg, workers=1 if single else args.workers, out_dir=args.out or None)
+def _cmd_sweep(args) -> int:
+    results = run_scenario(_load_config(args), workers=args.workers, out_dir=args.out or None)
     if args.out:
         converged = sum(r.converged for r in results)
         print(f"{converged}/{len(results)} runs converged; outputs in {args.out}")
@@ -634,26 +629,22 @@ def main(argv=None) -> int:
         description="Under-tuned super-twisting loop simulation and tuning laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    runs = [sub.add_parser("simulate", help="run a single parameter case"),
-            sub.add_parser("sweep", help="run a parameter sweep")]
+    sweep = sub.add_parser("sweep", help="run a parameter sweep")
     tune = sub.add_parser("tune", help="print the gains each case runs with, and their bounds")
     table = sub.add_parser("table", help="re-render the bounds table from stored results")
-    for command in (*runs, tune):
+    for command in (sweep, tune):
         command.add_argument("--config", required=True, help="JSON scenario config")
         command.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                              help="dotted-path config override, e.g. integration.periods=60")
-    for command in runs:
-        command.add_argument("--out", default=None, help="output directory")
-    runs[1].add_argument("--workers", type=_worker_count, default=1,
-                         help="parallel runs (an integer >= 1)")
+    sweep.add_argument("--out", default=None, help="output directory")
+    sweep.add_argument("--workers", type=_worker_count, default=1,
+                       help="parallel runs (an integer >= 1)")
     table.add_argument("--out", required=True, help="results directory of an earlier sweep")
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_run(args, single=True)
         if args.command == "sweep":
-            return _cmd_run(args, single=False)
+            return _cmd_sweep(args)
         if args.command == "tune":
             return _cmd_tune(args)
         return _cmd_table(args)

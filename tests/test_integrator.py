@@ -142,9 +142,14 @@ def test_rk4_solve_rejects_other_state_sizes():
     for x0 in ((1.0,), (1.0, 0.0, 0.0, 0.0)):
         with pytest.raises(ValueError, match=f"got {len(x0)} states"):
             rk4_solve(lambda t, x: x, x0, 0.0, 1e-3, 10)
+    cfg = IntegrationConfig(dt=1e-3, n_steps=10)
     with pytest.raises(ValueError, match="planar"):
-        integrate(Gains(1.0, 1.0), lambda t: 0.0, (1.0, 0.0, 0.0),
-                  IntegrationConfig(dt=1e-3, n_steps=10))
+        integrate(Gains(1.0, 1.0), lambda t: 0.0, (1.0, 0.0, 0.0), cfg)
+    # both motor loops step (theta, omega, z): a start of another size never reaches the kernel
+    for motor in (MotorModel(), MotorModel(encoder_quantum=1e-5)):  # continuous, sampled
+        for x0 in ((0.0,), (0.0, 18.0), (0.0, 18.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match=f"motor_loop steps 3 states, got {len(x0)}$"):
+                _motor_loop(motor, MotionProfile.constant_speed(18.0), Gains(0.9, 11.65), cfg, x0)
 
 
 @PROPERTY

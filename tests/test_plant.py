@@ -226,6 +226,21 @@ def test_sampled_velocity_estimate_matches_sliding_list(window):
     assert states.tobytes() == np.array(expected).tobytes()
 
 
+def test_a_velocity_window_past_the_run_reads_as_the_run():
+    """No step looks back past step 0, so a window of n_steps or longer gives the same bits.
+
+    10**19 does not fit the kernel's int64 window, and 2**63 - 1 leaves no
+    room for the ring's one extra slot; neither may wrap.
+    """
+    period = 2 * math.pi / 18.0
+    cfg = IntegrationConfig.for_period(period, steps_per_period=200, periods=10)
+    records = [_motor_loop(MotorModel(encoder_quantum=1e-5, velocity_window=window),
+                           MotionProfile.constant_speed(18.0), Gains(0.9, 11.65), cfg,
+                           (0.0, 18.0, 0.0))[1].tobytes()
+               for window in (cfg.n_steps, 10**19, 2**63 - 1)]
+    assert records[1] == records[0] and records[2] == records[0]
+
+
 def test_reconstruct_disturbance_accuracy():
     """Noiseless reconstruction recovers the recorded d within 2% RMS."""
     motor = MotorModel(friction_cogging=CALIBRATED)

@@ -203,7 +203,7 @@ def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SYNTHETIC))
     for key in ("integration.steps_per_periods", "motor.noise_std", "perturbation.coulomb"):
-        assert main(["simulate", "--config", str(path), "--override", f"{key}=10"]) == 1
+        assert main(["sweep", "--config", str(path), "--override", f"{key}=10"]) == 1
         assert key in capsys.readouterr().err
 
 
@@ -761,7 +761,7 @@ def test_python_m_twistlab_runs_without_warnings():
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "twistlab", "--help"],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: twistlab")
+    assert proc.stdout.startswith("usage: twistlab [-h] {sweep,tune,table} ...\n")
     assert proc.stderr == ""
 
 
@@ -860,22 +860,18 @@ def test_round_trip_identical_outputs(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_cli_simulate_and_table(tmp_path, capsys):
+def test_cli_sweep_and_table(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({**SYNTHETIC,
                                        "parameters": {"cases": [[12.0, 0.2]]},
                                        "integration": {"steps_per_period": 2000,
                                                        "periods": 15}}))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
     assert (out / "reports.json").exists()
     assert main(["table", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "L12_T0.2" in captured.out
-
-    # simulate refuses multi-case configs
-    config_path.write_text(json.dumps(SYNTHETIC))
-    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
 
 
 def test_cli_table_rejects_malformed_reports(tmp_path, capsys):
@@ -1004,7 +1000,7 @@ def test_cli_tune_infeasible_spec_exits_2(gains, case, line, tmp_path, capsys):
 
 
 def test_cli_bad_config_path():
-    assert main(["simulate", "--config", "/nonexistent/cfg.json"]) == 1
+    assert main(["sweep", "--config", "/nonexistent/cfg.json"]) == 1
 
 
 def test_cli_config_that_is_not_an_object_exits_1(tmp_path, capsys, monkeypatch):
@@ -1024,10 +1020,11 @@ def test_cli_config_that_is_not_an_object_exits_1(tmp_path, capsys, monkeypatch)
     ["table", "--out", "OUT", "--config", "CFG"], ["table", "--out", "OUT", "--override", "seed=1"],
     ["table", "--out", "OUT", "--workers", "2"], ["table"],
     ["tune", "--config", "CFG", "--out", "NEW"], ["tune", "--config", "CFG", "--workers", "2"],
-    ["simulate", "--config", "CFG", "--workers", "2"],
+    ["sweep", "--out", "NEW"], ["simulate", "--config", "CFG"],
 ])
 def test_cli_rejects_flags_a_command_does_not_read(flags, tmp_path, capsys):
-    """A flag the command does not read, or table without --out, is a usage error (exit 2)."""
+    """A flag the command does not read, a command without its required flag, or an unknown
+    command, is a usage error (exit 2)."""
     paths = {"CFG": tmp_path / "cfg.json", "OUT": tmp_path / "out", "NEW": tmp_path / "new"}
     paths["CFG"].write_text(json.dumps(SYNTHETIC))
     paths["OUT"].mkdir()
