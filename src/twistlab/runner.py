@@ -25,14 +25,13 @@ import numpy as np
 
 from .analysis import (MIN_STROBE_PERIODS, LimitCycleReport, bound_comparison_table,
                        build_report, final_periods, scaling_fit)
-from .dynamics import DEFAULT_DELTA, Gains, check_number, default_layer_width, twisting_action
+from .dynamics import DEFAULT_DELTA, Gains, check_number, twisting_action
 from .integrator import IntegrationConfig, Trajectory, integrate, write_csv
 from .plant import MotorModel, simulate_motor_loop
 from .signals import (FrictionCoggingModel, MotionProfile, SinusoidPerturbation,
                       TWO_PI, bound_L, constant_speed_characterization, eval_q)
 from .tuning import (AccuracySpec, InfeasibleSpecError, check_averaged_conditions,
-                     cycle_width_bound, finite_time_gains, optimize_gains,
-                     tight_width_bound, tune_k2)
+                     cycle_width_bound, finite_time_gains, optimize_gains, tight_width_bound)
 
 __all__ = ["SCHEMA_VERSION", "ScenarioConfig", "RunResult", "run_scenario",
            "emit_outputs", "main"]
@@ -111,8 +110,7 @@ CONFIG_TABLE = {
         "explicit": {"k1": _positive, "k2": _positive, "delta": _DELTA},
         "finite_time": {"margin": (1.1, _number("a finite number > 1",
                                                 lambda v: 1.0 < v < math.inf)),
-                        "rate_bound": (None, _positive), "delta": _DELTA},
-        "tune_k2": {"k1": _positive, "eta": _positive, "delta": (None, _positive)},
+                        "delta": _DELTA},
         "optimize": {"k1_max": _positive, "eta": _positive},
     },
     "parameters": {
@@ -207,8 +205,7 @@ class ScenarioConfig:
                 raise ValueError(f"config error: two cases share the label {label!r} (labels "
                                  "keep 6 significant digits); each needs its own run directory")
         self.forcing = [self._characterize(case) for case in self.cases]
-        # every source but explicit gains, or finite_time with its own rate_bound, tunes to L
-        if source != "explicit" and self.checked["gains"].get("rate_bound") is None:
+        if source != "explicit":  # every other source tunes to L
             for label, (L, _) in zip(labels, self.forcing):
                 if L == 0.0:
                     raise ValueError(f"case {label!r} has L = 0, which gains.source {source!r} "
@@ -245,6 +242,9 @@ class ScenarioConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError("unknown config keys: " + ", ".join(sorted(unknown)))
+        for name in ("scenario", "parameters"):
+            if name not in data:
+                raise ValueError(f"{name} is required")
         return cls(**data)
 
     @classmethod
@@ -264,11 +264,14 @@ class ScenarioConfig:
 def _overridden(data, dotted_key: str, raw_value: str) -> dict:
     """The config object ``data`` with one dotted-path key set to ``raw_value``.
 
-    The value is parsed as JSON, or kept as the string when it is not JSON.  An
-    unknown section or key is named by the load, as one in the file is.
+    The value is parsed as JSON, or kept as the string when it is not JSON.  A key with an
+    empty segment fails here; an unknown section or key is named by the load, as in a file.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    if "" in dotted_key.split("."):
+        raise ValueError(f"bad override {dotted_key + '=' + raw_value!r}; "
+                         "each segment of a dotted key must be non-empty")
     try:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
@@ -312,19 +315,15 @@ class RunResult:
 def _resolve_gains(cfg: ScenarioConfig, rate_bound: float, period: float) -> Gains:
     """The run's gains: the config's explicit pair, or resolved against (L, T).
 
-    The tuned sources read ``analysis.n``, the ``n`` the run's bounds are reported with.
+    ``optimize`` reads ``analysis.n``, the ``n`` the run's bounds are reported with.
     """
     g = cfg.checked["gains"]
     if g["source"] == "explicit":
         return Gains(g["k1"], g["k2"], g["delta"])
     if g["source"] == "finite_time":
-        L = rate_bound if g["rate_bound"] is None else g["rate_bound"]
-        return finite_time_gains(L, margin=g["margin"], delta=g["delta"])
+        return finite_time_gains(rate_bound, margin=g["margin"], delta=g["delta"])
     accuracy = AccuracySpec(eta=g["eta"], rate_bound=rate_bound, period=period,
                             n=cfg.checked["analysis"]["n"])
-    if g["source"] == "tune_k2":
-        delta = default_layer_width(g["eta"]) if g["delta"] is None else g["delta"]
-        return Gains(k1=g["k1"], k2=tune_k2(g["k1"], accuracy), delta=delta)
     return optimize_gains(accuracy, k1_max=g["k1_max"])
 
 

@@ -61,8 +61,8 @@ OUT_OF_RANGE = [
     ("perturbation", "steepness", math.inf), ("perturbation", "steepness", 0),
     ("perturbation", "harmonics", [[math.nan, 0.0]]), ("perturbation", "harmonics", [[0.5]]),
     ("perturbation", "harmonics", [["0.5", "0"]]), ("perturbation", "harmonics", [[True, 0]]),
-    ("gains", "source", "optimise"), ("gains", "source", None), ("gains", "k1", 0),
-    ("gains", "k1", "3.6"), ("gains", "k2", math.nan), ("gains", "k2", None),
+    ("gains", "source", "optimise"), ("gains", "source", None), ("gains", "source", "tune_k2"),
+    ("gains", "k1", 0), ("gains", "k1", "3.6"), ("gains", "k2", math.nan), ("gains", "k2", None),
     ("gains", "delta", -1e-5), ("gains", "objective", "zzz"), ("initial", "error", 0.1),
     ("initial", "x1", "abc"), ("parameters", "cases", [[math.nan, 0.3]]),
     ("parameters", "cases", [[12, -0.3]]), ("parameters", "cases", [[-12, 0.2]]),
@@ -76,17 +76,18 @@ OUT_OF_RANGE = [
 MOTOR_SECTIONS = ("motor", "perturbation")
 
 #: Whole sections that must fail at load, naming the dotted key: keys that a
-#: gains source does not read, missing or out-of-range keys it does, and the
-#: former ``tuning`` section, whose spec the ``gains`` section now gives.
+#: gains source does not read, missing or out-of-range keys it does, the former
+#: ``tune_k2`` source and ``finite_time.rate_bound`` key, and the former
+#: ``tuning`` section, whose spec the ``gains`` section now gives.
 BAD_SECTIONS = [
     ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "delta": 1e-6}, "gains.delta"),
-    ("gains", {"source": "tune_k2", "k1": 0.9, "eta": 0.2, "k2": 5.0}, "gains.k2"),
-    ("gains", {"source": "tune_k2", "eta": 0.2}, "gains.k1"),
+    ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "k2": 5.0}, "gains.k2"),
+    ("gains", {"source": "tune_k2", "k1": 0.9, "eta": 0.2}, "gains.source"),
     ("gains", {"source": "optimize", "eta": 0.2}, "gains.k1_max"),
     ("gains", {"source": "finite_time", "margin": -1}, "gains.margin"),
+    ("gains", {"source": "finite_time", "rate_bound": 12.0}, "gains.rate_bound"),
     ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "objective": "k2"},
      "gains.objective"),
-    ("gains", {"source": "tune_k2", "k1": 0.9, "eta": 0.2, "n": 0.25}, "gains.n"),
     ("gains", {"source": "optimize", "k1_max": 0.9, "eta": 0.2, "n": 0.25}, "gains.n"),
     ("tuning", {"rate_bound": 12.0, "period": 0.3125, "eta": 0.2, "k1": 0.9}, "tuning"),
 ]
@@ -210,8 +211,9 @@ def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "integration.record_stride=1", "perturbation.viscous=NaN", 'gains.source="optimise"',
     'gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2, "delta": 1e-6}',
-    'gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2, "k2": 5.0}',
-    'gains.objective="zzz"', "initial.x1=0.1", 'gains={"source": "tune_k2", "eta": 0.2}',
+    'gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2, "k2": 5.0}',
+    'gains.objective="zzz"', "initial.x1=0.1", 'gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2}',
+    'gains.source="tune_k2"', 'gains={"source": "finite_time", "rate_bound": 12.0}',
     'gains={"source": "optimize", "eta": 0.2}', 'gains={"source": "finite_time", "margin": -1}',
     'gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2, "objective": "k3"}',
     'initial.error="abc"', "parameters.omega_r=[NaN]", "parameters.omega_r=[0]",
@@ -255,11 +257,12 @@ def test_empty_parameter_set_is_config_error():
         ScenarioConfig.from_dict({**SYNTHETIC, "parameters": {"cases": []}})
 
 
-#: Gains sections that are tuned to each case's L, and two that are not.
-TUNED_TO_L = [{"source": "tune_k2", "k1": 0.9, "eta": 0.2},
-              {"source": "optimize", "k1_max": 0.9, "eta": 0.2}, {"source": "finite_time"}]
+#: Gains sections that are tuned to each case's L, and two that are not: the
+#: second is the finite-time pair for a rate bound of 12, given explicitly.
+TUNED_TO_L = [{"source": "optimize", "k1_max": 0.9, "eta": 0.2}, {"source": "finite_time"}]
 FIXED_FOR_L = [{"source": "explicit", "k1": 3.6, "k2": 6.0},
-               {"source": "finite_time", "rate_bound": 12.0}]
+               {"source": "explicit", "k1": finite_time_gains(12.0).k1,
+                "k2": finite_time_gains(12.0).k2}]
 
 
 def test_unforced_case_fails_at_load_unless_the_gains_ignore_L(tmp_path, capsys, monkeypatch):
@@ -327,7 +330,7 @@ def test_override_repairs_a_file_that_fails_at_load(tmp_path, capsys, monkeypatc
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_constant_speed_config(
         parameters={"omega_r": [12.0]}, perturbation={"harmonics": []},
-        gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2})))
+        gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2})))
     with pytest.raises(ValueError, match="^case 'wr12' has L = 0"):
         ScenarioConfig.from_file(path)
     loaded = []
@@ -338,7 +341,7 @@ def test_override_repairs_a_file_that_fails_at_load(tmp_path, capsys, monkeypatc
     (cfg,) = loaded
     assert cfg.perturbation == {} and cfg.forcing[0][0] > 0.0
     assert cfg.forcing == ScenarioConfig.from_dict(_constant_speed_config(
-        parameters={"omega_r": [12.0]}, gains={"source": "tune_k2", "k1": 0.9,
+        parameters={"omega_r": [12.0]}, gains={"source": "optimize", "k1_max": 0.9,
                                                "eta": 0.2})).forcing
     assert capsys.readouterr().err == ""
 
@@ -381,15 +384,14 @@ def test_an_overflowing_frequency_fails_at_load_naming_the_case_and_the_key(freq
 #: Per gains source: a valid section, and a non-default valid value for each key it reads.
 GAINS_KEY_CHANGES = {
     "explicit": ({"k1": 3.6, "k2": 6.0}, {"k1": 3.7, "k2": 6.5, "delta": 1e-5}),
-    "finite_time": ({}, {"margin": 1.5, "rate_bound": 20.0, "delta": 1e-5}),
-    "tune_k2": ({"k1": 0.9, "eta": 0.2}, {"k1": 0.8, "eta": 0.1, "delta": 1e-5}),
+    "finite_time": ({}, {"margin": 1.5, "delta": 1e-5}),
     "optimize": ({"k1_max": 0.9, "eta": 0.2}, {"k1_max": 0.8, "eta": 0.1}),
 }
 
 
 def test_every_gains_key_is_read():
-    """Each key a gains source accepts changes the gains it resolves; the tuned
-    sources read ``analysis.n``, which the run's bounds are reported with."""
+    """Each key a gains source accepts changes the gains it resolves; ``optimize``
+    reads ``analysis.n``, which the run's bounds are reported with."""
     assert set(GAINS_KEY_CHANGES) == set(runner.CONFIG_TABLE["gains"])
     for source, (base, changes) in GAINS_KEY_CHANGES.items():
         assert set(changes) == set(runner.CONFIG_TABLE["gains"][source])
@@ -399,15 +401,14 @@ def test_every_gains_key_is_read():
         for key, value in changes.items():
             cfg = ScenarioConfig.from_dict({**SYNTHETIC, "gains": {**gains, key: value}})
             assert runner._resolve_gains(cfg, 12.0, 0.3125) != reference, (source, key)
-    for source in ("tune_k2", "optimize"):
-        runs = {n: run_scenario(ScenarioConfig.from_dict({
-            **SYNTHETIC, "gains": {"source": source, **GAINS_KEY_CHANGES[source][0]},
-            "analysis": {"n": n}, "parameters": {"cases": [[12.0, 0.3125]]},
-            "integration": {"steps_per_period": 200, "periods": 10}}))[0] for n in (0.5, 0.25)}
-        assert runs[0.5].gains.k2 != runs[0.25].gains.k2, source
-        for n, run in runs.items():
-            assert run.report.coarse_bound == cycle_width_bound(run.gains.k2, 12.0, n, 0.3125)
-        assert runs[0.5].report.coarse_bound != runs[0.25].report.coarse_bound, source
+    runs = {n: run_scenario(ScenarioConfig.from_dict({
+        **SYNTHETIC, "gains": {"source": "optimize", **GAINS_KEY_CHANGES["optimize"][0]},
+        "analysis": {"n": n}, "parameters": {"cases": [[12.0, 0.3125]]},
+        "integration": {"steps_per_period": 200, "periods": 10}}))[0] for n in (0.5, 0.25)}
+    assert runs[0.5].gains.k2 != runs[0.25].gains.k2
+    for n, run in runs.items():
+        assert run.report.coarse_bound == cycle_width_bound(run.gains.k2, 12.0, n, 0.3125)
+    assert runs[0.5].report.coarse_bound != runs[0.25].report.coarse_bound
 
 
 def test_synthetic_sweep_and_outputs(tmp_path):
@@ -457,10 +458,10 @@ def test_equal_periods_write_their_points_but_no_scaling_fit(tmp_path):
 
 
 def test_constant_speed_run_with_tuned_gains():
-    """tune_k2 gain source resolves the applied integral gain from (L, T)."""
+    """The optimize gain source resolves the applied integral gain from (L, T)."""
     cfg = ScenarioConfig.from_dict(_constant_speed_config(
         parameters={"omega_r": [23.0]},
-        gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2},
+        gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2},
     ))
     (result,) = run_scenario(cfg)
     assert result.error is None
@@ -488,8 +489,9 @@ def test_gain_sources_finite_time_and_optimize():
     assert result.gains.k1 == pytest.approx(0.9)
 
 
-#: Gains that no synthetic case at L = 12 can resolve: k2 < 0 at k1 = 50.
-INFEASIBLE = {"source": "tune_k2", "k1": 50.0, "eta": 0.2}
+#: Gains that no synthetic case at L = 12 can resolve: at eta 1e-40, k2 rounds to L,
+#: where the k1 premise fails.
+INFEASIBLE = {"source": "optimize", "k1_max": 1.0, "eta": 1e-40}
 
 
 def test_failed_run_is_recorded_and_sweep_continues():
@@ -539,13 +541,17 @@ def test_emit_removes_run_dirs_absent_from_new_sweep(tmp_path):
     assert labels == ["L12_T0.4"]
 
 
-#: One case per outcome at 1000 steps x 12 periods: wr12 fails (tune_k2 needs k2 <= 0),
+#: One case per outcome at 1000 steps x 12 periods, under a cogging harmonic of 0.035
+#: (L = 0.035 * omega_r): wr12 fails (optimize needs k2 <= 0 below L = 1/(2 + T/2)),
 #: wr18 does not converge, wr23 converges.
 MIXED_OUTCOMES = _constant_speed_config(
-    parameters={"omega_r": [12.0, 18.0, 23.0]},
-    gains={"source": "tune_k2", "k1": 5.0, "eta": 1.0},
+    parameters={"omega_r": [12.0, 18.0, 23.0]}, perturbation={"harmonics": [[0.035, 0.0]]},
+    gains={"source": "optimize", "k1_max": 1.0, "eta": 1.0},
     integration={"steps_per_period": 1000, "periods": 12},
 )
+
+#: Explicit gains on MIXED_OUTCOMES' plant: wr12 converges, wr23 does not.
+MIXED_EXPLICIT = {"source": "explicit", "k1": 0.25, "k2": 0.8}
 
 
 #: A sampled sweep on a moving reference: 2 of its 3 cases converge.
@@ -663,7 +669,7 @@ def test_worker_path_removes_stale_per_run_files(tmp_path):
     """A case that fails on a re-run into the same --out keeps none of its earlier files."""
     out = tmp_path / "out"
     config = {**MIXED_OUTCOMES, "parameters": {"omega_r": [12.0, 23.0]},
-              "gains": {"source": "explicit", "k1": 0.9, "k2": 11.65}}
+              "gains": MIXED_EXPLICIT}
     assert _sweep(config, tmp_path, out, "--workers", "2") == 2  # wr23 does not converge
     assert sorted(p.name for p in (out / "wr12").iterdir()) == ["phase.csv", "trajectory.csv"]
     config["gains"] = MIXED_OUTCOMES["gains"]
@@ -686,7 +692,7 @@ def test_write_error_leaves_no_verdict_of_the_previous_sweep(tmp_path, capsys):
     """A re-sweep stopped by a write error leaves none of the previous sweep's files
     that vouch for runs it has since overwritten."""
     out = tmp_path / "out"
-    explicit = {**MIXED_OUTCOMES, "gains": {"source": "explicit", "k1": 0.9, "k2": 11.65}}
+    explicit = {**MIXED_OUTCOMES, "gains": MIXED_EXPLICIT}
     assert _sweep(explicit, tmp_path, out) == 2
     (wr12, _, _) = json.loads((out / "reports.json").read_text())["runs"]
     assert wr12["label"] == "wr12" and wr12["converged"] and wr12["error"] is None
@@ -924,7 +930,7 @@ def _tuned_gains(out: str) -> dict:
 def test_cli_tune(tmp_path, capsys):
     """One line per case: its (L, T), the resolved gains, their bounds and the finite-time pair."""
     path = _config_file(tmp_path, {**SYNTHETIC, "parameters": {"cases": [[12.0, 0.3125]]},
-                                   "gains": {"source": "tune_k2", "k1": 0.9, "eta": 0.2}})
+                                   "gains": {"source": "optimize", "k1_max": 0.9, "eta": 0.2}})
     assert main(["tune", "--config", str(path)]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("L12_T0.3125: L=12 T=0.3125 k1=0.9 k2=11.65")
@@ -976,7 +982,7 @@ def test_cli_tune_with_a_tuning_section_exits_1(tmp_path, capsys):
     for override in (f"tuning={json.dumps(tuning)}", "tuning.k1=0.9"):
         assert main(["tune", "--config", str(path), "--override", override]) == 1
         assert capsys.readouterr() == ("", unknown)
-    override = 'gains={"source": "tune_k2", "k1": 0.9, "eta": 0.2, "n": 0.25}'
+    override = 'gains={"source": "optimize", "k1_max": 0.9, "eta": 0.2, "n": 0.25}'
     assert main(["tune", "--config", str(path), "--override", override]) == 1
     captured = capsys.readouterr()
     assert "gains.n" in captured.err and captured.out == ""
@@ -987,9 +993,9 @@ def test_cli_tune_with_a_tuning_section_exits_1(tmp_path, capsys):
     ({"source": "optimize", "eta": 100, "k1_max": 1}, [0.1, 0.3125],
      "L0.1_T0.3125: L=0.1 T=0.3125 infeasible (accuracy eta=100"),
     # k2 rounds to L, where the k1 premise fails
-    ({"source": "tune_k2", "eta": 1e-40, "k1": 1}, [12.0, 0.3125],
+    (INFEASIBLE, [12.0, 0.3125],
      "L12_T0.3125: L=12 T=0.3125 infeasible (rounding breaks the k1 premise"),
-], ids=["optimize", "tune_k2"])
+], ids=["optimize", "optimize_rounding"])
 def test_cli_tune_infeasible_spec_exits_2(gains, case, line, tmp_path, capsys):
     path = _config_file(tmp_path, {**SYNTHETIC, "gains": gains,
                                    "parameters": {"cases": [case, [12.0, 0.1]]}})
@@ -1013,6 +1019,39 @@ def test_cli_config_that_is_not_an_object_exits_1(tmp_path, capsys, monkeypatch)
         path.write_text(text)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: config must be a JSON object, got {kind}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "tune"])
+@pytest.mark.parametrize("key", ["scenario", "parameters"])
+def test_a_config_without_a_required_key_exits_1_naming_it(key, command, tmp_path, capsys,
+                                                             monkeypatch):
+    """A missing ``scenario`` or ``parameters`` is a config error, not a traceback."""
+    monkeypatch.setattr(runner, "_execute_case", lambda *args: pytest.fail("a case ran"))
+    data = {name: value for name, value in SYNTHETIC.items() if name != key}
+    with pytest.raises(ValueError, match=f"^{key} is required$"):
+        ScenarioConfig.from_dict(data)
+    flags = ["--out", str(tmp_path / "out")] if command == "sweep" else []
+    assert main([command, "--config", str(_config_file(tmp_path, data)), *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {key} is required\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "tune"])
+@pytest.mark.parametrize("override", ['gains.={"source": "explicit", "k1": 1, "k2": 2}',
+                                      ".k1=5", "=5", "gains..k1=5"])
+def test_an_override_key_with_an_empty_segment_exits_1(override, command, tmp_path, capsys,
+                                                       monkeypatch):
+    """A dotted key with an empty segment names no key: it fails at load, naming the override,
+    rather than replacing a whole section or reading as an unknown key with no name."""
+    monkeypatch.setattr(runner, "_execute_case", lambda *args: pytest.fail("a case ran"))
+    path = _config_file(tmp_path, _constant_speed_config())
+    line = f"bad override {override!r}; each segment of a dotted key must be non-empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        ScenarioConfig.from_file(path, [override.split("=", 1)])
+    flags = ["--out", str(tmp_path / "out")] if command == "sweep" else []
+    assert main([command, "--config", str(path), "--override", override, *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
     assert not (tmp_path / "out").exists()
 
 
