@@ -107,9 +107,10 @@ def stroboscopic_convergence(traj: Trajectory, period: float,
 
     Converged when the Euclidean distance between consecutive strobe samples
     stays below ``tol`` for three consecutive periods; returns the time of
-    the first strobe sample opening such a window.  Requires at least
-    ``MIN_STROBE_PERIODS`` recorded periods.
+    the first strobe sample opening such a window.  ``tol`` is a finite
+    number > 0.  Requires at least ``MIN_STROBE_PERIODS`` recorded periods.
     """
+    tol = check_number(tol, name="tol")
     stride = _strobe_stride(traj, period)
     n_periods = (len(traj) - 1) // stride
     if n_periods < MIN_STROBE_PERIODS:
@@ -132,9 +133,10 @@ def final_periods(traj: Trajectory, period: float, count: int = 1) -> slice:
     """The records of the last ``count`` forcing periods: the last ``count * stride + 1``.
 
     ``stride`` is the records per period, so the slice spans exactly ``count``
-    periods, the records at both ends included.  Raises
-    :class:`InsufficientDataError` when the record holds fewer periods.
+    periods, the records at both ends included; ``count`` is an integer >= 1.
+    Raises :class:`InsufficientDataError` when the record holds fewer periods.
     """
+    check_number(count, "an integer >= 1", lambda v: v >= 1, integer=True, name="count")
     stride = _strobe_stride(traj, period)
     if count * stride > len(traj) - 1:  # a negative start would wrap round
         raise InsufficientDataError(
@@ -149,8 +151,9 @@ def estimate_period(samples: np.ndarray, dt: float) -> float:
     The search starts past the first non-positive autocorrelation lag so the
     trivial lag-0 peak is excluded.  Non-finite samples, a constant signal,
     a power that overflows, a normalized peak below 0.2 or no interior peak
-    at all raise :class:`AperiodicSignalError`.
+    at all raise :class:`AperiodicSignalError`.  ``dt`` is a finite number > 0.
     """
+    check_number(dt, name="dt")
     x = np.asarray(samples, dtype=float)
     if len(x) < 8:
         raise InsufficientDataError("need at least 8 samples to estimate a period")

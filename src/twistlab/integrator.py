@@ -81,10 +81,9 @@ class Trajectory:
     ``u`` holds the input actually applied to the plant (the inner
     super-twisting action for reduced-loop runs, the motor torque command
     for virtual-motor runs).  ``dt`` is the integration step, and so the
-    spacing of the records.
+    spacing of the records: record ``k`` is at time ``k*dt``.
     """
 
-    t: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     u: np.ndarray
@@ -93,19 +92,21 @@ class Trajectory:
     dt: float
 
     def __post_init__(self) -> None:
-        for name in ("t", "x1", "x2", "u", "d", "q"):
+        for name in ("x1", "x2", "u", "d", "q"):
             shape = np.shape(getattr(self, name))
             if len(shape) != 1:
                 raise ValueError(f"channel {name} must be 1-D, got shape {shape}")
-        n = len(self.t)
-        for name in ("x1", "x2", "u", "d", "q"):
-            if len(getattr(self, name)) != n:
+            if shape[0] != len(self.x1):
                 raise ValueError(f"channel {name} length mismatch")
-        if n >= 2 and not np.all(np.diff(self.t) > 0.0):
-            raise ValueError("time stamps must be strictly increasing")
+        check_number(self.dt, name="dt")
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.x1)
+
+    @property
+    def t(self) -> np.ndarray:
+        """The record times ``k*dt``, as :func:`run_loop` lays them out."""
+        return np.arange(len(self)) * self.dt
 
     def to_csv(self, path) -> None:
         """Write the canonical `t,x1,x2,u,d,q` table, each value as ``repr`` writes it.
@@ -198,11 +199,12 @@ def run_loop(name: str, gains: Gains, cfg: IntegrationConfig, x0,
     non-finite.
 
     A whole call over 20,000 steps, grids and noise included, took per step
-    (2-vCPU Intel Xeon VM, gcc 12, CPython 3.11): 0.13 us for
-    :func:`integrate`, and for the motor loop 0.19 us at constant speed,
-    0.25 us on a 4 Hz sinusoidal reference and 0.21 us sampled.  Their
-    references on Python floats in ``tests/_fields.py`` took 3.4, 4.0, 5.7
-    and 2.8 us per step, to the same bits.
+    (2-vCPU Intel Xeon VM, gcc 12, CPython 3.11; the best of 40 calls, over
+    6 processes): 0.12-0.16 us for :func:`integrate`, and for the motor loop
+    0.21-0.28 us at constant speed, 0.27-0.34 us on a 4 Hz sinusoidal
+    reference and 0.21-0.28 us sampled.  Their references on Python floats in
+    ``tests/_fields.py`` took 3.4, 4.0, 5.7 and 2.8 us per step, to the same
+    bits.
     """
     start = [float(v) for v in x0]
     if len(start) != _LOOP_STATES[name]:
@@ -237,15 +239,15 @@ def integrate(gains: Gains, rate: Callable[[np.ndarray], np.ndarray], x0,
         raise ValueError(f"integrate expects a planar state (x1, x2), got {len(start)} states")
     times, states = run_loop("rk4_loop", gains, cfg, start, *stage_grids(rate, cfg))
     u, d, q = (np.zeros_like(times) for _ in range(3))
-    return Trajectory(t=times, x1=states[:, 0].copy(), x2=states[:, 1].copy(), u=u, d=d, q=q,
-                      dt=cfg.dt)
+    return Trajectory(x1=states[:, 0].copy(), x2=states[:, 1].copy(), u=u, d=d, q=q, dt=cfg.dt)
 
 
-#: The RK4 steps in C: the reduced loop (``rk4_loop``) and both step rules of
-#: the motor loop (``motor_loop``, ``sampled_motor_loop``), each called
-#: through :func:`run_loop`.  Each expression keeps the operation order of its
-#: reference in tests/_fields.py: ``rk4_solve`` on ``loop_field`` or
-#: ``motor_field``, and ``sampled_motor_loop``.  With ``FLT_EVAL_METHOD == 0``
+#: The RK4 loops in C, each called through :func:`run_loop`: the reduced loop
+#: (``rk4_loop``) and both step rules of the motor loop (``motor_loop``,
+#: ``sampled_motor_loop``).  Their one ``rk4_step`` keeps the operation order
+#: of ``rk4_solve`` in tests/_fields.py, and their fields that of
+#: ``loop_field``, ``motor_field`` and the sampled rotor of
+#: ``sampled_motor_loop`` there.  With ``FLT_EVAL_METHOD == 0``
 #: and no contraction into FMA, every ``+ - * /`` and ``sqrt`` rounds to double
 #: as CPython's float does, and ``atan`` and ``sin`` are the libm calls behind
 #: ``math.atan`` and ``math.sin``.  The same library holds the CSV writer
@@ -269,105 +271,113 @@ static double sat(double s)
     return s > 1.0 ? 1.0 : (s < -1.0 ? -1.0 : s);
 }
 
-/* Every loop steps the row states[0 .. n - 1] of its n states into row k,
-   states[n * k .. n * k + n - 1], for k = 1..n_steps, reading stage k's inputs
-   by index.  It returns n_steps, or the index k of the first step that ends on
-   a non-finite state. */
+/* A loop: the law, the step, its stage inputs and the load model.  Its field
+   sets the derivatives dx of its states x at stage input `stage` of step k: 0
+   on k*dt, 1 on both midpoints, 2 on k*dt + dt.  Fields are static inline, so
+   that rk4_step calls each directly. */
+typedef struct {
+    double neg_k1, neg_k2, delta, dt;
+    const double *in[6];
+    const double *model;
+    int64_t n_harmonics;
+    double u0;  /* the sampled rotor's held torque */
+} loop;
+typedef void field(const loop *l, int64_t k, int stage, const double *x, double *dx);
 
-/* One stage of the reduced loop: returns dx1, and sets *dx2. */
-static double loop_stage(double neg_k1, double neg_k2, double delta, double x1, double x2,
-                         double rate, double *dx2)
+/* One classical RK4 step of the n states x in rk4_solve's operation order;
+   returns whether every new state is finite. */
+static inline int rk4_step(field *f, const loop *l, int n, int64_t k, double *x)
 {
-    const double s = sat(x1 / delta);
-    *dx2 = neg_k2 * s + rate;
-    return neg_k1 * sqrt(fabs(x1)) * s + x2;
+    const double dt = l->dt, half = 0.5 * dt, sixth = dt / 6.0;
+    double a[3], b[3], c[3], e[3], y[3];
+    int i, finite = 1;
+    f(l, k, 0, x, a);
+    for (i = 0; i < n; i++)
+        y[i] = x[i] + half * a[i];
+    f(l, k, 1, y, b);
+    for (i = 0; i < n; i++)
+        y[i] = x[i] + half * b[i];
+    f(l, k, 1, y, c);
+    for (i = 0; i < n; i++)
+        y[i] = x[i] + dt * c[i];
+    f(l, k, 2, y, e);
+    for (i = 0; i < n; i++) {
+        x[i] = x[i] + sixth * (a[i] + 2.0 * (b[i] + c[i]) + e[i]);
+        finite &= isfinite(x[i]) != 0;
+    }
+    return finite;
 }
 
-/* The reduced loop: states (x1, x2), the rate on stage k's times. */
+/* Steps the n states of row 0 of states into row k + 1 for k < n_steps; returns
+   n_steps, or the k of the first step that ends on a non-finite state. */
+static inline int64_t record(field *f, const loop *l, int n, int64_t n_steps, double *states)
+{
+    double x[3];
+    memcpy(x, states, (size_t)n * sizeof *x);
+    for (int64_t k = 0; k < n_steps; k++) {
+        if (!rk4_step(f, l, n, k, x))
+            return k;
+        memcpy(states + n * (k + 1), x, (size_t)n * sizeof *x);
+    }
+    return n_steps;
+}
+
+/* The reduced loop: x = (x1, x2), the rate in in[stage]. */
+static inline void loop_field(const loop *l, int64_t k, int stage, const double *x, double *dx)
+{
+    const double s = sat(x[0] / l->delta);
+    dx[0] = l->neg_k1 * sqrt(fabs(x[0])) * s + x[1];
+    dx[1] = l->neg_k2 * s + l->in[stage][k];
+}
+
 int64_t rk4_loop(double neg_k1, double neg_k2, double delta, double dt,
                  const double *rate_a, const double *rate_mid, const double *rate_end,
                  int64_t n_steps, double *states)
 {
-    const double half = 0.5 * dt, sixth = dt / 6.0;
-    double x1 = states[0], x2 = states[1];
-    for (int64_t k = 0; k < n_steps; k++) {
-        double a1, a2, b1, b2, c1, c2, e1, e2;
-        a1 = loop_stage(neg_k1, neg_k2, delta, x1, x2, rate_a[k], &a2);
-        b1 = loop_stage(neg_k1, neg_k2, delta, x1 + half * a1, x2 + half * a2, rate_mid[k], &b2);
-        c1 = loop_stage(neg_k1, neg_k2, delta, x1 + half * b1, x2 + half * b2, rate_mid[k], &c2);
-        e1 = loop_stage(neg_k1, neg_k2, delta, x1 + dt * c1, x2 + dt * c2, rate_end[k], &e2);
-        x1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + e1);
-        x2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + e2);
-        if (!(isfinite(x1) && isfinite(x2)))
-            return k;
-        states[2 * k + 2] = x1;
-        states[2 * k + 3] = x2;
-    }
-    return n_steps;
+    const loop l = {neg_k1, neg_k2, delta, dt, {rate_a, rate_mid, rate_end}, NULL, 0, 0.0};
+    return record(loop_field, &l, 2, n_steps, states);
 }
 
 /* The motor's load torque per unit inertia, in FrictionCoggingModel.torque's
    operation order.  model = {coulomb * (2/pi), steepness, viscous, then an
    (amplitude, phase) pair per cogging harmonic}. */
-static double torque(const double *model, int64_t n_harmonics, double omega, double theta)
+static double torque(const loop *l, double omega, double theta)
 {
-    double d = model[0] * atan(model[1] * omega) + model[2] * omega;
-    for (int64_t i = 0; i < n_harmonics; i++)
-        d += model[3 + 2 * i] * sin(theta + model[4 + 2 * i]);
+    double d = l->model[0] * atan(l->model[1] * omega) + l->model[2] * omega;
+    for (int64_t i = 0; i < l->n_harmonics; i++)
+        d += l->model[3 + 2 * i] * sin(theta + l->model[4 + 2 * i]);
     return d;
 }
 
-struct motor {
-    double neg_k1, neg_k2, delta;
-    const double *model;
-    int64_t n_harmonics;
-};
-
-/* One stage of the continuous motor loop: returns domega, and sets *dz. */
-static double motor_stage(const struct motor *m, double theta, double omega, double z,
-                          double omega_r, double accel_r, double *dz)
+/* The continuous motor loop: x = (theta, omega, z), the reference's omega in
+   in[stage] and its acceleration in in[3 + stage]. */
+static inline void motor_field(const loop *l, int64_t k, int stage, const double *x, double *dx)
 {
-    const double e = omega - omega_r;
-    const double s = sat(e / m->delta);
-    const double u0 = m->neg_k1 * sqrt(fabs(e)) * s + z + accel_r;
-    *dz = m->neg_k2 * s;
-    return u0 + torque(m->model, m->n_harmonics, omega, theta);
+    const double e = x[1] - l->in[stage][k];
+    const double s = sat(e / l->delta);
+    dx[0] = x[1];
+    dx[1] = l->neg_k1 * sqrt(fabs(e)) * s + x[2] + l->in[3 + stage][k] + torque(l, x[1], x[0]);
+    dx[2] = l->neg_k2 * s;
 }
 
-/* The continuous motor loop: states (theta, omega, z), the reference on stage
-   k's times. */
 int64_t motor_loop(double neg_k1, double neg_k2, double delta, double dt,
                    const double *model, int64_t n_harmonics,
                    const double *omega_a, const double *omega_mid, const double *omega_end,
                    const double *accel_a, const double *accel_mid, const double *accel_end,
                    int64_t n_steps, double *states)
 {
-    const struct motor m = {neg_k1, neg_k2, delta, model, n_harmonics};
-    const double half = 0.5 * dt, sixth = dt / 6.0;
-    double theta = states[0], omega = states[1], z = states[2];
-    for (int64_t k = 0; k < n_steps; k++) {
-        double dw_a, dz_a, w_b, dw_b, dz_b, w_c, dw_c, dz_c, w_e, dw_e, dz_e;
-        dw_a = motor_stage(&m, theta, omega, z, omega_a[k], accel_a[k], &dz_a);
-        w_b = omega + half * dw_a;
-        dw_b = motor_stage(&m, theta + half * omega, w_b, z + half * dz_a,
-                           omega_mid[k], accel_mid[k], &dz_b);
-        w_c = omega + half * dw_b;
-        dw_c = motor_stage(&m, theta + half * w_b, w_c, z + half * dz_b,
-                           omega_mid[k], accel_mid[k], &dz_c);
-        w_e = omega + dt * dw_c;
-        dw_e = motor_stage(&m, theta + dt * w_c, w_e, z + dt * dz_c,
-                           omega_end[k], accel_end[k], &dz_e);
+    const loop l = {neg_k1, neg_k2, delta, dt,
+                    {omega_a, omega_mid, omega_end, accel_a, accel_mid, accel_end},
+                    model, n_harmonics, 0.0};
+    return record(motor_field, &l, 3, n_steps, states);
+}
 
-        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e);
-        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e);
-        z = z + sixth * (dz_a + 2.0 * (dz_b + dz_c) + dz_e);
-        if (!(isfinite(theta) && isfinite(omega) && isfinite(z)))
-            return k;
-        states[3 * k + 3] = theta;
-        states[3 * k + 4] = omega;
-        states[3 * k + 5] = z;
-    }
-    return n_steps;
+/* The sampled rotor: x = (theta, omega) under the held torque u0. */
+static inline void rotor_field(const loop *l, int64_t k, int stage, const double *x, double *dx)
+{
+    (void)k, (void)stage;
+    dx[0] = x[1];
+    dx[1] = l->u0 + torque(l, x[1], x[0]);
 }
 
 /* The sampled motor loop: the law acts on the measured speed, the backward
@@ -376,49 +386,38 @@ int64_t motor_loop(double neg_k1, double neg_k2, double delta, double dt,
    step and z takes an Euler step.  `measured` is a ring of window + 1
    positions: step k's at k % (window + 1), so step k - window's is the slot
    after it.  The caller keeps window <= n_steps, so window + 1 cannot
-   overflow.  States as in motor_loop, the reference on k*dt. */
+   overflow.  States as in motor_field, the reference on k*dt. */
 int64_t sampled_motor_loop(double neg_k1, double neg_k2, double delta, double dt,
                            const double *model, int64_t n_harmonics,
                            const double *omega_r, const double *accel_r,
                            double quantum, int64_t window, const double *noise,
                            double *measured, int64_t n_steps, double *states)
 {
-    const double half = 0.5 * dt, sixth = dt / 6.0, window_dt = (double)window * dt;
+    loop l = {neg_k1, neg_k2, delta, dt, {NULL}, model, n_harmonics, 0.0};
+    const double window_dt = (double)window * dt;
     const int64_t ring = window + 1;
-    double theta = states[0], omega = states[1], z = states[2];
+    double x[3] = {states[0], states[1], states[2]};
     for (int64_t k = 0; k < n_steps; k++) {
-        const double theta_meas = quantum > 0.0 ? floor(theta / quantum) * quantum : theta;
+        const double theta_meas = quantum > 0.0 ? floor(x[0] / quantum) * quantum : x[0];
         const int64_t slot = k % ring;
-        double omega_meas, e, s, u0, dw_a, w_b, dw_b, w_c, dw_c, w_e, dw_e;
+        double omega_meas, e, s;
         measured[slot] = theta_meas;
         if (k >= window)
             omega_meas = (theta_meas - measured[(slot + 1) % ring]) / window_dt;
         else if (k)
             omega_meas = (theta_meas - measured[0]) / ((double)k * dt);
         else
-            omega_meas = omega;
+            omega_meas = x[1];
         if (noise)
             omega_meas += noise[k];
 
         e = omega_meas - omega_r[k];
         s = sat(e / delta);
-        u0 = neg_k1 * sqrt(fabs(e)) * s + z + accel_r[k];
-
-        dw_a = u0 + torque(model, n_harmonics, omega, theta);
-        w_b = omega + half * dw_a;
-        dw_b = u0 + torque(model, n_harmonics, w_b, theta + half * omega);
-        w_c = omega + half * dw_b;
-        dw_c = u0 + torque(model, n_harmonics, w_c, theta + half * w_b);
-        w_e = omega + dt * dw_c;
-        dw_e = u0 + torque(model, n_harmonics, w_e, theta + dt * w_c);
-        theta = theta + sixth * (omega + 2.0 * (w_b + w_c) + w_e);
-        omega = omega + sixth * (dw_a + 2.0 * (dw_b + dw_c) + dw_e);
-        z += dt * (neg_k2 * s);
-        if (!(isfinite(theta) && isfinite(omega) && isfinite(z)))
+        l.u0 = neg_k1 * sqrt(fabs(e)) * s + x[2] + accel_r[k];
+        x[2] += dt * (neg_k2 * s);
+        if (!rk4_step(rotor_field, &l, 2, k, x) || !isfinite(x[2]))
             return k;
-        states[3 * k + 3] = theta;
-        states[3 * k + 4] = omega;
-        states[3 * k + 5] = z;
+        memcpy(states + 3 * (k + 1), x, sizeof x);
     }
     return n_steps;
 }

@@ -78,7 +78,7 @@ def simulate_motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gain
     omega_dot = u0 + d
     q = np.asarray(model.rate(omega, omega_dot, theta))
 
-    return Trajectory(t=times, x1=e, x2=z + d, u=u0, d=d, q=q, dt=cfg.dt)
+    return Trajectory(x1=e, x2=z + d, u=u0, d=d, q=q, dt=cfg.dt)
 
 
 def _motor_loop(motor: MotorModel, reference: MotionProfile, gains: Gains,

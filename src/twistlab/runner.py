@@ -249,28 +249,32 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "ScenarioConfig":
-        """Load a JSON config file, each ``(dotted_key, raw_value)`` override applied to it first.
+        """Load a JSON config file, each ``KEY=VALUE`` override string applied to it first.
 
         The config is checked and its cases characterized once, with every
         override in place, so an override can repair a file that fails alone.
         """
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        for dotted_key, raw_value in overrides:
-            data = _overridden(data, dotted_key, raw_value)
+        for override in overrides:
+            data = _overridden(data, override)
         return cls.from_dict(data)
 
 
-def _overridden(data, dotted_key: str, raw_value: str) -> dict:
-    """The config object ``data`` with one dotted-path key set to ``raw_value``.
+def _overridden(data, override: str) -> dict:
+    """The config object ``data`` with the dotted-path key of ``KEY=VALUE`` set to its value.
 
-    The value is parsed as JSON, or kept as the string when it is not JSON.  A key with an
-    empty segment fails here; an unknown section or key is named by the load, as in a file.
+    The value is parsed as JSON, or kept as the string when it is not JSON.  An override
+    without ``=``, or whose key has an empty segment, fails here; an unknown section or key
+    is named by the load, as in a file.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    dotted_key, sep, raw_value = override.partition("=")
+    if not sep:
+        raise ValueError(f"bad override {override!r}; expected KEY=VALUE")
     if "" in dotted_key.split("."):
-        raise ValueError(f"bad override {dotted_key + '=' + raw_value!r}; "
+        raise ValueError(f"bad override {override!r}; "
                          "each segment of a dotted key must be non-empty")
     try:
         value = json.loads(raw_value)
@@ -542,18 +546,8 @@ def _summary_text(results: list[RunResult], fit) -> str:
 # ---------------------------------------------------------------------------
 # command-line interface
 
-def _load_config(args) -> ScenarioConfig:
-    overrides = []
-    for item in args.override:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(f"bad override {item!r}; expected KEY=VALUE")
-        overrides.append((key, value))
-    return ScenarioConfig.from_file(args.config, overrides)
-
-
 def _cmd_sweep(args) -> int:
-    results = run_scenario(_load_config(args), workers=args.workers, out_dir=args.out or None)
+    results = run_scenario(ScenarioConfig.from_file(args.config, args.override), workers=args.workers, out_dir=args.out or None)
     if args.out:
         converged = sum(r.converged for r in results)
         print(f"{converged}/{len(results)} runs converged; outputs in {args.out}")
@@ -564,7 +558,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tune(args) -> int:
     """Print, per case, its (L, T), the gains a sweep runs it with and their bounds."""
-    cfg = _load_config(args)
+    cfg = ScenarioConfig.from_file(args.config, args.override)
     n = cfg.checked["analysis"]["n"]
     status = 0
     for case, (L, T) in zip(cfg.cases, cfg.forcing):

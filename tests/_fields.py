@@ -1,11 +1,13 @@
 """The generic RK4 solver, the scalar law, torque and ``repr`` CSV: the C kernel's references.
 
 ``integrate``'s C kernel and both step rules of ``twistlab.plant._motor_loop``
-write their RK4 step, the super-twisting law and the load torque out on
-doubles.  The tests hold them, bit for bit, to :func:`rk4_solve` on fields
-built from :func:`twisting_law` and :func:`scalar_torque`, and to
-:func:`sampled_motor_loop`.  The kernel's CSV writer is held, byte for byte,
-to :func:`repr_csv`.
+take one RK4 step, the kernel's ``rk4_step``, over three fields that write
+the super-twisting law and the load torque out on doubles.  The tests hold
+that step, bit for bit, to :func:`rk4_solve`, and its fields to
+:func:`loop_field`, :func:`motor_field` and the sampled rotor of
+:func:`sampled_motor_loop`, all built from :func:`twisting_law` and
+:func:`scalar_torque`.  The kernel's CSV writer is held, byte for byte, to
+:func:`repr_csv`.
 """
 
 import math
@@ -213,8 +215,7 @@ def solve_trajectory(field, x0, cfg):
     """``rk4_solve`` of a planar field from t = 0 on ``cfg``'s grid, with zero u, d, q."""
     times, states = rk4_solve(field, x0, 0.0, cfg.dt, cfg.n_steps)
     u, d, q = (np.zeros_like(times) for _ in range(3))
-    return Trajectory(t=times, x1=states[:, 0].copy(), x2=states[:, 1].copy(),
-                      u=u, d=d, q=q, dt=cfg.dt)
+    return Trajectory(x1=states[:, 0].copy(), x2=states[:, 1].copy(), u=u, d=d, q=q, dt=cfg.dt)
 
 
 def repr_csv(header: str, columns) -> bytes:

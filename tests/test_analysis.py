@@ -23,7 +23,7 @@ def _synthetic(period=0.25, periods=12, spp=200, amplitude=1.0, drift=0.0):
     x1 = amplitude * np.sin(2 * math.pi * t / period)
     x2 = amplitude * np.cos(2 * math.pi * t / period) + drift * t
     zeros = np.zeros_like(t)
-    return Trajectory(t=t, x1=x1, x2=x2, u=zeros.copy(), d=zeros.copy(), q=zeros.copy(),
+    return Trajectory(x1=x1, x2=x2, u=zeros.copy(), d=zeros.copy(), q=zeros.copy(),
                       dt=period / spp)
 
 
@@ -76,6 +76,29 @@ def test_final_periods_is_the_last_count_periods_of_records():
         assert window.stop == len(traj) and window.stop - window.start == count * 200 + 1
     with pytest.raises(InsufficientDataError):
         final_periods(traj, 0.25, 13)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, True, "abc"])
+def test_a_strobe_tolerance_must_be_a_finite_number_above_0(tol):
+    """A tolerance no gap can pass, or every gap passes, fails by name instead of reading a verdict."""
+    traj = _synthetic()
+    with pytest.raises(ValueError, match="^tol must be a finite number > 0"):
+        stroboscopic_convergence(traj, 0.25, tol)
+    with pytest.raises(ValueError, match="^tol must be a finite number > 0"):
+        build_report(traj, 0.25, 1.0, Gains(0.9, 2.0), tol=tol)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True, 1.0])
+def test_final_periods_count_must_be_an_integer_of_at_least_1(count):
+    with pytest.raises(ValueError, match="^count must be an integer >= 1"):
+        final_periods(_synthetic(), 0.25, count)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, True])
+def test_estimate_period_dt_must_be_a_finite_number_above_0(dt):
+    samples = np.sin(2 * math.pi * np.arange(3000) / 349)
+    with pytest.raises(ValueError, match="^dt must be a finite number > 0"):
+        estimate_period(samples, dt)
 
 
 def test_estimate_period_sine():

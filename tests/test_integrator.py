@@ -31,11 +31,12 @@ from _fields import (loop_field, motor_field, repr_csv, rk4_solve, sampled_motor
 PROPERTY = settings(derandomize=True, deadline=None)
 
 
-def _make_traj(t, x1):
-    zeros = np.zeros_like(t)
-    return Trajectory(t=np.asarray(t, float), x1=np.asarray(x1, float),
-                      x2=zeros.copy(), u=zeros.copy(), d=zeros.copy(), q=zeros.copy(),
-                      dt=float(t[1] - t[0]))
+def _make_traj(dt, x1):
+    """A record of ``x1`` at the spacing ``dt``, its other channels zero."""
+    x1 = np.asarray(x1, float)
+    zeros = np.zeros_like(x1)
+    return Trajectory(x1=x1, x2=zeros.copy(), u=zeros.copy(), d=zeros.copy(), q=zeros.copy(),
+                      dt=dt)
 
 
 def _reference_rk4(field, x0, t0, dt, n_steps):
@@ -639,8 +640,8 @@ def test_the_longest_reprs_fill_the_csv_buffer():
 
 
 def test_detect_crossings_sine():
-    t = np.linspace(0.0, 1.05, 2101)
-    crossings = detect_crossings(_make_traj(t, np.sin(2 * math.pi * t)))
+    t = np.arange(2101) * 0.0005
+    crossings = detect_crossings(_make_traj(0.0005, np.sin(2 * math.pi * t)))
     assert len(crossings) == 2
     (t1, d1), (t2, d2) = crossings
     assert t1 == pytest.approx(0.5, abs=1e-3)
@@ -649,20 +650,19 @@ def test_detect_crossings_sine():
 
 
 def test_detect_crossings_all_positive():
-    t = np.linspace(0.0, 1.0, 101)
-    assert detect_crossings(_make_traj(t, np.cos(t) + 2.0)) == []
+    t = np.arange(101) * 0.01
+    assert detect_crossings(_make_traj(0.01, np.cos(t) + 2.0)) == []
 
 
 def test_detect_crossings_coalesces_layer_chatter():
     """Wiggles that stay inside the layer collapse to one event."""
     delta = 0.1
-    t = np.arange(30) * 0.01
     x = np.concatenate([
         np.full(10, 1.0),                                # solidly positive
         0.02 * np.array([1, -1, 1, -1, 1, -1, 1, -1, 1, -1.0]),  # chatter inside layer
         np.full(10, -1.0),                               # solidly negative
     ])
-    traj = _make_traj(t, x)
+    traj = _make_traj(0.01, x)
     events = detect_crossings(traj, delta)
     assert len(events) == 1
     assert events[0][1] == -1
@@ -685,37 +685,36 @@ def test_detect_crossings_matches_sample_scan():
         np.zeros(40),
     ]
     for x in signals:
-        traj = _make_traj(t, x)
+        traj = _make_traj(0.01, x)
         for width in (0.0, 0.03, 0.5):
             expected = _reference_crossings(traj, width)
             actual = detect_crossings(traj, width)
             assert actual == expected
             assert all(type(tc) is float and type(d) is int for tc, d in actual)
-    assert len(detect_crossings(_make_traj(t, chatter), 0.0)) > 8
-    one = Trajectory(t=np.array([0.0]), x1=np.array([1.0]), x2=np.zeros(1), u=np.zeros(1),
-                     d=np.zeros(1), q=np.zeros(1), dt=1.0)
+    assert len(detect_crossings(_make_traj(0.01, chatter), 0.0)) > 8
+    one = _make_traj(1.0, [1.0])
     assert detect_crossings(one) == _reference_crossings(one) == []
 
 
 def test_trajectory_validation():
-    t = np.array([0.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        _make_traj(t, np.zeros(3))
-    with pytest.raises(ValueError):
-        Trajectory(t=np.array([0.0, 1.0]), x1=np.zeros(3), x2=np.zeros(2),
-                   u=np.zeros(2), d=np.zeros(2), q=np.zeros(2), dt=1.0)
+    """A step that is not a finite number > 0, or channels of two lengths, are refused."""
+    for dt in (0.0, -0.1, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="dt must be a finite number > 0"):
+            _make_traj(dt, np.zeros(3))
+    with pytest.raises(ValueError, match="channel x2 length mismatch"):
+        Trajectory(x1=np.zeros(3), x2=np.zeros(2), u=np.zeros(2), d=np.zeros(2), q=np.zeros(2),
+                   dt=1.0)
 
 
 def test_trajectory_rejects_a_channel_that_is_not_1d(tmp_path):
     """A 2-D channel of the right length, or a scalar one, is refused by name; lists stay accepted."""
-    channels = {name: np.zeros(3) for name in ("t", "x1", "x2", "u", "d", "q")}
-    channels["t"] = np.arange(3.0)
+    channels = {name: np.zeros(3) for name in ("x1", "x2", "u", "d", "q")}
     for name in channels:
         for bad in (np.zeros((3, 2)), 0.0):
             with pytest.raises(ValueError, match=f"channel {name} must be 1-D"):
                 Trajectory(**{**channels, name: bad}, dt=1.0)
-    listed = Trajectory(t=[0.0, 0.5, 1.0], x1=[1, 2, 3], x2=[0.1] * 3, u=[-0.0] * 3,
-                        d=[1e300] * 3, q=[0] * 3, dt=0.5)
+    listed = Trajectory(x1=[1, 2, 3], x2=[0.1] * 3, u=[-0.0] * 3, d=[1e300] * 3, q=[0] * 3,
+                        dt=0.5)
     listed.to_csv(tmp_path / "trajectory.csv")
     assert (tmp_path / "trajectory.csv").read_bytes() == repr_csv(
         integrator.CSV_HEADER, (listed.t, listed.x1, listed.x2, listed.u, listed.d, listed.q))

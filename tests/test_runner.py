@@ -143,24 +143,24 @@ def _config_file(tmp_path, data, name="cfg.json"):
 def test_config_override(tmp_path):
     path = _config_file(tmp_path, SYNTHETIC)
     motor_path = _config_file(tmp_path, _constant_speed_config(), "motor.json")
-    assert ScenarioConfig.from_file(path, [("seed", "7")]).seed == 7
-    patched = ScenarioConfig.from_file(path, [("integration.periods", "33")])
+    assert ScenarioConfig.from_file(path, ["seed=7"]).seed == 7
+    patched = ScenarioConfig.from_file(path, ["integration.periods=33"])
     assert patched.integration["periods"] == 33
     assert json.loads(path.read_text()) == SYNTHETIC  # the file untouched
-    nested = ScenarioConfig.from_file(path, [("gains.k1", "1.25")])
+    nested = ScenarioConfig.from_file(path, ["gains.k1=1.25"])
     assert nested.gains["k1"] == 1.25
     for dotted in ("nonexistent.key", "seed.x"):
         with pytest.raises(ValueError):
-            ScenarioConfig.from_file(path, [(dotted, "1")])
+            ScenarioConfig.from_file(path, [f"{dotted}=1"])
     with pytest.raises(ValueError, match="seed must be an integer"):
-        ScenarioConfig.from_file(path, [("seed", "abc")])
+        ScenarioConfig.from_file(path, ["seed=abc"])
     for section, key, value in OUT_OF_RANGE:
         base = motor_path if section in MOTOR_SECTIONS else path
         with pytest.raises(ValueError, match=rf"{section}\.{key}"):
-            ScenarioConfig.from_file(base, [(f"{section}.{key}", json.dumps(value))])
+            ScenarioConfig.from_file(base, [f"{section}.{key}={json.dumps(value)}"])
     for section, value, key in BAD_SECTIONS:
         with pytest.raises(ValueError, match=key.replace(".", r"\.")):
-            ScenarioConfig.from_file(path, [(section, json.dumps(value))])
+            ScenarioConfig.from_file(path, [f"{section}={json.dumps(value)}"])
 
 
 @pytest.mark.parametrize("section,key", [
@@ -177,7 +177,7 @@ def test_unknown_nested_key_names_its_path(section, key, tmp_path):
         ScenarioConfig.from_dict(data)
     path = _config_file(tmp_path, SYNTHETIC)
     with pytest.raises(ValueError, match=rf"{section}\.{key}"):
-        ScenarioConfig.from_file(path, [(f"{section}.{key}", "1")])
+        ScenarioConfig.from_file(path, [f"{section}.{key}=1"])
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -197,7 +197,7 @@ def test_unknown_motor_key_names_its_path(section, key, value, tmp_path):
         ScenarioConfig.from_dict(data)
     path = _config_file(tmp_path, _constant_speed_config())
     with pytest.raises(ValueError, match=line):
-        ScenarioConfig.from_file(path, [(f"{section}.{key}", json.dumps(value))])
+        ScenarioConfig.from_file(path, [f"{section}.{key}={json.dumps(value)}"])
 
 
 def test_cli_override_rejects_unknown_nested_key(tmp_path, capsys):
@@ -1039,16 +1039,19 @@ def test_a_config_without_a_required_key_exits_1_naming_it(key, command, tmp_pat
 
 @pytest.mark.parametrize("command", ["sweep", "tune"])
 @pytest.mark.parametrize("override", ['gains.={"source": "explicit", "k1": 1, "k2": 2}',
-                                      ".k1=5", "=5", "gains..k1=5"])
+                                      ".k1=5", "=5", "gains..k1=5", "foo"])
 def test_an_override_key_with_an_empty_segment_exits_1(override, command, tmp_path, capsys,
                                                        monkeypatch):
     """A dotted key with an empty segment names no key: it fails at load, naming the override,
-    rather than replacing a whole section or reading as an unknown key with no name."""
+    rather than replacing a whole section or reading as an unknown key with no name.  So does
+    an override without ``=``, with the same ``error:`` prefix."""
     monkeypatch.setattr(runner, "_execute_case", lambda *args: pytest.fail("a case ran"))
     path = _config_file(tmp_path, _constant_speed_config())
-    line = f"bad override {override!r}; each segment of a dotted key must be non-empty"
+    reason = ("each segment of a dotted key must be non-empty" if "=" in override
+              else "expected KEY=VALUE")
+    line = f"bad override {override!r}; {reason}"
     with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
-        ScenarioConfig.from_file(path, [override.split("=", 1)])
+        ScenarioConfig.from_file(path, [override])
     flags = ["--out", str(tmp_path / "out")] if command == "sweep" else []
     assert main([command, "--config", str(path), "--override", override, *flags]) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")
